@@ -1,25 +1,30 @@
 """Syndrome decoding of high-rate Reed-Muller codes from random errors.
 
-Two independent decoders recover error locations from the degree <= 2r+1
-syndrome of a corrupted word: a finite-field tensor-decomposition method
-(jennrich) and a polynomial-space root finder (polyspace).  Supporting
-layers provide extension-field arithmetic, root extraction, dense linear
-algebra over finite fields, and reduced multivariate polynomial spaces.
+The paper's two independent decoders recover error locations from the
+degree <= 2r+1 syndrome of a corrupted word: a finite-field
+tensor-decomposition method (jennrich rand/derand) and a polynomial-space
+root finder (polyspace rand/det).  The default decoder (jennrich axis)
+reads the error coordinates off the eigenvalues of base-field
+multiplication matrices of the same syndrome tensor; the paper decoders
+stay as cross-checks.  Supporting layers provide extension-field
+arithmetic, root extraction, dense linear algebra over finite fields, and
+reduced multivariate polynomial spaces.
 """
 
 from .code import (CodeParams, DecodingFailure, DegreeError, ErrorSet,
-                   LengthMismatchError, ReceivedWord, SamplingError, Syndrome,
-                   corrupt, encode, has_property_ur, int_to_point,
-                   point_to_int, sample_error_set, solve_error_magnitudes,
-                   syndrome_from_errors, syndrome_from_weighted_errors,
-                   syndrome_of_word, syndrome_streaming, tensor_power,
-                   tensor_power_matrix, vanishing_space)
+                   LengthMismatchError, MalformedInputError, ReceivedWord,
+                   SamplingError, Syndrome, corrupt, encode, has_property_ur,
+                   int_to_point, point_to_int, sample_error_set,
+                   solve_error_magnitudes, syndrome_from_errors,
+                   syndrome_from_weighted_errors, syndrome_of_word,
+                   syndrome_streaming, tensor_power, tensor_power_matrix,
+                   vanishing_space)
 from .fields import (ExtField, OrderFactorizationError, PrimeField, UniPoly,
                      berlekamp_roots, extension_field, find_irreducible,
                      find_primitive_element, is_irreducible, prime_field)
-from .jennrich import (FlatteningPair, Tensor3, check_flattening_conditions,
-                       decompose, derandomized_flattening_vectors,
-                       tensor_from_syndrome)
+from .jennrich import (FlatteningPair, Tensor3, axis_decompose,
+                       check_flattening_conditions, decompose,
+                       derandomized_flattening_vectors, tensor_from_syndrome)
 from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      char_poly, eigen_decompose, full_rank_submatrix, inverse,
                      nullspace_basis, rank, rref, solve)

@@ -24,18 +24,23 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .code import (CodeParams, DecodingFailure, SamplingError,
-                   read_syndrome_file, read_word_file, sample_error_set,
-                   syndrome_from_errors, syndrome_of_word, syndrome_streaming,
-                   encode as encode_word, write_syndrome_file, write_word_file)
+from .code import (CodeParams, DecodingFailure, MalformedInputError,
+                   SamplingError, read_syndrome_file, read_word_file,
+                   sample_error_set, syndrome_from_errors, syndrome_of_word,
+                   syndrome_streaming, encode as encode_word,
+                   write_syndrome_file, write_word_file)
 from .polynomials import monomial_index, poly_from_obj, space_to_obj
-from .polyspace import (IsolationBoundWarning, PartialRecoveryWarning,
-                        locate_and_correct, space_roots)
+from .polyspace import (DECODER_MODES, IsolationBoundWarning,
+                        PartialRecoveryWarning, locate_and_correct,
+                        resolve_mode, run_decoder, space_roots)
 
 EXIT_OK = 0
 EXIT_DECODE_FAILURE = 2
 EXIT_INVALID_INPUT = 3
 EXIT_PARAM_BOUNDS = 4
+
+ALGORITHMS = sorted(DECODER_MODES)
+MODES = sorted({mode for modes in DECODER_MODES.values() for mode in modes})
 
 CSV_COLUMNS = ["record", "trial", "m", "r", "p", "t", "algo", "mode", "seed",
                "status", "success", "mismatches", "ur_resamples",
@@ -84,8 +89,10 @@ def build_parser() -> _Parser:
 
     dec = sub.add_parser("decode", help="recover error locations from a syndrome")
     dec.add_argument("--syndrome", required=True)
-    dec.add_argument("--algo", choices=["jennrich", "polyspace"], default="polyspace")
-    dec.add_argument("--mode", choices=["rand", "derand", "det"], default="det")
+    dec.add_argument("--algo", choices=ALGORITHMS, default="jennrich")
+    dec.add_argument("--mode", choices=MODES, default=None,
+                     help="default: the algorithm's deterministic mode "
+                          "(jennrich axis, polyspace det)")
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--ext-degree", type=int, default=None,
                      help="extension degree for the tensor decoder (default 10m)")
@@ -102,8 +109,9 @@ def build_parser() -> _Parser:
                      help="inclusive range of error counts to sweep")
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--algo", choices=["jennrich", "polyspace"], default="polyspace")
-    exp.add_argument("--mode", choices=["rand", "derand", "det"], default="det")
+    exp.add_argument("--algo", choices=ALGORITHMS, default="jennrich")
+    exp.add_argument("--mode", choices=MODES, default=None,
+                     help="default: the algorithm's deterministic mode")
     exp.add_argument("--ext-degree", type=int, default=None)
     exp.add_argument("--omit-timing", action="store_true",
                      help="zero the duration columns for byte-identical reruns")
@@ -131,12 +139,13 @@ def main(argv=None) -> int:
     except DecodingFailure as exc:
         print(f"rmsyndrome: decode failure: {exc}", file=sys.stderr)
         return EXIT_DECODE_FAILURE
+    # before ValueError: JSONDecodeError and MalformedInputError subclass it
+    except (OSError, json.JSONDecodeError, KeyError, MalformedInputError) as exc:
+        print(f"rmsyndrome: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     except (ValueError, SamplingError) as exc:
         print(f"rmsyndrome: parameter bounds: {exc}", file=sys.stderr)
         return EXIT_PARAM_BOUNDS
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"rmsyndrome: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
 
 
 def _cmd_encode(args) -> int:
@@ -236,7 +245,6 @@ def _trial_worker(job) -> dict:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IsolationBoundWarning)
             warnings.simplefilter("ignore", PartialRecoveryWarning)
-            from .polyspace import run_decoder
             result = run_decoder(syndrome, algorithm=algo, mode=mode, rng=rng,
                                  ext_degree=ext_degree)
             recovered = result.points
@@ -273,10 +281,7 @@ def _cmd_experiment(args) -> int:
     if args.trials < 1:
         raise ValueError("need trials >= 1")
     CodeParams(args.m, args.r, args.p)  # validate bounds before spawning work
-    if args.algo == "jennrich" and args.mode == "det":
-        raise ValueError("jennrich supports modes rand and derand")
-    if args.algo == "polyspace" and args.mode == "derand":
-        raise ValueError("polyspace supports modes rand and det")
+    args.mode = resolve_mode(args.algo, args.mode)
     workers = max(1, int(os.environ.get("RMS_THREADS", "1")))
     jobs = []
     index = 0

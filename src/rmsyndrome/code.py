@@ -37,6 +37,11 @@ class DegreeError(ValueError):
     """Polynomial degree exceeds the code degree bound."""
 
 
+class MalformedInputError(ValueError):
+    """A file read from outside the program does not have the documented
+    shape, types or value ranges."""
+
+
 class DecodingFailure(RuntimeError):
     """A decoder could not produce an error set consistent with the
     syndrome (typically a non-independent or oversized error set)."""
@@ -166,7 +171,18 @@ class Syndrome:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Syndrome":
-        return cls(CodeParams.from_json_dict(d["params"]), tuple(d["entries"]))
+        """Parse the syndrome file object; raises MalformedInputError unless
+        it is {"params": {...}, "entries": [ints in [0, p)]}."""
+        if not (isinstance(d, dict) and isinstance(d.get("params"), dict)
+                and isinstance(d.get("entries"), list)):
+            raise MalformedInputError("a syndrome file must be an object with "
+                                      "a params object and an entries list")
+        params = CodeParams.from_json_dict(d["params"])
+        entries = d["entries"]
+        if not all(type(v) is int and 0 <= v < params.p for v in entries):
+            raise MalformedInputError(
+                f"syndrome entries must be integers in [0, {params.p})")
+        return cls(params, tuple(entries))
 
 
 @dataclass(frozen=True)

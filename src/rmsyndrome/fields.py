@@ -721,12 +721,14 @@ def find_irreducible(base: PrimeField, k: int) -> UniPoly:
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 
 
+@lru_cache(maxsize=None)
 def find_primitive_element(field, trial_bound: int = 100_000,
                            rho_budget: int = 1 << 22) -> int:
     """Deterministic generator of the multiplicative group of the field.
 
     Verified by g^{(q-1)/l} != 1 for every prime l dividing q - 1; raises
     OrderFactorizationError when q - 1 cannot be factored in budget.
+    Cached per field, since factoring q - 1 dominates and fields are few.
     """
     n = field.order - 1
     if n == 0:
@@ -784,7 +786,7 @@ def berlekamp_roots(f: UniPoly) -> dict[int, int]:
 
 
 # Char-2 fast path: polynomials as plain coefficient lists (lowest first,
-# trimmed), addition is elementwise xor, muls go through the bound field op.
+# trimmed), addition is elementwise xor, division packs them into ints.
 
 
 def _c2_trim(v: list) -> list:
@@ -793,39 +795,65 @@ def _c2_trim(v: list) -> list:
     return v
 
 
-def _c2_mod(a: list, m: list, fmul, minv) -> list:
-    # minv: inverse of the leading coefficient of m
-    a = a[:]
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
+def _c2_divmod(a: list, b: list, field, binv) -> tuple[list, list]:
+    """Quotient and remainder of a by b over a field of order 2^k; binv is
+    the inverse of b's leading coefficient.
+
+    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4): coefficients sit in 2k-bit slots of one int, wide
+    enough for an unreduced carry-less product, so cancelling a leading
+    term is one 4-bit-windowed carry-less product of a field element with
+    the packed divisor.  A slot is reduced into the field when it is read.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], _c2_trim(a[:])
+    w = 2 * (field.order.bit_length() - 1)
+    mask = (1 << w) - 1
+    reduce = field._reduce2 if field.order > 2 else int
+    A = B = 0
+    for c in reversed(a):
+        A = A << w | c
+    for c in reversed(b):
+        B = B << w | c
+    tb = [0] * 16  # tb[n] = carry-less n * B
+    for n in range(1, 16):
+        low = n & -n
+        tb[n] = (B << low.bit_length() - 1) ^ tb[n ^ low]
+    fmul = field.mul
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = reduce(A >> i * w & mask)
         if c:
-            qc = fmul(c, minv) if minv != 1 else c
-            off = i - dm
-            for j in range(dm):
-                mj = m[j]
-                if mj:
-                    a[off + j] ^= fmul(qc, mj)
-            a[i] = 0
-    del a[dm:]
-    return _c2_trim(a)
+            qc = fmul(c, binv) if binv != 1 else c
+            quo[i - db] = qc
+            prod = shift = 0
+            while qc:
+                if qc & 15:
+                    prod ^= tb[qc & 15] << shift
+                qc >>= 4
+                shift += 4
+            A ^= prod << (i - db) * w
+    rem = [reduce(A >> j * w & mask) for j in range(db)]
+    return _c2_trim(quo), _c2_trim(rem)
 
 
-def _c2_gcd(a: list, b: list, fmul, finv) -> list:
+def _c2_gcd(a: list, b: list, field) -> list:
+    finv = field.inv
     while b:
-        a, b = b, _c2_mod(a, b, fmul, finv(b[-1]))
+        a, b = b, _c2_divmod(a, b, field, finv(b[-1]))[1]
     if a and a[-1] != 1:
         inv = finv(a[-1])
-        a = [fmul(c, inv) if c else 0 for c in a]
+        a = [field.mul(c, inv) if c else 0 for c in a]
     return a
 
 
-def _c2_sqmod(a: list, m: list, fsquare, fmul, minv) -> list:
+def _c2_sqmod(a: list, m: list, field, minv) -> list:
     out = [0] * (2 * len(a) - 1) if a else []
     for i, c in enumerate(a):
         if c:
-            out[2 * i] = fsquare(c)
-    return _c2_mod(out, m, fmul, minv)
+            out[2 * i] = field.square(c)
+    return _c2_divmod(out, m, field, minv)[1]
 
 
 def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
@@ -844,22 +872,22 @@ def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
     h = [0, 1]
     for _ in range(kappa):
         frob.append(h)
-        h = _c2_sqmod(h, m, fsquare, fmul, 1)
+        h = _c2_sqmod(h, m, field, 1)
     # h = X^q mod fm
     hx = h[:]
     if len(hx) < 2:
         hx += [0] * (2 - len(hx))
     hx[1] ^= 1
-    g = _c2_gcd(m, _c2_trim(hx), fmul, finv)
+    g = _c2_gcd(m, _c2_trim(hx), field)
     if len(g) <= 1:
         return []
+    frob_g = [_c2_divmod(fb, g, field, 1)[1] for fb in frob]
     traces: dict[int, list] = {}
 
     def trace_at_root(u: int) -> list:
         w = [0] * (len(g) - 1)
         uu = u
-        for fb in frob:
-            fbr = _c2_mod(fb, g, fmul, 1)
+        for fbr in frob_g:
             for i, c in enumerate(fbr):
                 if c:
                     w[i] ^= fmul(uu, c) if uu != 1 else c
@@ -881,33 +909,15 @@ def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
             w = traces.get(u)
             if w is None:
                 w = traces[u] = trace_at_root(u)
-            wr = _c2_mod(w, hcur, fmul, finv(hcur[-1])) if len(w) >= len(hcur) else _c2_trim(w[:])
-            d = _c2_gcd(hcur, wr, fmul, finv)
+            wr = _c2_divmod(w, hcur, field, finv(hcur[-1]))[1]
+            d = _c2_gcd(hcur, wr, field)
             if 1 < len(d) < len(hcur):
                 stack.append(d)
-                stack.append(_c2_quot(hcur, d, fmul, finv))
+                stack.append(_c2_divmod(hcur, d, field, finv(d[-1]))[0])
                 break
         else:
             raise RuntimeError("trace splitting failed on distinct roots")
     return roots
-
-
-def _c2_quot(a: list, b: list, fmul, finv) -> list:
-    a = a[:]
-    db = len(b) - 1
-    binv = finv(b[-1])
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            qc = fmul(c, binv) if binv != 1 else c
-            quo[i - db] = qc
-            off = i - db
-            for j in range(db + 1):
-                bj = b[j]
-                if bj:
-                    a[off + j] ^= fmul(qc, bj)
-    return _c2_trim(quo)
 
 
 def _split_linear_odd(g: UniPoly, field) -> list[int]:

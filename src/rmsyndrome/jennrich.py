@@ -12,18 +12,29 @@ coordinates back off.
 Failure modes (repeated eigenvalues, rank mismatch, vectors that do not
 normalize into the base field) trigger a resample in randomized mode and
 are reported as decoding failures in derandomized mode.
+
+axis_decompose, the library's default decoder, takes the weightings to be
+the constant slice and each coordinate axis in turn.  The quotients
+M_v = T_v[K,L] T_0[K,L]^{-1} then stay over F_p and commute, and their
+eigenvalues are the v-th coordinates of the error points, so splitting one
+vector by the eigenspace idempotents 1 - (M_v - c)^{p-1} separates the
+points with no extension field, characteristic polynomial or eigenvector
+solve.  This is the eigenvalue method for zero-dimensional systems
+(Moeller & Stetter 1995), i.e. solution extraction from moment matrices
+(Henrion & Lasserre 2005).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
                    solve_error_magnitudes, syndrome_from_errors, tensor_power)
 from .fields import extension_field, find_primitive_element
 from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      eigen_decompose, full_rank_submatrix, inverse, rank)
-from .polynomials import monomial_index
+from .polynomials import monomial_index, pair_positions
 
 
 class _RetryableFailure(Exception):
@@ -51,34 +62,16 @@ def tensor_from_syndrome(S: Syndrome) -> Tensor3:
     (M_i, M_j, M''_k) is the syndrome entry of reduce(M_i M_j M''_k)."""
     params = S.params
     m, r, p = params.m, params.r, params.p
-    idx_r = monomial_index(m, r, p)
+    pairpos = pair_positions(m, r, r, p)
     sidx = params.syndrome_index
-    s = idx_r.size
-    pairpos = [[0] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(i, s):
-            ei = idx_r.monomials[i]
-            ej = idx_r.monomials[j]
-            prod = tuple(_red(a + b, p) for a, b in zip(ei, ej))
-            pos = sidx.position[prod]
-            pairpos[i][j] = pos
-            pairpos[j][i] = pos
     f = params.field
     entries = S.entries
-    slices = []
-    slices.append(FFMatrix.from_rows(
-        f, [[entries[pairpos[i][j]] for j in range(s)] for i in range(s)]))
+    slices = [FFMatrix.from_rows(f, [[entries[q] for q in row] for row in pairpos])]
     for v in range(m):
         vmap = sidx.var_mul(v)
         slices.append(FFMatrix.from_rows(
-            f, [[entries[vmap[pairpos[i][j]]] for j in range(s)] for i in range(s)]))
+            f, [[entries[vmap[q]] for q in row] for row in pairpos]))
     return Tensor3(params, tuple(slices))
-
-
-def _red(e: int, p: int) -> int:
-    if e <= 0:
-        return 0
-    return (e - 1) % (p - 1) + 1 if p > 2 else 1
 
 
 @dataclass(frozen=True)
@@ -284,6 +277,94 @@ def _attempt(S: Syndrome, T: Tensor3, F, a, b, recover_full_x: bool) -> ErrorSet
     if not _verify_against_syndrome(S, E):
         raise _RetryableFailure("recovered set does not reproduce the syndrome")
     return E
+
+
+def axis_decompose(S: Syndrome) -> ErrorSet:
+    """Recover the error locations from the tensor slices along the
+    coordinate axes, over the base field.
+
+    With (K, L) a full-rank minor of the constant slice T_0, the matrices
+    M_v = T_v[K,L] T_0[K,L]^{-1} equal A D_v A^{-1}, where the columns of A
+    are the tensor powers e^{<=r} of the error points at rows K and D_v
+    holds their v-th coordinates; this needs the tensor powers to be
+    independent, as both paper decoders do.  The vector
+    T_0[K, 0] = sum_e w_e e^{<=r}[K] has a nonzero component along every
+    column of A, so splitting it one variable at a time into its
+    eigencomponents under each M_v leaves one eigenvector per error point,
+    whose eigenvalues are that point's coordinates.
+
+    Raises DecodingFailure unless the splits end in exactly rank(T_0)
+    common eigenvectors of every M_v with distinct eigenvalue tuples;
+    callers check the set against the syndrome (locate_and_correct).
+    """
+    params = S.params
+    f = params.field
+    T = tensor_from_syndrome(S)
+    T0 = T.slices[0]
+    K, L = full_rank_submatrix(T0)
+    t = len(K)
+    if t == 0:
+        if not S.is_zero():
+            raise DecodingFailure("zero constant slice of a nonzero syndrome")
+        return ErrorSet(params, ())
+    B = inverse(T0.submatrix(K, L))
+    mats = [Tv.submatrix(K, L) @ B for Tv in T.slices[1:]]
+    leaves = [T0.submatrix(K, (0,)).column(0)]
+    for M in mats:
+        if len(leaves) == t:
+            break
+        leaves = [y for x in leaves for y in _eigen_split(M, x, f)]
+        if len(leaves) > t:
+            raise DecodingFailure(
+                f"{len(leaves)} eigencomponents for a rank-{t} constant slice")
+    if len(leaves) < t:
+        raise DecodingFailure("a joint eigenspace of the axis matrices "
+                              "is not one-dimensional")
+    stacked = reduce(FFMatrix.vstack, mats)
+    points = [_eigenvalues(stacked, y, f) for y in leaves]
+    try:
+        return ErrorSet(params, points)
+    except ValueError as exc:
+        raise DecodingFailure(f"invalid point set: {exc}") from exc
+
+
+def _eigen_split(M: FFMatrix, y: tuple, f) -> list[tuple]:
+    """The nonzero components P_c y, c in F_p, of y, where
+    P_c = I - (M - cI)^{p-1}; they always sum to y, and for M
+    diagonalizable over F_p they are y's components in its eigenspaces.
+    Uses (M - cI)^{p-1} = sum_k c^{p-1-k} M^k, since binom(p-1, k) is
+    (-1)^k mod p."""
+    p = f.p
+    powers = [y]
+    for _ in range(p - 1):
+        powers.append(M.mat_vec(powers[-1]))
+    out = []
+    for c in range(p):
+        z = y
+        for k, w in enumerate(powers):
+            coef = pow(c, p - 1 - k, p)
+            if coef:
+                z = tuple(f.sub(a, f.mul(coef, b)) for a, b in zip(z, w))
+        if any(z):
+            out.append(z)
+    return out
+
+
+def _eigenvalues(stacked: FFMatrix, y: tuple, f) -> tuple[int, ...]:
+    """The c_v with M_v y = c_v y for the square blocks M_v stacked in
+    rows; raises DecodingFailure if y is not an eigenvector of each."""
+    t = len(y)
+    My = stacked.mat_vec(y)
+    i = next(i for i, a in enumerate(y) if a)
+    yi_inv = f.inv(y[i])
+    out = []
+    for start in range(0, len(My), t):
+        c = f.mul(My[start + i], yi_inv)
+        if My[start:start + t] != tuple(f.mul(c, a) for a in y):
+            raise DecodingFailure("a split component is not a common "
+                                  "eigenvector of the axis matrices")
+        out.append(c)
+    return tuple(out)
 
 
 def _verify_against_syndrome(S: Syndrome, E: ErrorSet) -> bool:

@@ -88,12 +88,6 @@ class MonomialIndex:
     def degree_of(self, i: int) -> int:
         return sum(self.monomials[i])
 
-    def product_position(self, i: int, j: int) -> int:
-        """Position of reduce(M_i * M_j); raises if past the degree bound."""
-        ei, ej = self.monomials[i], self.monomials[j]
-        prod = tuple(reduce_exponent(a + b, self.p) for a, b in zip(ei, ej))
-        return self.position[prod]
-
     def var_mul(self, v: int) -> tuple:
         """Map position i to the position of reduce(M_i * X_v), or -1 when
         the product exceeds the degree bound."""
@@ -153,6 +147,25 @@ class MonomialIndex:
 @lru_cache(maxsize=None)
 def monomial_index(m: int, t: int, p: int = 2) -> MonomialIndex:
     return MonomialIndex(m, t, p)
+
+
+@lru_cache(maxsize=None)
+def pair_positions(m: int, row_deg: int, col_deg: int,
+                   p: int = 2) -> tuple[tuple[int, ...], ...]:
+    """Entry (i, j) is the position of reduce(M_i * M_j) for M_i of degree
+    <= row_deg and M_j of degree <= col_deg: the index pattern of the
+    moment (Hankel) matrix H[i, j] = s[reduce(M_i M_j)] of a syndrome s.
+
+    Positions are those of monomial_index(m, row_deg + col_deg, p), which
+    agree with every larger-degree index since the graded order makes each
+    index a prefix of the next."""
+    rows = monomial_index(m, row_deg, p)
+    cols = monomial_index(m, col_deg, p)
+    position = monomial_index(m, row_deg + col_deg, p).position
+    return tuple(
+        tuple(position[tuple(reduce_exponent(a + b, p) for a, b in zip(ei, ej))]
+              for ej in cols.monomials)
+        for ei in rows.monomials)
 
 
 class MultilinearPoly:

@@ -24,8 +24,9 @@ from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
                    solve_error_magnitudes, syndrome_from_errors,
                    syndrome_from_weighted_errors, tensor_power_matrix)
 from .fields import prime_field
+from .jennrich import axis_decompose, decompose
 from .linalg import FFMatrix, inverse, nullspace_basis, rank
-from .polynomials import PolySpace, monomial_index
+from .polynomials import PolySpace, monomial_index, pair_positions
 
 
 class StructuralInconsistencyError(DecodingFailure):
@@ -50,27 +51,10 @@ def space_roots(S: Syndrome) -> PolySpace:
     syndrome entry of reduce(M * M')."""
     params = S.params
     m, r, p = params.m, params.r, params.p
-    idx_r = monomial_index(m, r, p)
-    idx_rp1 = monomial_index(m, r + 1, p)
-    sidx = params.syndrome_index
     entries = S.entries
-    rows = []
-    for i in range(idx_r.size):
-        mi = idx_r.monomials[i]
-        row = [0] * idx_rp1.size
-        for j in range(idx_rp1.size):
-            mj = idx_rp1.monomials[j]
-            prod = tuple(_red(a + b, p) for a, b in zip(mi, mj))
-            row[j] = entries[sidx.position[prod]]
-        rows.append(row)
+    rows = [[entries[q] for q in row] for row in pair_positions(m, r, r + 1, p)]
     mat = FFMatrix.from_rows(params.field, rows)
-    return PolySpace.from_matrix(idx_rp1, nullspace_basis(mat))
-
-
-def _red(e: int, p: int) -> int:
-    if e <= 0:
-        return 0
-    return (e - 1) % (p - 1) + 1 if p > 2 else 1
+    return PolySpace.from_matrix(monomial_index(m, r + 1, p), nullspace_basis(mat))
 
 
 def count_errors(V: PolySpace) -> int:
@@ -256,8 +240,27 @@ def _det_rec(space: PolySpace, m_left: int, p: int) -> list[tuple]:
 # End-to-end decoding.
 
 
-def locate_and_correct(S: Syndrome, algorithm: str = "polyspace",
-                       mode: str = "det", rng=None,
+# Modes of each decoder by name; the first is its deterministic default.
+DECODER_MODES = {"jennrich": ("axis", "rand", "derand"),
+                 "polyspace": ("det", "rand")}
+
+
+def resolve_mode(algorithm: str, mode: str | None = None) -> str:
+    """The mode a decoder runs in: the given one, checked against the
+    algorithm, or its deterministic default when mode is None."""
+    modes = DECODER_MODES.get(algorithm)
+    if modes is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if mode is None:
+        return modes[0]
+    if mode not in modes:
+        raise ValueError(f"{algorithm} mode must be one of "
+                         f"{', '.join(modes)}, got {mode!r}")
+    return mode
+
+
+def locate_and_correct(S: Syndrome, algorithm: str = "jennrich",
+                       mode: str | None = None, rng=None,
                        ext_degree: int | None = None) -> tuple[ErrorSet, Syndrome]:
     """Locate the error set and cancel it from the syndrome.
 
@@ -279,26 +282,21 @@ def locate_and_correct(S: Syndrome, algorithm: str = "polyspace",
     return E, residual
 
 
-def run_decoder(S: Syndrome, algorithm: str = "polyspace", mode: str = "det",
+def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = None,
                 rng=None, ext_degree: int | None = None) -> ErrorSet:
-    """Dispatch to one of the decoders by name."""
+    """Dispatch to one of the decoders by name; mode None picks the
+    algorithm's deterministic mode (jennrich axis, polyspace det)."""
+    mode = resolve_mode(algorithm, mode)
+    if mode == "rand" and rng is None:
+        raise ValueError(f"randomized {algorithm} decoding needs an rng")
     if algorithm == "polyspace":
         V = space_roots(S)
-        if mode == "det":
-            return det_find_roots(V)
-        if mode == "rand":
-            if rng is None:
-                raise ValueError("randomized root finding needs an rng")
-            return find_roots(V, rng)
-        raise ValueError(f"polyspace mode must be rand or det, got {mode!r}")
-    if algorithm == "jennrich":
-        from .jennrich import decompose
-        if mode == "rand":
-            return decompose(S, "randomized", rng, ext_degree)
-        if mode == "derand":
-            return decompose(S, "derandomized", ext_degree=ext_degree)
-        raise ValueError(f"jennrich mode must be rand or derand, got {mode!r}")
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        return det_find_roots(V) if mode == "det" else find_roots(V, rng)
+    if mode == "axis":
+        return axis_decompose(S)
+    if mode == "rand":
+        return decompose(S, "randomized", rng, ext_degree)
+    return decompose(S, "derandomized", ext_degree=ext_degree)
 
 
 def check_ur_preserved(E: ErrorSet, M, b) -> bool:

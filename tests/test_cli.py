@@ -2,6 +2,8 @@ import csv
 import json
 import os
 
+import pytest
+
 from rmsyndrome.cli import main, substream_rng, substream_seed
 from rmsyndrome.code import (CodeParams, ErrorSet, corrupt, encode,
                              read_word_file, sample_error_set,
@@ -91,6 +93,7 @@ def test_decode_all_algorithms_identical_files(tmp_path, rng):
         ("jrand", ["--algo", "jennrich", "--mode", "rand", "--seed", "4",
                    "--ext-degree", "32"]),
         ("jder", ["--algo", "jennrich", "--mode", "derand", "--ext-degree", "32"]),
+        ("jaxis", ["--algo", "jennrich", "--mode", "axis"]),
     ]:
         out = tmp_path / f"locs_{name}.json"
         assert main(["decode", "--syndrome", str(spath), "--out", str(out)]
@@ -142,6 +145,19 @@ def test_exit_codes_for_bad_input(tmp_path):
                  "--out", str(tmp_path / "e.csv")]) == 4  # invalid combo
 
 
+@pytest.mark.parametrize("text", [
+    '{"params": {"m": 4, "r": 1, "p": 2}, "entries": [2%s]}' % (", 0" * 14),
+    '{"params": {"m": 4, "r": 1, "p": 2}, "entries": ["1"%s]}' % (", 0" * 14),
+    '[{"params": {"m": 4, "r": 1, "p": 2}}]',
+    '{"params": ',
+], ids=["entry-out-of-range", "string-entry", "top-level-list", "not-json"])
+def test_decode_malformed_syndrome_file_is_invalid_input(tmp_path, text):
+    spath = tmp_path / "s.json"
+    spath.write_text(text)
+    assert main(["decode", "--syndrome", str(spath),
+                 "--out", str(tmp_path / "o.json")]) == 3
+
+
 def test_experiment_reproducible_and_summary(tmp_path):
     args = ["experiment", "--m", "8", "--r", "1", "--t", "4", "--trials", "8",
             "--seed", "11", "--algo", "polyspace", "--mode", "det",
@@ -171,13 +187,16 @@ def test_experiment_t_sweep_records_sampling_failures(tmp_path):
 
 def test_experiment_jennrich_modes(tmp_path):
     out = tmp_path / "j.csv"
-    assert main(["experiment", "--m", "8", "--r", "1", "--t", "4",
-                 "--trials", "4", "--seed", "2", "--algo", "jennrich",
-                 "--mode", "derand", "--ext-degree", "32", "--omit-timing",
-                 "--out", str(out)]) == 0
-    rows = [r for r in csv.DictReader(out.read_text().splitlines())
-            if r["record"] == "trial"]
-    assert all(r["success"] == "1" for r in rows)
+    for extra, mode in [
+        (["--algo", "jennrich", "--mode", "derand", "--ext-degree", "32"], "derand"),
+        ([], "axis"),  # the default decoder, recorded by its resolved mode
+    ]:
+        assert main(["experiment", "--m", "8", "--r", "1", "--t", "4",
+                     "--trials", "4", "--seed", "2", "--omit-timing",
+                     "--out", str(out)] + extra) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert all(r["algo"] == "jennrich" and r["mode"] == mode for r in rows)
+        assert all(r["success"] == "1" for r in rows if r["record"] == "trial")
 
 
 def test_experiment_worker_pool_matches_serial(tmp_path):

@@ -1,17 +1,23 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, reject, strategies as st
 
-from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
-                             corrupt, encode, sample_error_set,
-                             syndrome_from_errors, syndrome_of_word,
+from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
+                             SamplingError, Syndrome, corrupt, encode,
+                             int_to_point, sample_error_set,
+                             syndrome_from_errors,
+                             syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
 from rmsyndrome.fields import extension_field, find_primitive_element
-from rmsyndrome.jennrich import (FlatteningPair, check_flattening_conditions,
-                                 decompose, derandomized_flattening_vectors,
+from rmsyndrome.jennrich import (FlatteningPair, axis_decompose,
+                                 check_flattening_conditions, decompose,
+                                 derandomized_flattening_vectors,
                                  tensor_from_syndrome)
 from rmsyndrome.linalg import FFMatrix, full_rank_submatrix, inverse, rank
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index
+from rmsyndrome.polyspace import det_find_roots, locate_and_correct, space_roots
 
 
 def test_tensor_entries_match_direct_sum(rng):
@@ -226,3 +232,60 @@ def test_randomized_requires_rng():
         decompose(S, "randomized")
     with pytest.raises(ValueError):
         decompose(S, "sideways")
+
+
+# (m, r) per field for the differential tests: r in {1, 2} over every
+# field, at sizes where the paper decoders take well under a second.
+AXIS_GRID = {2: [(4, 1), (6, 1), (7, 1), (6, 2)], 3: [(4, 1), (5, 1), (6, 2)],
+             5: [(4, 1), (6, 2)]}
+
+
+@st.composite
+def planted_syndromes(draw):
+    """A planted error set with independent degree-r tensor powers, up to
+    the |M_r| bound, and its syndrome with random nonzero magnitudes."""
+    p = draw(st.sampled_from(sorted(AXIS_GRID)))
+    m, r = draw(st.sampled_from(AXIS_GRID[p]))
+    params = CodeParams(m, r, p)
+    t = draw(st.integers(0, monomial_index(m, r, p).size))
+    try:
+        E = sample_error_set(params, t, random.Random(draw(st.integers(0, 2**32))))
+    except SamplingError:
+        reject()
+    mags = draw(st.lists(st.integers(1, p - 1), min_size=t, max_size=t))
+    return E, syndrome_from_weighted_errors(E, mags)
+
+
+@given(planted_syndromes())
+def test_axis_decompose_matches_planted_and_polyspace(case):
+    E, S = case
+    assert axis_decompose(S).points == E.points
+    assert det_find_roots(space_roots(S)).points == E.points
+
+
+@given(st.sampled_from(AXIS_GRID[2]), st.integers(0, 2**32), st.data())
+def test_axis_decompose_matches_derandomized_jennrich_over_f2(mr, seed, data):
+    params = CodeParams(*mr)
+    t = data.draw(st.integers(0, monomial_index(*mr, 2).size))
+    try:
+        E = sample_error_set(params, t, random.Random(seed))
+    except SamplingError:
+        reject()
+    S = syndrome_from_errors(E)
+    assert axis_decompose(S).points == decompose(S, "derandomized").points == E.points
+
+
+@pytest.mark.parametrize("m,r,p", [(4, 1, 2), (6, 1, 2), (4, 1, 3), (6, 2, 2)])
+def test_dependent_tensor_powers_raise(m, r, p):
+    # more points than |M_r|: the degree-r tensor powers cannot be
+    # independent, and the default decoder must refuse, not guess
+    params = CodeParams(m, r, p)
+    bound = monomial_index(m, r, p).size
+    for seed in range(5):
+        rng = random.Random(seed)
+        t = bound + 1 + rng.randrange(3)
+        E = ErrorSet(params, tuple(int_to_point(x, m, p)
+                                   for x in rng.sample(range(params.n), t)))
+        S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
+        with pytest.raises(DecodingFailure):
+            locate_and_correct(S)
