@@ -24,10 +24,10 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .code import (CodeParams, DecodingFailure, MalformedInputError,
-                   SamplingError, read_syndrome_file, read_word_file,
-                   sample_error_set, syndrome_from_errors, syndrome_of_word,
-                   syndrome_streaming, encode as encode_word,
+from .code import (CodeParams, DecodingFailure, LengthMismatchError,
+                   MalformedInputError, SamplingError, read_syndrome_file,
+                   read_word_file, sample_error_set, syndrome_from_errors,
+                   syndrome_of_word, syndrome_streaming, encode as encode_word,
                    write_syndrome_file, write_word_file)
 from .polynomials import monomial_index, poly_from_obj, space_to_obj
 from .polyspace import (DECODER_MODES, IsolationBoundWarning,
@@ -173,27 +173,21 @@ def _cmd_syndrome(args) -> int:
 def _stream_values(path, params: CodeParams):
     """Yield the p^m coordinates of a word file in enumeration order,
     reading the file in fixed-size chunks."""
-    n = params.n
+    n, p = params.n, params.p
+    if os.path.getsize(path) != ((n + 7) // 8 if p == 2 else n):
+        raise LengthMismatchError("word file length mismatch")
     emitted = 0
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(4096)
-            if not chunk:
-                break
+        while chunk := fh.read(4096):
             for byte in chunk:
-                if params.p == 2:
-                    for bit in range(8):
-                        if emitted == n:
-                            break
+                if p == 2:
+                    for bit in range(min(8, n - emitted)):
                         yield byte >> bit & 1
-                        emitted += 1
+                    emitted += 8
+                elif byte >= p:
+                    raise MalformedInputError(f"word symbols must lie in [0, {p})")
                 else:
-                    if emitted == n:
-                        raise ValueError("word file longer than p^m")
                     yield byte
-                    emitted += 1
-    if emitted != n:
-        raise ValueError(f"word file delivered {emitted} of {n} coordinates")
 
 
 def _cmd_decode(args) -> int:

@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .fields import is_prime, prime_field
 from .linalg import FFMatrix, nullspace_basis, rank
-from .polynomials import MonomialIndex, MultilinearPoly, PolySpace, monomial_index
+from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
+                          monomial_count, monomial_index)
 
 
 class SamplingError(RuntimeError):
@@ -29,17 +30,17 @@ class SamplingError(RuntimeError):
     within the retry budget (t too large for the given m, r)."""
 
 
-class LengthMismatchError(ValueError):
+class MalformedInputError(ValueError):
+    """A file read from outside the program does not have the documented
+    shape, types or value ranges."""
+
+
+class LengthMismatchError(MalformedInputError):
     """Stream or file length does not match p^m."""
 
 
 class DegreeError(ValueError):
     """Polynomial degree exceeds the code degree bound."""
-
-
-class MalformedInputError(ValueError):
-    """A file read from outside the program does not have the documented
-    shape, types or value ranges."""
 
 
 class DecodingFailure(RuntimeError):
@@ -103,7 +104,11 @@ class CodeParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CodeParams":
-        return cls(int(d["m"]), int(d["r"]), int(d.get("p", 2)))
+        if not (isinstance(d, dict)
+                and all(type(d.get(k)) is int for k in ("m", "r", "p"))):
+            raise MalformedInputError(
+                'code parameters must be an object with integer "m", "r" and "p"')
+        return cls(d["m"], d["r"], d["p"])
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,8 @@ class Syndrome:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.params.syndrome_index.size:
+        m, r, p = self.params.m, self.params.r, self.params.p
+        if len(self.entries) != monomial_count(m, 2 * r + 1, p):
             raise ValueError("syndrome length mismatch")
 
     def is_zero(self) -> bool:
@@ -179,6 +185,9 @@ class Syndrome:
                                       "a params object and an entries list")
         params = CodeParams.from_json_dict(d["params"])
         entries = d["entries"]
+        size = monomial_count(params.m, 2 * params.r + 1, params.p)
+        if len(entries) != size:
+            raise MalformedInputError(f"a syndrome needs {size} entries")
         if not all(type(v) is int and 0 <= v < params.p for v in entries):
             raise MalformedInputError(
                 f"syndrome entries must be integers in [0, {params.p})")
@@ -222,8 +231,8 @@ class ReceivedWord:
             return cls(params, int.from_bytes(raw, "little"))
         if len(raw) != n:
             raise LengthMismatchError("word file length mismatch")
-        if any(b >= params.p for b in raw):
-            raise ValueError("symbol outside the field")
+        if max(raw) >= params.p:
+            raise MalformedInputError(f"word symbols must lie in [0, {params.p})")
         return cls(params, tuple(raw))
 
 
@@ -375,11 +384,46 @@ def _zeta_masks(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _power_transform(values, m: int, p: int, moments: bool):
+    """Moments sum_x values[x] x^k of a table of p^m values in [0, p)
+    (moments=True), or the transpose: evaluations sum_k values[k] x^k of a
+    coefficient table.  The values sit in byte slots of one int; each of
+    m passes combines the p digit planes of one axis by the matrix
+    (a^k mod p).  Slots stay below (p-1) (p(p-1))^m, so sums never carry.
+    Returns a reader of output slot i, mod p."""
+    if not 0 <= min(values) <= max(values) < p:
+        raise ValueError(f"symbols must lie in [0, {p})")
+    n = p ** m
+    width = (((p - 1) * (p * (p - 1)) ** m).bit_length() + 7) // 8
+    data = bytearray(n * width)
+    for j in range(0, (p - 1).bit_length(), 8):
+        data[j // 8::width] = (bytes(values) if p <= 256
+                               else bytes(v >> j & 255 for v in values))
+    W = int.from_bytes(data, "little")
+    power = [[pow(a, k, p) for a in range(p)] for k in range(p)]
+    if not moments:
+        power = list(zip(*power))
+    stride = 1
+    for _axis in range(m):
+        shift = 8 * width * stride
+        block = b"\xff" * (width * stride) + bytes(width * stride * (p - 1))
+        mask = int.from_bytes(block * (n // (stride * p)), "little")
+        planes = [W >> a * shift & mask for a in range(p)]
+        W = 0
+        for k, row in enumerate(power):
+            W |= sum(c * plane for c, plane in zip(row, planes) if c) << k * shift
+        stride *= p
+    raw = W.to_bytes(n * width, "little")
+    return lambda i: int.from_bytes(raw[i * width:(i + 1) * width], "little") % p
+
+
 def syndrome_of_word(word: ReceivedWord) -> Syndrome:
     """Batch syndrome of a full word.
 
     Over F_2 this runs a superset-sum transform on the packed word (m
-    big-int passes), then reads one bit per monomial.
+    big-int passes), then reads one bit per monomial.  Over odd p it
+    reads each monomial's slot of the packed moment transform
+    _power_transform.  Raises ValueError for a symbol outside [0, p).
     """
     params = word.params
     index = params.syndrome_index
@@ -389,11 +433,9 @@ def syndrome_of_word(word: ReceivedWord) -> Syndrome:
             W ^= (W >> (1 << i)) & mask
         entries = tuple(W >> mask & 1 for mask in index.masks)
         return Syndrome(params, entries)
-    entries = [0] * index.size
-    for i, v in enumerate(word.iter_values()):
-        if v:
-            _accumulate_point(entries, int_to_point(i, params.m, params.p), v, index)
-    return Syndrome(params, tuple(entries))
+    slot = _power_transform(word.values, params.m, params.p, moments=True)
+    return Syndrome(params, tuple(slot(point_to_int(mono, params.p))
+                                  for mono in index.monomials))
 
 
 def syndrome_streaming(params: CodeParams, stream) -> Syndrome:
@@ -419,7 +461,8 @@ def syndrome_streaming(params: CodeParams, stream) -> Syndrome:
 
 
 def encode(P: MultilinearPoly, params: CodeParams) -> ReceivedWord:
-    """Evaluation table of a polynomial of degree <= m - 2r - 2."""
+    """Evaluation table of a polynomial of degree <= m - 2r - 2; over odd
+    p, the transpose of syndrome_of_word's moment transform."""
     if P.index.m != params.m or P.index.p != params.p:
         raise ValueError("polynomial index does not match the parameters")
     if P.degree() > params.code_degree:
@@ -435,25 +478,11 @@ def encode(P: MultilinearPoly, params: CodeParams) -> ReceivedWord:
         for i, mask in enumerate(_zeta_masks(m)):
             dense ^= (dense & mask) << (1 << i)
         return ReceivedWord(params, dense)
-    f = params.field
     table = [0] * params.n
-    for i, c in enumerate(P.coeffs):
-        if c:
-            table[point_to_int(P.index.monomials[i], p)] = c
-    stride = 1
-    for _axis in range(m):
-        block = stride * p
-        for base in range(0, params.n, block):
-            for off in range(stride):
-                start = base + off
-                fiber = [table[start + d * stride] for d in range(p)]
-                for a in range(p):
-                    acc = 0
-                    for d in range(p - 1, -1, -1):
-                        acc = f.add(f.mul(acc, a), fiber[d])
-                    table[start + a * stride] = acc
-        stride = block
-    return ReceivedWord(params, tuple(table))
+    for mono, c in zip(P.index.monomials, P.coeffs):
+        table[point_to_int(mono, p)] = c
+    slot = _power_transform(table, m, p, moments=False)
+    return ReceivedWord(params, tuple(map(slot, range(params.n))))
 
 
 def corrupt(word: ReceivedWord, E: ErrorSet, rng=None) -> ReceivedWord:

@@ -440,59 +440,15 @@ def full_rank_submatrix(M: FFMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Characteristic polynomial and eigendecomposition.
 
-_MINOR_EXPANSION_MAX = 8  # strictly below this dimension
-
 
 def char_poly(M: FFMatrix) -> UniPoly:
     """det(XI - M): monic, degree = dimension.
 
-    Cofactor expansion with memoization below dimension 8, similarity
-    reduction to Hessenberg form (with pivot search) above.
+    Similarity reduction to Hessenberg form (with pivot search), then the
+    recurrence over its leading principal submatrices.
     """
     if M.nrows != M.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if M.nrows < _MINOR_EXPANSION_MAX:
-        return _char_poly_minors(M)
-    return _char_poly_hessenberg(M)
-
-
-def _char_poly_minors(M: FFMatrix) -> UniPoly:
-    f = M.field
-    n = M.nrows
-    if n == 0:
-        return UniPoly.one(f)
-    a = M.to_lists()
-    neg = f.neg
-    entry = [[UniPoly(f, (neg(a[i][j]), 1) if i == j else (neg(a[i][j]),))
-              for j in range(n)] for i in range(n)]
-    cache: dict[int, UniPoly] = {}
-
-    def rec(mask: int) -> UniPoly:
-        if mask == 0:
-            return UniPoly.one(f)
-        got = cache.get(mask)
-        if got is not None:
-            return got
-        col = n - bin(mask).count("1")
-        acc = UniPoly.zero(f)
-        idx = 0
-        mm = mask
-        while mm:
-            lsb = mm & -mm
-            i = lsb.bit_length() - 1
-            e = entry[i][col]
-            if not e.is_zero():
-                term = e * rec(mask ^ lsb)
-                acc = acc + term if idx % 2 == 0 else acc - term
-            idx += 1
-            mm ^= lsb
-        cache[mask] = acc
-        return acc
-
-    return rec((1 << n) - 1)
-
-
-def _char_poly_hessenberg(M: FFMatrix) -> UniPoly:
     f = M.field
     n = M.nrows
     mul, sub, add, inv = f.mul, f.sub, f.add, f.inv

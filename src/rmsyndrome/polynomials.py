@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .fields import prime_field
 from .linalg import FFMatrix, rref
@@ -147,6 +148,14 @@ class MonomialIndex:
 @lru_cache(maxsize=None)
 def monomial_index(m: int, t: int, p: int = 2) -> MonomialIndex:
     return MonomialIndex(m, t, p)
+
+
+def monomial_count(m: int, t: int, p: int = 2) -> int:
+    """monomial_index(m, t, p).size without building the index: the sum of
+    the coefficients of ((1 - x^p) / (1 - x))^m up to degree t, that is
+    the coefficient of x^t in (1 - x^p)^m / (1 - x)^(m+1)."""
+    return sum((-1) ** j * comb(m, j) * comb(t - j * p + m, m)
+               for j in range(min(m, t // p) + 1))
 
 
 @lru_cache(maxsize=None)

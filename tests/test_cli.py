@@ -16,12 +16,12 @@ def _write_poly(path, terms):
     path.write_text(json.dumps([[list(e), c] for e, c in terms]))
 
 
-def _setup_corrupted(tmp_path, rng, m=8, r=1, t=5):
-    params = CodeParams(m, r)
-    idx = monomial_index(m, params.code_degree, 2)
-    P = MultilinearPoly(idx, [rng.randrange(2) for _ in range(idx.size)])
+def _setup_corrupted(tmp_path, rng, m=8, r=1, t=5, p=2):
+    params = CodeParams(m, r, p)
+    idx = monomial_index(m, params.code_degree, p)
+    P = MultilinearPoly(idx, [rng.randrange(p) for _ in range(idx.size)])
     E = sample_error_set(params, t, rng)
-    word = corrupt(encode(P, params), E)
+    word = corrupt(encode(P, params), E, rng)
     wpath = tmp_path / "word.bits"
     write_word_file(word, wpath)
     spath = tmp_path / "synd.json"
@@ -73,6 +73,35 @@ def test_stream_and_batch_syndrome_files_identical(tmp_path, rng):
     assert main(["syndrome", "--word", str(wpath), "--stream",
                  "--out", str(spath2)]) == 0
     assert spath.read_bytes() == spath2.read_bytes()
+
+
+def test_stream_and_batch_syndrome_files_identical_f3(tmp_path, rng):
+    _, _, wpath, spath = _setup_corrupted(tmp_path, rng, m=5, t=4, p=3)
+    spath2 = tmp_path / "synd_stream.json"
+    assert main(["syndrome", "--word", str(wpath), "--stream",
+                 "--out", str(spath2)]) == 0
+    assert spath.read_bytes() == spath2.read_bytes()
+    assert any(json.loads(spath.read_text())["entries"])
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
+@pytest.mark.parametrize("data,sidecar", [
+    (bytes([5]) * 81, {"m": 4, "r": 1, "p": 3}),
+    (bytes(81), [1, 2]),
+    (bytes(81), {"m": 4.7, "r": 1, "p": 3}),
+    (bytes(81), {"m": "x", "r": 1, "p": 3}),
+    (bytes(80), {"m": 4, "r": 1, "p": 3}),
+    (bytes(3), {"m": 4, "r": 1, "p": 2}),  # 16 bits need 2 bytes
+], ids=["symbol-out-of-range", "sidecar-list", "float-m", "string-m",
+        "short-file", "long-f2-file"])
+def test_malformed_word_file_is_invalid_input(tmp_path, data, sidecar, stream):
+    wpath = tmp_path / "word.bin"
+    wpath.write_bytes(data)
+    (tmp_path / "word.bin.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "s.json"
+    argv = ["syndrome", "--word", str(wpath), "--out", str(out)]
+    assert main(argv + (["--stream"] if stream else [])) == 3
+    assert not out.exists()
 
 
 def test_decode_zero_syndrome(tmp_path):
@@ -150,7 +179,10 @@ def test_exit_codes_for_bad_input(tmp_path):
     '{"params": {"m": 4, "r": 1, "p": 2}, "entries": ["1"%s]}' % (", 0" * 14),
     '[{"params": {"m": 4, "r": 1, "p": 2}}]',
     '{"params": ',
-], ids=["entry-out-of-range", "string-entry", "top-level-list", "not-json"])
+    # wrong length for m = 400: must fail before the 10^7-monomial index is built
+    '{"params": {"m": 400, "r": 1, "p": 2}, "entries": [0, 1]}',
+], ids=["entry-out-of-range", "string-entry", "top-level-list", "not-json",
+        "length-huge-m"])
 def test_decode_malformed_syndrome_file_is_invalid_input(tmp_path, text):
     spath = tmp_path / "s.json"
     spath.write_text(text)

@@ -1,15 +1,19 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rmsyndrome import polynomials
 from rmsyndrome.code import (CodeParams, DegreeError, ErrorSet,
-                             LengthMismatchError, ReceivedWord, SamplingError,
-                             Syndrome, corrupt, encode, has_property_ur,
+                             LengthMismatchError, MalformedInputError,
+                             ReceivedWord, SamplingError, Syndrome, corrupt, encode, has_property_ur,
                              int_to_point, point_to_int, read_word_file,
                              sample_error_set, solve_error_magnitudes,
                              syndrome_from_errors, syndrome_from_weighted_errors,
                              syndrome_of_word, syndrome_streaming, tensor_power,
                              tensor_power_matrix, write_word_file)
+from rmsyndrome.code import _power_transform
 from rmsyndrome.linalg import rank
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index
 
@@ -216,3 +220,130 @@ def test_word_and_syndrome_files(tmp_path, rng):
     (tmp_path / "word.bits").write_bytes(b"\x00" * 3)
     with pytest.raises(LengthMismatchError):
         read_word_file(path)
+
+
+def test_word_symbols_outside_field_rejected():
+    params = CodeParams(4, 1, 3)
+    with pytest.raises(MalformedInputError):
+        ReceivedWord.from_bytes(params, bytes([5]) * params.n)
+    for bad in (3, -1):
+        values = [0] * params.n
+        values[7] = bad
+        with pytest.raises(ValueError):
+            syndrome_of_word(ReceivedWord(params, tuple(values)))
+
+
+@pytest.mark.parametrize("d", [[1, 2], {"m": 4.7, "r": 1, "p": 2},
+                               {"m": "x", "r": 1, "p": 2}, {"m": 4, "r": 1},
+                               {"m": True, "r": 1, "p": 2}])
+def test_params_from_json_requires_int_fields(d):
+    with pytest.raises(MalformedInputError):
+        CodeParams.from_json_dict(d)
+
+
+def test_syndrome_length_checked_before_index_is_built():
+    # |M_3| for m = 400 is over ten million monomials: the length check
+    # must come from the closed-form count, not from building the index.
+    before = polynomials.monomial_index.cache_info().misses
+    with pytest.raises(MalformedInputError):
+        Syndrome.from_json_dict({"params": {"m": 400, "r": 1, "p": 2},
+                                 "entries": [0, 1]})
+    with pytest.raises(ValueError):
+        Syndrome(CodeParams(400, 1, 2), (0, 1))
+    assert polynomials.monomial_index.cache_info().misses == before
+
+
+# (p, m, r) for the odd-p transform tests; words have at most 7^3 symbols.
+ODD_SHAPES = [(3, 2, 0), (3, 4, 1), (3, 5, 1), (5, 2, 0), (5, 3, 0),
+              (5, 4, 1), (7, 2, 0), (7, 3, 0)]
+
+
+def _moments_by_points(values, params):
+    """sum_x y_x x^k for every syndrome monomial k, one point at a time."""
+    index = params.syndrome_index
+    out = [0] * index.size
+    for i, y in enumerate(values):
+        x = int_to_point(i, params.m, params.p)
+        for j, mono in enumerate(index.monomials):
+            term = y
+            for c, e in zip(x, mono):
+                term *= c ** e
+            out[j] += term
+    return tuple(v % params.p for v in out)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(ODD_SHAPES), st.integers(0, 2**32), st.booleans())
+def test_odd_syndrome_of_word_matches_streaming_and_point_sums(shape, seed, top):
+    p, m, r = shape
+    params = CodeParams(m, r, p)
+    rng = random.Random(seed)
+    values = ((p - 1,) * params.n if top  # largest value in every slot
+              else tuple(rng.randrange(p) for _ in range(params.n)))
+    word = ReceivedWord(params, values)
+    batch = syndrome_of_word(word)
+    assert batch == syndrome_streaming(params, word.iter_values())
+    assert batch.entries == _moments_by_points(values, params)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(ODD_SHAPES), st.integers(0, 2**32), st.data())
+def test_odd_corrupted_codeword_syndrome_is_weighted_error_sum(shape, seed, data):
+    p, m, r = shape
+    params = CodeParams(m, r, p)
+    rng = random.Random(seed)
+    idx = monomial_index(m, params.code_degree, p)
+    P = MultilinearPoly(idx, [rng.randrange(p) for _ in range(idx.size)])
+    t = data.draw(st.integers(0, min(params.n, 6)))
+    E = ErrorSet(params, tuple(int_to_point(x, m, p)
+                               for x in rng.sample(range(params.n), t)))
+    weights = data.draw(st.lists(st.integers(1, p - 1), min_size=t, max_size=t))
+    values = list(encode(P, params).values)
+    for e, w in zip(E.points, weights):
+        values[point_to_int(e, p)] = (values[point_to_int(e, p)] + w) % p
+    S = syndrome_of_word(ReceivedWord(params, tuple(values)))
+    assert S == syndrome_from_weighted_errors(E, weights)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([s for s in ODD_SHAPES if s[0] in (3, 5)]),
+       st.integers(0, 2**32))
+def test_odd_encode_matches_evaluation_everywhere(shape, seed):
+    p, m, r = shape
+    params = CodeParams(m, r, p)
+    rng = random.Random(seed)
+    idx = monomial_index(m, params.code_degree, p)
+    P = MultilinearPoly(idx, [rng.randrange(p) for _ in range(idx.size)])
+    table = encode(P, params).values
+    assert table == tuple(P.evaluate(int_to_point(i, m, p))
+                          for i in range(params.n))
+
+
+def _transform_axis_by_axis(values, m, p, moments):
+    """The per-axis Vandermonde transform on a plain list, reduced mod p
+    after every axis."""
+    power = [[pow(a, k, p) for k in range(p)] for a in range(p)]
+    table = list(values)
+    stride = 1
+    for _ in range(m):
+        out = []
+        for i in range(len(table)):
+            digit = i // stride % p
+            base = i - digit * stride
+            coeffs = ([power[a][digit] for a in range(p)] if moments
+                      else power[digit])
+            out.append(sum(c * table[base + a * stride]
+                           for a, c in enumerate(coeffs)) % p)
+        table = out
+        stride *= p
+    return table
+
+
+@pytest.mark.parametrize("m,p", [(7, 3), (6, 5), (5, 7)])
+def test_power_transform_every_slot_at_full_width(m, p, rng):
+    # the all-(p-1) table puts the largest possible value in every slot
+    for values in ((p - 1,) * p ** m, tuple(rng.randrange(p) for _ in range(p ** m))):
+        for moments in (True, False):
+            slot = _power_transform(values, m, p, moments)
+            assert list(map(slot, range(p ** m))) == _transform_axis_by_axis(
+                values, m, p, moments)

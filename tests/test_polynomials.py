@@ -7,9 +7,9 @@ from rmsyndrome.code import vanishing_space
 from rmsyndrome.fields import prime_field
 from rmsyndrome.linalg import FFMatrix, inverse
 from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
-                                    affine_substitute, codim, monomial_index,
-                                    poly_from_obj, poly_to_obj, reduce_terms,
-                                    space_to_obj)
+                                    affine_substitute, codim, monomial_count,
+                                    monomial_index, poly_from_obj, poly_to_obj,
+                                    reduce_terms, space_to_obj)
 
 
 def test_graded_lex_order_constant_first():
@@ -19,6 +19,14 @@ def test_graded_lex_order_constant_first():
                              (1, 1, 0), (1, 0, 1), (0, 1, 1))
     idx3 = monomial_index(2, 2, 3)
     assert idx3.monomials == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def test_monomial_count_matches_index_size():
+    for p in (2, 3, 5, 7):
+        for m in range(6):
+            for t in range(m * (p - 1) + 2):  # past the top degree too
+                assert monomial_count(m, t, p) == monomial_index(m, t, p).size
+    assert monomial_count(400, 3, 2) == 1 + 400 + 79800 + 10586800
 
 
 @pytest.mark.parametrize("m,t,p", [(5, 3, 2), (4, 3, 3), (3, 4, 5)])
