@@ -29,12 +29,12 @@ from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      char_poly, eigen_decompose, full_rank_submatrix, inverse,
                      nullspace_basis, rank, rref, solve)
 from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
-                          affine_substitute, codim, monomial_index,
+                          affine_substitute, monomial_index,
                           reduce_terms)
 from .polyspace import (IsolationBoundWarning, PartialRecoveryWarning,
                         StructuralInconsistencyError, check_ur_preserved,
-                        count_errors, det_find_roots, find_roots,
-                        find_unique_root, locate_and_correct, run_decoder,
-                        space_roots, vv_sample)
+                        det_find_roots, find_roots, find_unique_root,
+                        locate_and_correct, run_decoder, space_roots,
+                        vv_sample)
 
 __version__ = "0.1.0"

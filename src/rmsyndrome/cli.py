@@ -181,6 +181,9 @@ def _stream_values(path, params: CodeParams):
         while chunk := fh.read(4096):
             for byte in chunk:
                 if p == 2:
+                    if byte >> min(8, n - emitted):
+                        raise MalformedInputError(
+                            "padding bits of the last byte must be zero")
                     for bit in range(min(8, n - emitted)):
                         yield byte >> bit & 1
                     emitted += 8

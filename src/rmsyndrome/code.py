@@ -228,7 +228,10 @@ class ReceivedWord:
         if params.p == 2:
             if len(raw) != (n + 7) // 8:
                 raise LengthMismatchError("word file length mismatch")
-            return cls(params, int.from_bytes(raw, "little"))
+            bits = int.from_bytes(raw, "little")
+            if bits >> n:
+                raise MalformedInputError("padding bits of the last byte must be zero")
+            return cls(params, bits)
         if len(raw) != n:
             raise LengthMismatchError("word file length mismatch")
         if max(raw) >= params.p:

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 
 from .fields import prime_field
-from .linalg import FFMatrix, rref
+from .linalg import FFMatrix, rank, rref
 
 
 def reduce_exponent(e: int, p: int) -> int:
@@ -33,7 +33,7 @@ class MonomialIndex:
     """All reduced monomials in m variables of total degree <= t over F_p."""
 
     __slots__ = ("m", "t", "p", "monomials", "position", "masks",
-                 "_var_mul", "_parents", "_restrict_sources")
+                 "_var_mul", "_parents")
 
     def __init__(self, m: int, t: int, p: int = 2):
         if m < 0 or t < 0:
@@ -53,7 +53,6 @@ class MonomialIndex:
             self.masks = None
         self._var_mul: dict[int, tuple] = {}
         self._parents = None
-        self._restrict_sources = None
 
     def _degree_block(self, d: int) -> list[tuple[int, ...]]:
         m, p = self.m, self.p
@@ -115,14 +114,6 @@ class MonomialIndex:
                 out.append((self.position[tuple(par)], v))
             self._parents = tuple(out)
         return self._parents
-
-    def restrict_sources(self) -> tuple:
-        """Positions of the monomials not involving the last variable, in
-        the order of the (m-1)-variable index."""
-        if self._restrict_sources is None:
-            self._restrict_sources = tuple(
-                i for i, mono in enumerate(self.monomials) if mono[-1] == 0)
-        return self._restrict_sources
 
     def monomial_eval(self, i: int, point) -> int:
         field = prime_field(self.p)
@@ -302,17 +293,21 @@ def reduce_terms(terms: dict, index: MonomialIndex) -> MultilinearPoly:
 
 
 # ---------------------------------------------------------------------------
-# Affine substitution X -> M X + b.
+# Affine substitution X -> A Y + b.
 
 
 def substitution_matrix(index: MonomialIndex, mat_rows, b) -> FFMatrix:
-    """Matrix S whose row i is the coefficient vector of reduce(M_i(Mx+b)),
-    so substitution acts on coefficient vectors as v -> v @ S."""
+    """Matrix S whose row i is the coefficient vector of reduce(M_i(Ay+b))
+    over monomial_index(k, index.t, index.p), where A is the m x k matrix
+    with the given rows, of full column rank (k = m: a change of
+    coordinates; k < m: a parametrization of an affine subspace).  The
+    substitution acts on coefficient vectors as v -> v @ S."""
     p = index.p
     field = prime_field(p)
-    m = index.m
+    k = len(mat_rows[0]) if mat_rows else 0
+    target = monomial_index(k, index.t, p)
     parents = index.parents()
-    var_maps = [index.var_mul(v) for v in range(m)]
+    var_maps = [target.var_mul(u) for u in range(k)]
     if p == 2:
         rows = [0] * index.size
         rows[0] = 1  # constant monomial -> 1
@@ -321,7 +316,7 @@ def substitution_matrix(index: MonomialIndex, mat_rows, b) -> FFMatrix:
             src = rows[pp]
             acc = src if b[v] & 1 else 0
             mrow = mat_rows[v]
-            for u in range(m):
+            for u in range(k):
                 if mrow[u] & 1:
                     vm = var_maps[u]
                     s = src
@@ -330,19 +325,19 @@ def substitution_matrix(index: MonomialIndex, mat_rows, b) -> FFMatrix:
                         acc ^= 1 << vm[lsb.bit_length() - 1]
                         s ^= lsb
             rows[i] = acc
-        return FFMatrix.from_packed_rows(field, rows, index.size)
+        return FFMatrix.from_packed_rows(field, rows, target.size)
     add, mul = field.add, field.mul
     rows = [None] * index.size
-    first = [0] * index.size
+    first = [0] * target.size
     first[0] = 1
     rows[0] = first
     for i in range(1, index.size):
         pp, v = parents[i]
         src = rows[pp]
         bv = b[v] % p
-        acc = [mul(bv, c) if c else 0 for c in src] if bv else [0] * index.size
+        acc = [mul(bv, c) if c else 0 for c in src] if bv else [0] * target.size
         mrow = mat_rows[v]
-        for u in range(m):
+        for u in range(k):
             cu = mrow[u] % p
             if cu:
                 vm = var_maps[u]
@@ -355,34 +350,39 @@ def substitution_matrix(index: MonomialIndex, mat_rows, b) -> FFMatrix:
 
 
 def affine_substitute(P: MultilinearPoly, mat, b) -> MultilinearPoly:
-    """reduce(P(Mx + b)) for an invertible matrix M (rows as sequences)."""
+    """reduce(P(Ay + b)) in k variables, for an m x k matrix A (rows as
+    sequences) of full column rank."""
     idx = P.index
-    mat_rows = mat.rows() if isinstance(mat, FFMatrix) else [tuple(r) for r in mat]
-    _check_invertible(mat_rows, idx.p)
+    mat_rows, target = _affine_map(idx, mat, b)
     S = substitution_matrix(idx, mat_rows, tuple(b))
     if idx.p == 2:
         acc = 0
         for i, c in enumerate(P.coeffs):
             if c:
                 acc ^= S.packed_row(i)
-        return MultilinearPoly.from_packed(idx, acc)
+        return MultilinearPoly.from_packed(target, acc)
     f = prime_field(idx.p)
-    acc = [0] * idx.size
+    acc = [0] * target.size
     for i, c in enumerate(P.coeffs):
         if c:
             row = S.row(i)
-            for j in range(idx.size):
+            for j in range(target.size):
                 if row[j]:
                     acc[j] = f.add(acc[j], f.mul(c, row[j]))
-    return MultilinearPoly(idx, acc)
+    return MultilinearPoly(target, acc)
 
 
-def _check_invertible(mat_rows, p):
-    from .linalg import rank
-    field = prime_field(p)
-    M = FFMatrix.from_rows(field, mat_rows)
-    if M.nrows != M.ncols or rank(M) != M.nrows:
-        raise ValueError("affine substitution requires an invertible matrix")
+def _affine_map(index: MonomialIndex, mat, b):
+    """The rows of A and the k-variable target index of the substitution
+    x = A y + b into polynomials over index; A must be m x k of full
+    column rank and b of length m."""
+    mat_rows = mat.rows() if isinstance(mat, FFMatrix) else [tuple(r) for r in mat]
+    k = len(mat_rows[0]) if mat_rows else 0
+    A = FFMatrix.from_rows(prime_field(index.p), mat_rows)
+    if len(mat_rows) != index.m or len(b) != index.m or rank(A) != k:
+        raise ValueError("affine substitution requires an m x k matrix of "
+                         "full column rank and a length-m shift")
+    return mat_rows, monomial_index(k, index.t, index.p)
 
 
 # ---------------------------------------------------------------------------
@@ -472,59 +472,31 @@ class PolySpace:
         return self.contains_vec(P.packed() if self.index.p == 2 else P.coeffs)
 
     def affine_image(self, mat, b) -> "PolySpace":
-        """The space {reduce(P(Mx + b)) : P in this space}."""
-        mat_rows = mat.rows() if isinstance(mat, FFMatrix) else [tuple(r) for r in mat]
-        _check_invertible(mat_rows, self.index.p)
-        S = substitution_matrix(self.index, mat_rows, tuple(b))
-        return PolySpace.from_matrix(self.index, self.basis @ S)
-
-    def restrict_last_zero(self) -> "PolySpace":
-        """Substitute X_m = 0 into every basis element and re-basis over
-        m-1 variables.
+        """The space {reduce(P(Ay + b)) : P in this space} over k
+        variables, for an m x k matrix A of full column rank (k = m: a
+        change of coordinates; k < m: the restriction to the affine
+        subspace that y -> Ay + b parametrizes).
 
         When this space is the full vanishing space of a point set with
-        linearly independent tensor powers, the result is the full
-        vanishing space of the points whose last coordinate is zero (with
-        that coordinate dropped); that containment is semantic and not
-        checked here.  Valid over any prime field.
-        """
-        idx = self.index
-        if idx.m == 0:
-            raise ValueError("no variable left to restrict")
-        target = monomial_index(idx.m - 1, idx.t, idx.p)
-        sources = idx.restrict_sources()
-        field = prime_field(idx.p)
-        if idx.p == 2:
-            tgt_of = [-1] * idx.size
-            for jj, s in enumerate(sources):
-                tgt_of[s] = jj
-            rows = []
-            for r in self.basis._rows:
-                acc = 0
-                while r:
-                    lsb = r & -r
-                    t = tgt_of[lsb.bit_length() - 1]
-                    if t >= 0:
-                        acc |= 1 << t
-                    r ^= lsb
-                rows.append(acc)
-            mat = FFMatrix.from_packed_rows(field, rows, target.size)
-        else:
-            rows = [[row[s] for s in sources] for row in self.basis._rows]
-            mat = FFMatrix.from_rows(field, rows)
-        return PolySpace.from_matrix(target, mat)
+        linearly independent tensor powers, the image is the full
+        vanishing space of the preimage {y : Ay + b in the set}; that
+        containment is semantic and not checked here."""
+        mat_rows, target = _affine_map(self.index, mat, b)
+        S = substitution_matrix(self.index, mat_rows, tuple(b))
+        return PolySpace.from_matrix(target, self.basis @ S)
+
+    def restrict_last_zero(self) -> "PolySpace":
+        """Substitute X_m = 0 and re-basis over m-1 variables."""
+        return self.restrict_last_const(0)
 
     def restrict_last_const(self, c: int) -> "PolySpace":
-        """Substitute X_m = c: translate by c along the last variable,
-        then restrict to zero."""
-        idx = self.index
-        if c % idx.p == 0:
-            return self.restrict_last_zero()
-        field = prime_field(idx.p)
-        ident = FFMatrix.identity(field, idx.m)
-        b = [0] * idx.m
-        b[-1] = c % idx.p
-        return self.affine_image(ident, b).restrict_last_zero()
+        """Substitute X_m = c and re-basis over m-1 variables: the affine
+        image under the embedding y -> (y, c)."""
+        m = self.index.m
+        if m == 0:
+            raise ValueError("no variable left to restrict")
+        embed = [tuple(int(u == v) for u in range(m - 1)) for v in range(m)]
+        return self.affine_image(embed, (0,) * (m - 1) + (c % self.index.p,))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolySpace) and other.index == self.index
@@ -544,11 +516,6 @@ def _drop_zero_rows(mat: FFMatrix) -> FFMatrix:
     else:
         rows = [r for r in mat._rows if any(r)]
     return FFMatrix(mat.field, len(rows), mat.ncols, rows, mat._packed)
-
-
-def codim(V: PolySpace) -> int:
-    """Ambient index size minus basis dimension."""
-    return V.codim
 
 
 # ---------------------------------------------------------------------------

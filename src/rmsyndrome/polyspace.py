@@ -8,11 +8,12 @@ evaluations of A on the error set are orthogonal to the independent
 tensor powers.
 
 The error set is then the set of common zeroes of V.  find_roots isolates
-one point at a time behind a random affine change of coordinates of
-codimension ~ log2(t) (Valiant-Vazirani), reads it off with
-find_unique_root, and repeats; det_find_roots instead recurses on the
-last variable's value, pruning branches whose restricted space has
-codimension zero.
+one point at a time in a random affine subspace of codimension ~ log2(t)
+(Valiant-Vazirani): it substitutes a parametrization of the sampled
+subspace into V, reads the point off with find_unique_root, and repeats.
+det_find_roots instead recurses on the last variable's value, pruning
+branches whose restricted space has codimension zero.  Every
+restriction is one affine substitution (PolySpace.affine_image).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
                    syndrome_from_weighted_errors, tensor_power_matrix)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
-from .linalg import FFMatrix, inverse, nullspace_basis, rank
+from .linalg import FFMatrix, nullspace_basis, rank, solve
 from .polynomials import PolySpace, monomial_index, pair_positions
 
 
@@ -55,12 +56,6 @@ def space_roots(S: Syndrome) -> PolySpace:
     rows = [[entries[q] for q in row] for row in pair_positions(m, r, r + 1, p)]
     mat = FFMatrix.from_rows(params.field, rows)
     return PolySpace.from_matrix(monomial_index(m, r + 1, p), nullspace_basis(mat))
-
-
-def count_errors(V: PolySpace) -> int:
-    """codim(V); equals the number of error points when V is their full
-    vanishing space."""
-    return V.codim
 
 
 def find_unique_root(V: PolySpace) -> tuple | None:
@@ -130,27 +125,17 @@ def vv_sample(m: int, t: int, rng, p: int = 2):
     return tuple(vecs), consts
 
 
-def _isolation_affine_map(m: int, p: int, vecs, consts, rng):
-    """An invertible affine change of coordinates x = M x' + b sending the
-    coordinate subspace {last l coords = 0} onto the solution set of the
-    sampled constraints <a_i, x> = b_i."""
-    f = prime_field(p)
-    l = len(vecs)
-    while True:
-        top = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(m - l)]
-        R = FFMatrix.from_rows(f, top + list(vecs))
-        if rank(R) == m:
-            break
-    M = inverse(R)
-    full = [0] * (m - l) + list(consts)
-    b = M.mat_vec(full)
-    return M, b
-
-
 def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet:
     """All common zeroes of a full vanishing space, by repeated random
     isolation; finds the whole set with probability >= 0.99 within the
     default budget of 100 t log2(t) iterations.
+
+    Each iteration samples an affine subspace {x : Cx = c} of codimension
+    l (vv_sample) and substitutes a parametrization of the sampled
+    subspace, x = x0 + N^T y with x0 one solution and the rows of N a
+    basis of the nullspace of C, into V.  The image is the vanishing space
+    of the points in the subspace; when exactly one point lies there,
+    find_unique_root reads off its y.
 
     Terminates early once codim(V) distinct points are found; if the
     budget runs out first, the partial set is returned with a warning."""
@@ -163,7 +148,6 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     direct = find_unique_root(V)
     if direct is not None:
         return ErrorSet(params, (direct,))
-    l = isolation_codim(t, m)
     budget = max_iterations
     if budget is None:
         budget = math.ceil(100 * t * math.log2(t)) if t > 1 else 0
@@ -172,15 +156,13 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     found: set = set()
     for _ in range(budget):
         vecs, consts = vv_sample(m, t, rng, p)
-        M, b = _isolation_affine_map(m, p, vecs, consts, rng)
-        W = V.affine_image(M, b)
-        for _ in range(l):
-            W = W.restrict_last_zero()
-        cand = find_unique_root(W)
+        C = FFMatrix.from_rows(f, vecs)
+        x0 = solve(C, consts)
+        Nt = nullspace_basis(C).transpose()
+        cand = find_unique_root(V.affine_image(Nt, x0))
         if cand is None:
             continue
-        x = cand + (0,) * l
-        e = tuple(f.add(mv, bv) for mv, bv in zip(M.mat_vec(x), b))
+        e = tuple(f.add(nv, xv) for nv, xv in zip(Nt.mat_vec(cand), x0))
         if e in found:
             continue
         if any(P.evaluate(e) != 0 for P in basis_polys):

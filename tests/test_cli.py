@@ -92,8 +92,9 @@ def test_stream_and_batch_syndrome_files_identical_f3(tmp_path, rng):
     (bytes(81), {"m": "x", "r": 1, "p": 3}),
     (bytes(80), {"m": 4, "r": 1, "p": 3}),
     (bytes(3), {"m": 4, "r": 1, "p": 2}),  # 16 bits need 2 bytes
+    (bytes([0xF0]), {"m": 2, "r": 0, "p": 2}),  # 4 bits, 4 set padding bits
 ], ids=["symbol-out-of-range", "sidecar-list", "float-m", "string-m",
-        "short-file", "long-f2-file"])
+        "short-file", "long-f2-file", "f2-padding-bits"])
 def test_malformed_word_file_is_invalid_input(tmp_path, data, sidecar, stream):
     wpath = tmp_path / "word.bin"
     wpath.write_bytes(data)

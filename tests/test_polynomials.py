@@ -2,12 +2,14 @@ from itertools import product
 
 import pytest
 
+from hypothesis import assume, given, strategies as st
+
 from conftest import random_invertible
-from rmsyndrome.code import vanishing_space
+from rmsyndrome.code import tensor_power_matrix, vanishing_space
 from rmsyndrome.fields import prime_field
-from rmsyndrome.linalg import FFMatrix, inverse
+from rmsyndrome.linalg import FFMatrix, inverse, rank
 from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
-                                    affine_substitute, codim, monomial_count,
+                                    affine_substitute, monomial_count,
                                     monomial_index, poly_from_obj, poly_to_obj,
                                     reduce_terms, space_to_obj)
 
@@ -181,15 +183,47 @@ def test_restrict_last_const_translates():
         assert V.restrict_last_const(c) == vanishing_space(Ec, 2, 2, 3)
 
 
+@given(st.data())
+def test_affine_image_of_subspace_parametrization(data):
+    # x = A y + b with A m x k of full column rank, k < m: the image of a
+    # vanishing space is the vanishing space of the preimage in k variables
+    p = data.draw(st.sampled_from([2, 3]), label="p")
+    m = data.draw(st.integers(2, 5 if p == 2 else 4), label="m")
+    r = data.draw(st.integers(1, 2 if p == 2 else 1), label="r")
+    k = data.draw(st.integers(0, m - 1), label="k")
+    t = data.draw(st.integers(0, min(monomial_index(m, r, p).size, 5)), label="t")
+    point = st.tuples(*[st.integers(0, p - 1)] * m)
+    pts = data.draw(st.lists(point, min_size=t, max_size=t, unique=True), label="E")
+    assume(rank(tensor_power_matrix(pts, r, p, m)) == t)
+    f = prime_field(p)
+    row = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    A = data.draw(st.lists(row, min_size=m, max_size=m), label="A")
+    assume(rank(FFMatrix.from_rows(f, A)) == k)
+    b = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m), label="b")
+    E = set(pts)
+    preimage = []
+    for y in product(range(p), repeat=k):
+        x = tuple(f.add(sum(a * c for a, c in zip(arow, y)) % p, bv)
+                  for arow, bv in zip(A, b))
+        if x in E:
+            preimage.append(y)
+    V = vanishing_space(pts, r + 1, m, p)
+    assert V.affine_image(A, b) == vanishing_space(preimage, r + 1, k, p)
+    if k:
+        deficient = [[0] + arow[1:] for arow in A]
+        with pytest.raises(ValueError):
+            V.affine_image(deficient, b)
+
+
 def test_codim_examples(rng):
     idx = monomial_index(5, 2, 2)
-    assert codim(PolySpace.full(idx)) == 0
-    assert codim(PolySpace.empty(idx)) == idx.size
+    assert PolySpace.full(idx).codim == 0
+    assert PolySpace.empty(idx).codim == idx.size
     # vanishing space of an independent set has codim = t
     from rmsyndrome.code import CodeParams, sample_error_set
     params = CodeParams(8, 1)
     E = sample_error_set(params, 6, rng)
-    assert codim(vanishing_space(E.points, 2, 8)) == 6
+    assert vanishing_space(E.points, 2, 8).codim == 6
 
 
 def test_space_membership_and_canonical_equality(rng):

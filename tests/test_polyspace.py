@@ -15,8 +15,8 @@ from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
 from rmsyndrome.polyspace import (IsolationBoundWarning,
                                   PartialRecoveryWarning,
                                   StructuralInconsistencyError,
-                                  check_ur_preserved, count_errors,
-                                  det_find_roots, find_roots,
+                                  check_ur_preserved, det_find_roots,
+                                  find_roots,
                                   find_unique_root, isolation_codim,
                                   locate_and_correct, space_roots, vv_sample)
 
@@ -57,7 +57,7 @@ def test_space_roots_matches_nullspace_oracle(p, rng):
         S = syndrome_from_errors(E)
         V = space_roots(S)
         assert V == vanishing_space(E.points, params.r + 1, params.m, p)
-        assert count_errors(V) == len(E)  # codimension identity
+        assert V.codim == len(E)  # codimension identity
 
 
 def test_find_unique_root_examples():
@@ -123,9 +123,12 @@ def test_find_roots_degenerate_cases(rng):
     assert find_roots(V1, rng).points == E1.points  # no isolation needed
 
 
-@pytest.mark.parametrize("m,r,t", [(8, 1, 5), (10, 1, 8), (12, 1, 8), (8, 2, 6)])
-def test_find_roots_round_trip(m, r, t, rng):
-    params = CodeParams(m, r)
+# The F_2 cases keep the ids they had before p became a parameter.
+@pytest.mark.parametrize("m,r,p,t", [(8, 1, 2, 5), (10, 1, 2, 8), (12, 1, 2, 8),
+                                     (8, 2, 2, 6), (6, 1, 3, 4)],
+                         ids=["8-1-5", "10-1-8", "12-1-8", "8-2-6", "6-1-3-4"])
+def test_find_roots_round_trip(m, r, p, t, rng):
+    params = CodeParams(m, r, p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IsolationBoundWarning)
         for _ in range(3):
@@ -186,8 +189,8 @@ def test_restriction_soundness_on_survivors(rng):
 
 def test_count_errors_after_restriction():
     V = vanishing_space([(0, 0), (1, 1)], 1, 2)
-    assert count_errors(V) == 2
-    assert count_errors(V.restrict_last_zero()) == 1  # only (0,) survives
+    assert V.codim == 2
+    assert V.restrict_last_zero().codim == 1  # only (0,) survives
 
 
 def test_locate_and_correct_f2(rng):
