@@ -22,9 +22,9 @@ from .code import (CodeParams, DecodingFailure, DegreeError, ErrorSet,
 from .fields import (ExtField, OrderFactorizationError, PrimeField, UniPoly,
                      berlekamp_roots, extension_field, find_irreducible,
                      find_primitive_element, is_irreducible, prime_field)
-from .jennrich import (FlatteningPair, Tensor3, axis_decompose,
-                       check_flattening_conditions, decompose,
-                       derandomized_flattening_vectors, tensor_from_syndrome)
+from .jennrich import (Tensor3, axis_decompose, check_flattening_conditions,
+                       decompose, derandomized_flattening_vectors,
+                       tensor_from_syndrome)
 from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      char_poly, eigen_decompose, full_rank_submatrix, inverse,
                      nullspace_basis, rank, rref, solve)

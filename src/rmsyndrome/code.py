@@ -118,7 +118,6 @@ class ErrorSet:
     params: CodeParams
     points: tuple[tuple[int, ...], ...]
     resamples: int = field(default=0, compare=False)
-    certified_ur: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         pts = sorted(self.points, key=lambda e: point_to_int(e, self.params.p))
@@ -300,7 +299,7 @@ def sample_error_set(params: CodeParams, t: int, rng, max_attempts: int = 64) ->
     for attempt in range(max_attempts):
         ints = rng.sample(range(params.n), t)
         pts = tuple(int_to_point(x, params.m, params.p) for x in ints)
-        cand = ErrorSet(params, pts, resamples=attempt, certified_ur=True)
+        cand = ErrorSet(params, pts, resamples=attempt)
         if has_property_ur(cand, params.r):
             return cand
     raise SamplingError(

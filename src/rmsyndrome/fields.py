@@ -451,9 +451,6 @@ class ExtField:
             e >>= 1
         return r
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     def embed(self, c: int) -> int:
         return c % self.p
 

@@ -34,7 +34,11 @@ from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
 from .fields import extension_field, find_primitive_element
 from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      eigen_decompose, full_rank_submatrix, inverse, rank)
-from .polynomials import monomial_index, pair_positions
+from .polynomials import pair_positions
+
+
+# Flattening draws in randomized mode before decompose gives up.
+MAX_DRAWS = 16
 
 
 class _RetryableFailure(Exception):
@@ -52,9 +56,6 @@ class Tensor3:
     @property
     def side(self) -> int:
         return self.slices[0].nrows
-
-    def entry(self, i: int, j: int, k: int) -> int:
-        return self.slices[k].at(i, j)
 
 
 def tensor_from_syndrome(S: Syndrome) -> Tensor3:
@@ -74,20 +75,8 @@ def tensor_from_syndrome(S: Syndrome) -> Tensor3:
     return Tensor3(params, tuple(slices))
 
 
-@dataclass(frozen=True)
-class FlatteningPair:
-    """Weighting vectors a, b over the extension field, with the induced
-    flattenings S^a = sum_k a[k] T[:, :, k] and likewise S^b."""
-
-    ext: object
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-    def flatten(self, T: Tensor3) -> tuple[FFMatrix, FFMatrix]:
-        return _flatten(T, self.ext, self.a), _flatten(T, self.ext, self.b)
-
-
 def _flatten(T: Tensor3, F, weights) -> FFMatrix:
+    """The flattening S^w = sum_k w[k] T[:, :, k] over the field F."""
     s = T.side
     p = T.params.p
     rows = [[0] * s for _ in range(s)]
@@ -169,14 +158,13 @@ def _weight_values(F, a, b, E: ErrorSet):
 
 
 def decompose(S: Syndrome, mode: str = "randomized", rng=None,
-              ext_degree: int | None = None, max_retries: int = 16,
-              recover_full_x: bool = False) -> ErrorSet:
+              ext_degree: int | None = None) -> ErrorSet:
     """Recover the error locations from a syndrome.
 
     mode "randomized" draws the weighting vectors from the given rng and
-    retries on unlucky draws; "derandomized" (F_2 only) uses the fixed
-    primitive-element vectors and is bit-reproducible.  ext_degree defaults
-    to 10m.  The recovered set is verified against the syndrome before it
+    retries on unlucky draws, up to MAX_DRAWS draws in all; "derandomized"
+    (F_2 only) uses the fixed primitive-element vectors and is
+    bit-reproducible.  ext_degree defaults to 10m.  The recovered set is verified against the syndrome before it
     is returned; an unverifiable set raises DecodingFailure, which on a
     valid syndrome signals an error set without independent tensor powers.
     """
@@ -189,22 +177,22 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
         if rng is None:
             raise ValueError("randomized mode needs an rng")
         last = "no attempt made"
-        for _ in range(max_retries):
+        for _ in range(MAX_DRAWS):
             a = tuple(F.random_element(rng) for _ in range(m + 1))
             b = tuple(F.random_element(rng) for _ in range(m + 1))
             try:
-                return _attempt(S, T, F, a, b, recover_full_x)
+                return _attempt(S, T, F, a, b)
             except _RetryableFailure as exc:
                 last = str(exc)
         raise DecodingFailure(
-            f"decomposition failed after {max_retries} flattening draws: {last}")
+            f"decomposition failed after {MAX_DRAWS} flattening draws: {last}")
     if mode == "derandomized":
         if params.p != 2:
             raise ValueError("derandomized flattening vectors are defined over F_2")
         alpha = find_primitive_element(F)
         a, b = derandomized_flattening_vectors(F, alpha, m)
         try:
-            return _attempt(S, T, F, a, b, recover_full_x)
+            return _attempt(S, T, F, a, b)
         except _RetryableFailure as exc:
             raise DecodingFailure(
                 f"derandomized decomposition failed: {exc} "
@@ -213,20 +201,19 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _attempt(S: Syndrome, T: Tensor3, F, a, b, recover_full_x: bool) -> ErrorSet:
+def _attempt(S: Syndrome, T: Tensor3, F, a, b) -> ErrorSet:
     params = T.params
-    m, p = params.m, params.p
+    m = params.m
     Sa = _flatten(T, F, a)
     Sb = _flatten(T, F, b)
-    ta, tb = rank(Sa), rank(Sb)
-    if ta != tb:
-        raise _RetryableFailure(f"rank mismatch between flattenings ({ta} vs {tb})")
-    t = ta
+    K, L = full_rank_submatrix(Sa)
+    t, tb = len(K), rank(Sb)
+    if t != tb:
+        raise _RetryableFailure(f"rank mismatch between flattenings ({t} vs {tb})")
     if t == 0:
         if not S.is_zero():
             raise _RetryableFailure("zero flattening of a nonzero syndrome")
         return ErrorSet(params, ())
-    K, L = full_rank_submatrix(Sa)
     try:
         M = Sa.submatrix(K, L) @ inverse(Sb.submatrix(K, L))
     except SingularMatrixError:
@@ -243,7 +230,6 @@ def _attempt(S: Syndrome, T: Tensor3, F, a, b, recover_full_x: bool) -> ErrorSet
     except SingularMatrixError:
         raise _RetryableFailure("eigenvector matrix singular")
     slice0 = T.slices[0]
-    idx_r = monomial_index(m, params.r, p)
 
     def solve_row(i: int) -> tuple:
         rhs = tuple(slice0.at(krow, i) for krow in K)
@@ -263,13 +249,6 @@ def _attempt(S: Syndrome, T: Tensor3, F, a, b, recover_full_x: bool) -> ErrorSet
     points = tuple(tuple(coords[v][j] for v in range(m)) for j in range(t))
     if len(set(points)) != t:
         raise _RetryableFailure("recovered points collide")
-    if recover_full_x:
-        for i in range(idx_r.size):
-            ui = solve_row(i)
-            expect_row = tuple(F.mul(x, si) for x, si in zip(ui, scale_inv))
-            for j, e in enumerate(points):
-                if expect_row[j] != idx_r.monomial_eval(i, e):
-                    raise _RetryableFailure("full tensor-power recovery mismatch")
     try:
         E = ErrorSet(params, points)
     except ValueError as exc:

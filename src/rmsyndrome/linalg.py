@@ -327,11 +327,15 @@ def rank(M: FFMatrix) -> int:
 
 
 def nullspace_basis(M: FFMatrix) -> FFMatrix:
-    """Basis of {x : Mx = 0} as matrix rows, in rref form.
+    """Basis of {x : Mx = 0} as matrix rows, read off one rref of M.
 
-    Row count is ncols - rank(M) (rank-nullity).
+    One row per free (non-pivot) column, in ascending column order; the
+    row for free column j has 1 at j, 0 at every other free column, and
+    minus column j of the reduced form at the pivot columns, so the basis
+    is not in rref form in general.  Row count is ncols - rank(M)
+    (rank-nullity).
     """
-    R, rk, pivots = rref(M)
+    R, _, pivots = rref(M)
     f = M.field
     n = M.ncols
     pivot_set = set(pivots)
@@ -344,37 +348,36 @@ def nullspace_basis(M: FFMatrix) -> FFMatrix:
                 if R._rows[r] >> j & 1:
                     v |= 1 << pc
             rows.append(v)
-        basis = FFMatrix(f, len(rows), n, rows, True)
-    else:
-        neg = f.neg
-        rows = []
-        for j in free_cols:
-            v = [0] * n
-            v[j] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = neg(R._rows[r][j])
-            rows.append(tuple(v))
-        basis = FFMatrix(f, len(rows), n, rows, False)
-    out, out_rank, _ = rref(basis)
-    assert out_rank == len(free_cols)
-    assert out_rank + rk == n
-    return out
+        return FFMatrix(f, len(rows), n, rows, True)
+    neg = f.neg
+    rows = []
+    for j in free_cols:
+        v = [0] * n
+        v[j] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = neg(R._rows[r][j])
+        rows.append(tuple(v))
+    return FFMatrix(f, len(rows), n, rows, False)
 
 
 def solve(A: FFMatrix, b) -> tuple | None:
-    """Some x with Ax = b, or None when the system is inconsistent."""
+    """Some x with Ax = b, or None when the system is inconsistent.
+
+    x is read off the nullspace row of [A | -b] for its last column, which
+    is (x, 1).  When that column is a pivot its reduced row is the unit
+    vector there, so every nullspace row is 0 in it and b lies outside the
+    column space of A.
+    """
     if len(b) != A.nrows:
         raise ValueError("length mismatch")
     f = A.field
-    bcol = FFMatrix.from_rows(f, [[v] for v in b]) if A.nrows else FFMatrix.zeros(f, 0, 1)
-    aug = A.hstack(bcol)
-    R, rk, pivots = rref(aug)
-    if pivots and pivots[-1] == A.ncols:
+    n = A.ncols
+    negb = (FFMatrix.from_rows(f, [[f.neg(v)] for v in b]) if A.nrows
+            else FFMatrix.zeros(f, 0, 1))
+    ns = nullspace_basis(A.hstack(negb))
+    if not ns.nrows or not ns.at(ns.nrows - 1, n):
         return None
-    x = [0] * A.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = R.at(r, A.ncols)
-    return tuple(x)
+    return ns.row(ns.nrows - 1)[:n]
 
 
 def inverse(M: FFMatrix) -> FFMatrix:
@@ -391,50 +394,12 @@ def inverse(M: FFMatrix) -> FFMatrix:
 def full_rank_submatrix(M: FFMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Index sets (K, L) with |K| = |L| = rank(M) and M[K, L] invertible.
 
-    K greedily collects independent rows (lowest index first); L is the
-    pivot column set of the eliminated K-row submatrix, so the choice is
-    deterministic.
+    K is the pivot column set of rref(M^T): the lowest-index rows that are
+    independent of the rows before them.  L is the pivot column set of
+    rref(M), which depends only on the row space, so it is also the pivot
+    set of M[K, :].  Both choices are deterministic.
     """
-    K = []
-    # Incremental echelon basis keyed by pivot position.  Reducing in
-    # ascending pivot order is a complete reduction: each basis row's
-    # lowest nonzero position is its pivot, so xors only touch higher bits.
-    if M._packed:
-        basis: dict[int, int] = {}  # pivot bit position -> reduced row
-        for i in range(M.nrows):
-            v = M._rows[i]
-            for b in sorted(basis):
-                if v >> b & 1:
-                    v ^= basis[b]
-            if v:
-                basis[(v & -v).bit_length() - 1] = v
-                K.append(i)
-    else:
-        f = M.field
-        mul, sub, inv = f.mul, f.sub, f.inv
-        gbasis: dict[int, list] = {}  # pivot column -> normalized reduced row
-        for i in range(M.nrows):
-            v = list(M._rows[i])
-            for pc in sorted(gbasis):
-                c = v[pc]
-                if c:
-                    row = gbasis[pc]
-                    for j in range(pc, M.ncols):
-                        if row[j]:
-                            v[j] = sub(v[j], mul(c, row[j]))
-            pc = next((j for j, val in enumerate(v) if val), None)
-            if pc is not None:
-                pinv = inv(v[pc])
-                if pinv != 1:
-                    v = [mul(pinv, val) for val in v]
-                gbasis[pc] = v
-                K.append(i)
-    if not K:
-        return (), ()
-    sub_m = M.submatrix(K, range(M.ncols))
-    _, rk, pivots = rref(sub_m)
-    assert rk == len(K)
-    return tuple(K), tuple(pivots)
+    return rref(M.transpose())[2], rref(M)[2]
 
 
 # ---------------------------------------------------------------------------

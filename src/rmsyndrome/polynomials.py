@@ -527,6 +527,19 @@ def poly_to_obj(P: MultilinearPoly) -> list:
 
 
 def poly_from_obj(obj, index: MonomialIndex) -> MultilinearPoly:
+    """The polynomial of a list of [exponent vector, coefficient] pairs,
+    each vector m non-negative ints and each coefficient an int; raises
+    MalformedInputError for any other shape."""
+    from .code import MalformedInputError
+    if not isinstance(obj, list) or not all(
+            isinstance(term, list) and len(term) == 2
+            and isinstance(term[0], list) and len(term[0]) == index.m
+            and all(type(e) is int and e >= 0 for e in term[0])
+            and type(term[1]) is int
+            for term in obj):
+        raise MalformedInputError(
+            f"a polynomial must be a list of [exponents, coefficient] pairs "
+            f"with {index.m} non-negative int exponents and an int coefficient")
     return reduce_terms({tuple(e): c for e, c in obj}, index)
 
 

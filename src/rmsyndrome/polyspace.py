@@ -26,7 +26,7 @@ from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
                    syndrome_from_weighted_errors, tensor_power_matrix)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
-from .linalg import FFMatrix, nullspace_basis, rank, solve
+from .linalg import FFMatrix, nullspace_basis, rank
 from .polynomials import PolySpace, monomial_index, pair_positions
 
 
@@ -132,10 +132,12 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
 
     Each iteration samples an affine subspace {x : Cx = c} of codimension
     l (vv_sample) and substitutes a parametrization of the sampled
-    subspace, x = x0 + N^T y with x0 one solution and the rows of N a
-    basis of the nullspace of C, into V.  The image is the vanishing space
-    of the points in the subspace; when exactly one point lies there,
-    find_unique_root reads off its y.
+    subspace, x = x0 + N^T y, into V.  Both parts come from one nullspace
+    of [C | -c]: its row for the last column is (x0, 1), with x0 one
+    solution, and its other rows are (n, 0) with the n a basis of the
+    nullspace of C.  The image is the vanishing space of the points in
+    the subspace; when exactly one point lies there, find_unique_root
+    reads off its y.
 
     Terminates early once codim(V) distinct points are found; if the
     budget runs out first, the partial set is returned with a warning."""
@@ -156,9 +158,11 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     found: set = set()
     for _ in range(budget):
         vecs, consts = vv_sample(m, t, rng, p)
-        C = FFMatrix.from_rows(f, vecs)
-        x0 = solve(C, consts)
-        Nt = nullspace_basis(C).transpose()
+        ns = nullspace_basis(FFMatrix.from_rows(
+            f, [v + (f.neg(c),) for v, c in zip(vecs, consts)]))
+        # C has rank l, so the last column is free and its row is (x0, 1)
+        x0 = ns.row(ns.nrows - 1)[:m]
+        Nt = ns.submatrix(range(ns.nrows - 1), range(m)).transpose()
         cand = find_unique_root(V.affine_image(Nt, x0))
         if cand is None:
             continue

@@ -56,6 +56,19 @@ def test_encode_rejects_high_degree(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("text", [
+    '{"a": 1}',
+    '[[[1, 0], 1]]',
+    '[[[1, 0, 0, 0, 0, 0], "x"]]',
+    '[[1, 1]]',
+], ids=["top-level-object", "short-exponents", "string-coefficient", "bare-pair"])
+def test_encode_malformed_polynomial_file_is_invalid_input(tmp_path, text):
+    poly = tmp_path / "p.json"
+    poly.write_text(text)
+    assert main(["encode", "--m", "6", "--r", "1", "--poly", str(poly),
+                 "--out", str(tmp_path / "w.bits")]) == 3
+
+
 def test_syndrome_of_codeword_is_zero(tmp_path):
     poly = tmp_path / "p.json"
     _write_poly(poly, [([1, 1, 0, 0, 0, 0, 0, 0], 1), ([0] * 8, 1)])

@@ -273,6 +273,27 @@ def _moments_by_points(values, params):
 
 
 @settings(max_examples=30)
+@given(st.sampled_from([(2, 6, 1), (2, 7, 2), (3, 4, 1), (3, 5, 1), (5, 3, 0),
+                        (5, 4, 1)]), st.integers(0, 2**32))
+def test_syndrome_of_word_is_linear(shape, seed):
+    p, m, r = shape
+    params = CodeParams(m, r, p)
+    rng = random.Random(seed)
+    if p == 2:
+        u, v = rng.getrandbits(params.n), rng.getrandbits(params.n)
+        total = u ^ v
+    else:
+        u = tuple(rng.randrange(p) for _ in range(params.n))
+        v = tuple(rng.randrange(p) for _ in range(params.n))
+        total = tuple((a + b) % p for a, b in zip(u, v))
+
+    def syndrome(values):
+        return syndrome_of_word(ReceivedWord(params, values))
+
+    assert syndrome(total) == syndrome(u) + syndrome(v)
+
+
+@settings(max_examples=30)
 @given(st.sampled_from(ODD_SHAPES), st.integers(0, 2**32), st.booleans())
 def test_odd_syndrome_of_word_matches_streaming_and_point_sums(shape, seed, top):
     p, m, r = shape

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, reject, strategies as st
 
+from conftest import random_invertible
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode,
                              int_to_point, sample_error_set,
@@ -11,7 +12,7 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
 from rmsyndrome.fields import extension_field, find_primitive_element
-from rmsyndrome.jennrich import (FlatteningPair, axis_decompose,
+from rmsyndrome.jennrich import (_flatten, axis_decompose,
                                  check_flattening_conditions, decompose,
                                  derandomized_flattening_vectors,
                                  tensor_from_syndrome)
@@ -34,7 +35,7 @@ def test_tensor_entries_match_direct_sum(rng):
                     direct ^= (idx1.monomial_eval(i, e)
                                & idx1.monomial_eval(j, e)
                                & idx1.monomial_eval(k, e))
-                assert T.entry(i, j, k) == direct
+                assert T.slices[k].at(i, j) == direct
 
 
 def test_zero_syndrome_gives_zero_tensor():
@@ -165,11 +166,11 @@ def test_flattening_identity_against_ground_truth(rng):
     E = sample_error_set(params, 5, rng)
     T = tensor_from_syndrome(syndrome_from_errors(E))
     while True:
-        pair = FlatteningPair(F, tuple(F.random_element(rng) for _ in range(9)),
-                              tuple(F.random_element(rng) for _ in range(9)))
-        if check_flattening_conditions(F, pair.a, pair.b, E):
+        a = tuple(F.random_element(rng) for _ in range(9))
+        b = tuple(F.random_element(rng) for _ in range(9))
+        if check_flattening_conditions(F, a, b, E):
             break
-    Sa, Sb = pair.flatten(T)
+    Sa, Sb = _flatten(T, F, a), _flatten(T, F, b)
     assert rank(Sa) == len(E)  # rank reveals the error count
     K, L = full_rank_submatrix(Sa)
     M = Sa.submatrix(K, L) @ inverse(Sb.submatrix(K, L))
@@ -182,20 +183,12 @@ def test_flattening_identity_against_ground_truth(rng):
         av = bv = 0
         for k, bit in enumerate(lift):
             if bit:
-                av ^= pair.a[k]
-                bv ^= pair.b[k]
+                av ^= a[k]
+                bv ^= b[k]
         avals.append(av)
         bvals.append(bv)
     ratios = [F.mul(av, F.inv(bv)) for av, bv in zip(avals, bvals)]
     assert M @ XK == XK @ FFMatrix.diagonal(F, ratios)
-
-
-def test_recover_full_x_flag(rng):
-    params = CodeParams(8, 2)
-    E = sample_error_set(params, 6, rng)
-    S = syndrome_from_errors(E)
-    rec = decompose(S, "randomized", rng, ext_degree=32, recover_full_x=True)
-    assert rec.points == E.points
 
 
 def test_decompose_odd_field(rng):
@@ -261,6 +254,25 @@ def test_axis_decompose_matches_planted_and_polyspace(case):
     E, S = case
     assert axis_decompose(S).points == E.points
     assert det_find_roots(space_roots(S)).points == E.points
+
+
+@given(planted_syndromes(), st.integers(0, 2**32))
+def test_default_decoder_commutes_with_affine_maps(case, seed):
+    E, S = case
+    params = E.params
+    f = params.field
+    rng = random.Random(seed)
+    A = random_invertible(f, params.m, rng)
+    b = tuple(rng.randrange(params.p) for _ in range(params.m))
+
+    def image(points):
+        return ErrorSet(params, tuple(tuple(f.add(x, c) for x, c in zip(A.mat_vec(e), b))
+                                      for e in points))
+
+    mapped = image(E.points)
+    mags = [rng.randrange(1, params.p) for _ in mapped.points]
+    decoded, _ = locate_and_correct(syndrome_from_weighted_errors(mapped, mags))
+    assert decoded == mapped == image(locate_and_correct(S)[0].points)
 
 
 @given(st.sampled_from(AXIS_GRID[2]), st.integers(0, 2**32), st.data())

@@ -1,6 +1,8 @@
+import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_invertible
 from rmsyndrome.fields import UniPoly, extension_field, prime_field
@@ -119,6 +121,47 @@ def test_full_rank_submatrix_invertibility(field, rng):
         assert len(K) == len(L) == r
         if r:
             inverse(M.submatrix(K, L))  # raises when singular
+
+
+def _low_rank_matrix(field, nrows, ncols, rk, rng):
+    """A random nrows x ncols matrix of rank <= rk, as the product of
+    random nrows x rk and rk x ncols factors."""
+    if rk == 0:
+        return FFMatrix.zeros(field, nrows, ncols)
+    return _random_matrix(field, nrows, rk, rng) @ _random_matrix(field, rk, ncols, rng)
+
+
+def _greedy_minor(M):
+    """Reference (K, L): K keeps each row that is independent of the rows
+    kept before it, and L is the pivot column set of rref(M[K, :])."""
+    K = []
+    for i in range(M.nrows):
+        if rank(M.submatrix(K + [i], range(M.ncols))) > len(K):
+            K.append(i)
+    return tuple(K), rref(M.submatrix(K, range(M.ncols)))[2]
+
+
+@given(st.sampled_from([F2, F5, F16]), st.integers(1, 8), st.integers(1, 8),
+       st.integers(0, 4), st.integers(0, 2**32))
+def test_full_rank_submatrix_matches_greedy_oracle(field, nrows, ncols, rk, seed):
+    M = _low_rank_matrix(field, nrows, ncols, rk, random.Random(seed))
+    assert full_rank_submatrix(M) == _greedy_minor(M)
+
+
+@given(st.sampled_from([F2, F5, F16]), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 4), st.booleans(), st.integers(0, 2**32))
+def test_solve_exactly_when_consistent(field, nrows, ncols, rk, in_range, seed):
+    rng = random.Random(seed)
+    A = _low_rank_matrix(field, nrows, ncols, rk, rng)
+    if in_range:
+        b = A.mat_vec([field.random_element(rng) for _ in range(ncols)])
+    else:
+        b = tuple(field.random_element(rng) for _ in range(nrows))
+    x = solve(A, b)
+    consistent = rank(A.hstack(FFMatrix.from_rows(field, [[v] for v in b]))) == rank(A)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert A.mat_vec(x) == b
 
 
 def test_char_poly_diagonal_and_zero():

@@ -1,15 +1,18 @@
+import itertools
 import math
 import random
 import warnings
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rmsyndrome.code import (CodeParams, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode,
                              sample_error_set, syndrome_from_errors,
                              syndrome_of_word, vanishing_space)
+from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import decompose
-from rmsyndrome.linalg import FFMatrix, rank
+from rmsyndrome.linalg import FFMatrix, nullspace_basis, rank
 from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
                                     monomial_index)
 from rmsyndrome.polyspace import (IsolationBoundWarning,
@@ -266,3 +269,24 @@ def test_find_roots_seed_invariance_of_result(rng):
         warnings.simplefilter("ignore", IsolationBoundWarning)
         results = {find_roots(V, random.Random(seed)).points for seed in range(5)}
     assert results == {E.points}
+
+
+@given(st.sampled_from([(6, 2), (4, 3)]), st.integers(1, 20), st.integers(0, 2**32))
+def test_isolation_parametrization_enumerates_the_sampled_subspace(mp, t, seed):
+    # find_roots reads x0 and N off one nullspace of [C | -c]
+    m, p = mp
+    f = prime_field(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IsolationBoundWarning)
+        vecs, consts = vv_sample(m, t, random.Random(seed), p)
+    ns = nullspace_basis(FFMatrix.from_rows(
+        f, [v + (f.neg(c),) for v, c in zip(vecs, consts)]))
+    *dirs, last = ns.rows()
+    assert last[m] == 1 and all(d[m] == 0 for d in dirs)
+    Nt = FFMatrix.from_rows(f, [d[:m] for d in dirs]).transpose()
+    image = [tuple(f.add(a, b) for a, b in zip(Nt.mat_vec(y), last[:m]))
+             for y in itertools.product(range(p), repeat=len(dirs))]
+    C = FFMatrix.from_rows(f, vecs)
+    subspace = {x for x in itertools.product(range(p), repeat=m)
+                if C.mat_vec(x) == consts}
+    assert len(set(image)) == len(image) and set(image) == subspace
