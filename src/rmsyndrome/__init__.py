@@ -22,15 +22,13 @@ from .code import (CodeParams, DecodingFailure, DegreeError, ErrorSet,
 from .fields import (ExtField, OrderFactorizationError, PrimeField, UniPoly,
                      berlekamp_roots, extension_field, find_irreducible,
                      find_primitive_element, is_irreducible, prime_field)
-from .jennrich import (Tensor3, axis_decompose, check_flattening_conditions,
-                       decompose, derandomized_flattening_vectors,
-                       tensor_from_syndrome)
+from .jennrich import (Tensor3, axis_decompose, decompose,
+                       derandomized_flattening_vectors, tensor_from_syndrome)
 from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      char_poly, eigen_decompose, full_rank_submatrix, inverse,
                      nullspace_basis, rank, rref, solve)
 from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
-                          affine_substitute, monomial_index,
-                          reduce_terms)
+                          monomial_index, reduce_terms)
 from .polyspace import (IsolationBoundWarning, PartialRecoveryWarning,
                         StructuralInconsistencyError, check_ur_preserved,
                         det_find_roots, find_roots, find_unique_root,

@@ -9,18 +9,27 @@ syndrome is a weighted sum of the tensor powers e^{<= 2r+1}, e in E.
 Points are coordinate tuples; their enumeration order is the integer value
 of the little-endian base-p encoding.  Words over F_2 are stored bit-packed
 in a single int.
+
+Word syndromes, batch and streaming, and encoding share one packed
+per-axis moment transform (_power_transform): 1-bit slots added by xor
+over F_2, byte slots over odd p.  The batch syndrome is the one-run case
+of the streaming fold (_fold); encode runs the transpose.  Error-set
+syndromes and tensor powers use a sparse per-point update instead.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, islice
+from math import lcm
+from operator import xor
 from pathlib import Path
 
 from .fields import is_prime, prime_field
-from .linalg import FFMatrix, nullspace_basis, rank
+from .linalg import FFMatrix, nullspace_basis, rank, solve
 from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                           monomial_count, monomial_index)
 
@@ -157,19 +166,16 @@ class Syndrome:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def __add__(self, other: "Syndrome") -> "Syndrome":
+    def _combine(self, other: "Syndrome", op) -> "Syndrome":
         if other.params != self.params:
             raise ValueError("parameter mismatch")
-        f = self.params.field
-        return Syndrome(self.params, tuple(f.add(a, b) for a, b
-                                           in zip(self.entries, other.entries)))
+        return Syndrome(self.params, tuple(map(op, self.entries, other.entries)))
+
+    def __add__(self, other: "Syndrome") -> "Syndrome":
+        return self._combine(other, self.params.field.add)
 
     def __sub__(self, other: "Syndrome") -> "Syndrome":
-        if other.params != self.params:
-            raise ValueError("parameter mismatch")
-        f = self.params.field
-        return Syndrome(self.params, tuple(f.sub(a, b) for a, b
-                                           in zip(self.entries, other.entries)))
+        return self._combine(other, self.params.field.sub)
 
     def to_json_dict(self) -> dict:
         return {"params": self.params.to_json_dict(), "entries": list(self.entries)}
@@ -200,20 +206,10 @@ class ReceivedWord:
     params: CodeParams
     values: object
 
-    def value_at(self, i: int) -> int:
-        if self.params.p == 2:
-            return self.values >> i & 1
-        return self.values[i]
-
     def iter_values(self):
-        n = self.params.n
         if self.params.p == 2:
-            v = self.values
-            for _ in range(n):
-                yield v & 1
-                v >>= 1
-        else:
-            yield from self.values
+            return map(_slots(self.values, self.params.m, 2), range(self.params.n))
+        return iter(self.values)
 
     def to_bytes(self) -> bytes:
         n = self.params.n
@@ -250,22 +246,9 @@ def _positions_by_mask(index: MonomialIndex) -> dict:
 def tensor_power(point, t: int, p: int = 2) -> tuple[int, ...]:
     """The vector of monomial evaluations of degree <= t at the point,
     constant entry first."""
-    m = len(point)
-    index = monomial_index(m, t, p)
+    index = monomial_index(len(point), t, p)
     out = [0] * index.size
-    if p == 2:
-        support = [v for v, c in enumerate(point) if c]
-        pos = _positions_by_mask(index)
-        top = min(t, len(support))
-        for d in range(top + 1):
-            for comb in combinations(support, d):
-                mask = 0
-                for v in comb:
-                    mask |= 1 << v
-                out[pos[mask]] = 1
-        return tuple(out)
-    for i in range(index.size):
-        out[i] = index.monomial_eval(i, point)
+    _accumulate_point(out, point, 1, index)
     return tuple(out)
 
 
@@ -276,10 +259,9 @@ def tensor_power_matrix(points, t: int, p: int = 2, m: int | None = None) -> FFM
         if not points:
             raise ValueError("empty point list needs an explicit m")
         m = len(points[0])
-    index = monomial_index(m, t, p)
     f = prime_field(p)
     if not points:
-        return FFMatrix.zeros(f, 0, index.size)
+        return FFMatrix.zeros(f, 0, monomial_count(m, t, p))
     return FFMatrix.from_rows(f, [tensor_power(e, t, p) for e in points])
 
 
@@ -292,12 +274,19 @@ def has_property_ur(E: ErrorSet, r: int) -> bool:
 
 def sample_error_set(params: CodeParams, t: int, rng, max_attempts: int = 64) -> ErrorSet:
     """t distinct uniform points, resampled until the degree-r tensor
-    powers are independent; the resample count is recorded on the result."""
+    powers are independent; the resample count is recorded on the result.
+    Points are drawn by rng.sample while p^m fits in an index (sys.maxsize),
+    else as distinct rng.randrange(p^m) values."""
     limit = monomial_index(params.m, params.r, params.p).size
     if t > limit:
         raise ValueError(f"t={t} exceeds the independence bound {limit}")
     for attempt in range(max_attempts):
-        ints = rng.sample(range(params.n), t)
+        if params.n <= sys.maxsize:
+            ints = rng.sample(range(params.n), t)
+        else:
+            ints = set()
+            while len(ints) < t:
+                ints.add(rng.randrange(params.n))
         pts = tuple(int_to_point(x, params.m, params.p) for x in ints)
         cand = ErrorSet(params, pts, resamples=attempt)
         if has_property_ur(cand, params.r):
@@ -319,7 +308,6 @@ def solve_error_magnitudes(S: "Syndrome", E: ErrorSet) -> tuple | None:
 
     Unique when the degree <= 2r+1 tensor powers of E are independent;
     None when the system is inconsistent (E does not explain S)."""
-    from .linalg import solve
     params = S.params
     A = tensor_power_matrix(E.points, 2 * params.r + 1, params.p,
                             params.m).transpose()
@@ -333,30 +321,22 @@ def solve_error_magnitudes(S: "Syndrome", E: ErrorSet) -> tuple | None:
 def _accumulate_point(entries: list, point, weight: int, index: MonomialIndex):
     p = index.p
     if p == 2:
-        support = [v for v, c in enumerate(point) if c]
+        bits = [1 << v for v, c in enumerate(point) if c]
         pos = _positions_by_mask(index)
-        top = min(index.t, len(support))
-        for d in range(top + 1):
-            for comb in combinations(support, d):
-                mask = 0
-                for v in comb:
-                    mask |= 1 << v
-                entries[pos[mask]] ^= 1
+        for d in range(min(index.t, len(bits)) + 1):
+            for comb in combinations(bits, d):
+                entries[pos[sum(comb)]] ^= 1
         return
-    f = prime_field(p)
-    for i in range(index.size):
-        v = index.monomial_eval(i, point)
-        if v:
-            entries[i] = f.add(entries[i], f.mul(weight, v))
+    powers = [1] * index.size  # x^a = x^(a - e_v) x_v, v the lowest variable in a
+    for i, (parent, v) in enumerate(index.parents()[1:], 1):
+        powers[i] = powers[parent] * point[v] % p
+    for i, v in enumerate(powers):
+        entries[i] = (entries[i] + weight * v) % p
 
 
 def syndrome_from_errors(E: ErrorSet) -> Syndrome:
     """Sum of the degree <= 2r+1 tensor powers of the error locations."""
-    index = E.params.syndrome_index
-    entries = [0] * index.size
-    for e in E.points:
-        _accumulate_point(entries, e, 1, index)
-    return Syndrome(E.params, tuple(entries))
+    return syndrome_from_weighted_errors(E, [1] * E.t)
 
 
 def syndrome_from_weighted_errors(E: ErrorSet, weights) -> Syndrome:
@@ -370,92 +350,125 @@ def syndrome_from_weighted_errors(E: ErrorSet, weights) -> Syndrome:
     return Syndrome(E.params, tuple(entries))
 
 
-@lru_cache(maxsize=None)
-def _zeta_masks(m: int) -> tuple[int, ...]:
-    # mask i: positions of [0, 2^m) whose bit i is clear
-    size = 1 << m
-    out = []
-    for i in range(m):
-        block = (1 << (1 << i)) - 1
-        mask = block
-        span = 2 << i
-        while span < size:
-            mask |= mask << span
-            span <<= 1
-        out.append(mask)
-    return tuple(out)
+def _slot_bits(m: int, p: int) -> int:
+    """Bits per slot of a packed table of p^m values: 1 over F_2, where
+    slots add by xor; over odd p whole bytes holding (p-1) (p(p-1))^m, the
+    largest sum after m transform passes, so sums never carry."""
+    return 1 if p == 2 else 8 * ((((p - 1) * (p * (p - 1)) ** m).bit_length() + 7) // 8)
 
 
-def _power_transform(values, m: int, p: int, moments: bool):
-    """Moments sum_x values[x] x^k of a table of p^m values in [0, p)
-    (moments=True), or the transpose: evaluations sum_k values[k] x^k of a
-    coefficient table.  The values sit in byte slots of one int; each of
-    m passes combines the p digit planes of one axis by the matrix
-    (a^k mod p).  Slots stay below (p-1) (p(p-1))^m, so sums never carry.
-    Returns a reader of output slot i, mod p."""
+def _pack(values, m: int, p: int) -> int:
+    """The p^m symbols of a table in one int, symbol i in slot i (an int,
+    a bit-packed F_2 word, is packed already).  Raises ValueError for a
+    symbol outside [0, p)."""
+    if isinstance(values, int):
+        return values
     if not 0 <= min(values) <= max(values) < p:
         raise ValueError(f"symbols must lie in [0, {p})")
-    n = p ** m
-    width = (((p - 1) * (p * (p - 1)) ** m).bit_length() + 7) // 8
-    data = bytearray(n * width)
+    if p == 2:
+        return int(bytes(values)[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+    width = _slot_bits(m, p) // 8
+    data = bytearray(len(values) * width)
     for j in range(0, (p - 1).bit_length(), 8):
         data[j // 8::width] = (bytes(values) if p <= 256
                                else bytes(v >> j & 255 for v in values))
-    W = int.from_bytes(data, "little")
-    power = [[pow(a, k, p) for a in range(p)] for k in range(p)]
-    if not moments:
-        power = list(zip(*power))
-    stride = 1
-    for _axis in range(m):
-        shift = 8 * width * stride
-        block = b"\xff" * (width * stride) + bytes(width * stride * (p - 1))
-        mask = int.from_bytes(block * (n // (stride * p)), "little")
+    return int.from_bytes(data, "little")
+
+
+def _power_transform(W: int, m: int, p: int, moments: bool) -> int:
+    """Moments sum_x y(x) x^k of a packed table of p^m symbols y
+    (moments=True), or the transpose: evaluations sum_k c_k x^k of a packed
+    coefficient table.  Each of m passes combines the p digit planes of
+    one axis by the matrix (a^k mod p); over F_2 this is the superset-sum
+    transform.  Slot i of the result belongs to the point or exponent
+    vector numbered i; _slots reads it mod p."""
+    bits = _slot_bits(m, p)
+    # row k: output digit k; moments a^k, the transpose k^a
+    power = [[pow(a, k, p) if moments else pow(k, a, p) for a in range(p)] for k in range(p)]
+    for axis in range(m):
+        shift = bits * p ** axis
+        period = p * shift  # mask: the low `shift` bits of every period
+        unit = lcm(period, 8)
+        low = sum((1 << shift) - 1 << s for s in range(0, unit, period))
+        mask = int.from_bytes(low.to_bytes(unit // 8, "little")
+                              * -(-bits * p ** m // unit), "little")
         planes = [W >> a * shift & mask for a in range(p)]
         W = 0
         for k, row in enumerate(power):
-            W |= sum(c * plane for c, plane in zip(row, planes) if c) << k * shift
-        stride *= p
-    raw = W.to_bytes(n * width, "little")
+            terms = [c * plane for c, plane in zip(row, planes) if c]
+            W |= (reduce(xor, terms) if p == 2 else sum(terms)) << k * shift
+    return W
+
+
+def _slots(W: int, m: int, p: int):
+    """Reader of slot i, mod p, of a packed table of p^m slots."""
+    width = _slot_bits(m, p)
+    raw = W.to_bytes((width * p ** m + 7) // 8, "little")
+    if p == 2:
+        return lambda i: raw[i >> 3] >> (i & 7) & 1
+    width //= 8
     return lambda i: int.from_bytes(raw[i * width:(i + 1) * width], "little") % p
 
 
-def syndrome_of_word(word: ReceivedWord) -> Syndrome:
-    """Batch syndrome of a full word.
-
-    Over F_2 this runs a superset-sum transform on the packed word (m
-    big-int passes), then reads one bit per monomial.  Over odd p it
-    reads each monomial's slot of the packed moment transform
-    _power_transform.  Raises ValueError for a symbol outside [0, p).
-    """
-    params = word.params
+@lru_cache(maxsize=None)
+def _run_layout(params: CodeParams, j: int) -> tuple:
+    """The distinct run slots a_low of the syndrome monomials x^a =
+    x_low^a_low x_high^a_high split at variable j, and per monomial its
+    a_low's index there and a_high's position in monomial_index(m - j, ...)."""
     index = params.syndrome_index
-    if params.p == 2:
-        W = word.values
-        for i, mask in enumerate(_zeta_masks(params.m)):
-            W ^= (W >> (1 << i)) & mask
-        entries = tuple(W >> mask & 1 for mask in index.masks)
-        return Syndrome(params, entries)
-    slot = _power_transform(word.values, params.m, params.p, moments=True)
-    return Syndrome(params, tuple(slot(point_to_int(mono, params.p))
-                                  for mono in index.monomials))
+    high = monomial_index(params.m - j, index.t, params.p).position
+    lows: dict = {}
+    layout = tuple((lows.setdefault(point_to_int(mono[:j], params.p), len(lows)),
+                    high[mono[j:]]) for mono in index.monomials)
+    return tuple(lows), layout
+
+
+def _fold(params: CodeParams, runs, j: int) -> Syndrome:
+    """The syndrome of a word given as its p^(m-j) runs of p^j consecutive
+    symbols, each packed by _pack.  Run c shares the high coordinates
+    h = int_to_point(c, m - j, p), so its moments along the low j axes add
+    h^a_high * moment[a_low] to the entry of x^a."""
+    m, p = params.m, params.p
+    lows, layout = _run_layout(params, j)
+    entries = [0] * len(layout)
+    for c, run in enumerate(runs):
+        read = _slots(_power_transform(run, j, p, moments=True), j, p)
+        moment = [read(a) for a in lows]
+        h = tensor_power(int_to_point(c, m - j, p), 2 * params.r + 1, p)
+        for i, (low, high) in enumerate(layout):
+            if h[high]:
+                entries[i] = (entries[i] + h[high] * moment[low]) % p
+    return Syndrome(params, tuple(entries))
+
+
+def syndrome_of_word(word: ReceivedWord) -> Syndrome:
+    """Batch syndrome: the fold of one run, the whole word transformed
+    along all m axes.  Raises ValueError for a symbol outside [0, p)."""
+    params = word.params
+    return _fold(params, [_pack(word.values, params.m, params.p)], params.m)
 
 
 def syndrome_streaming(params: CodeParams, stream) -> Syndrome:
-    """One-pass syndrome accumulation over coordinates delivered in point
-    enumeration order; memory stays bounded by one syndrome vector."""
-    index = params.syndrome_index
-    entries = [0] * index.size
-    count = 0
+    """One-pass syndrome of the p^m symbols delivered in point enumeration
+    order.  Each run of p^j symbols, p^j the largest power of p not above
+    the syndrome length, is folded in as it completes, so memory stays
+    within a small multiple of one syndrome.  Raises LengthMismatchError
+    for a stream of another length, ValueError for a symbol outside [0, p)."""
     m, p = params.m, params.p
-    for v in stream:
-        if count >= params.n:
+    j = max(j for j in range(m + 1) if p ** j <= params.syndrome_index.size)
+    stream = iter(stream)
+
+    def runs():
+        for c in range(p ** (m - j)):
+            run = list(islice(stream, p ** j))
+            if len(run) < p ** j:
+                raise LengthMismatchError(f"stream delivered {c * p ** j + len(run)}"
+                                          f" of {params.n} coordinates")
+            yield _pack(run, j, p)
+        for _ in stream:
             raise LengthMismatchError("stream longer than p^m")
-        if v:
-            _accumulate_point(entries, int_to_point(count, m, p), v, index)
-        count += 1
-    if count != params.n:
-        raise LengthMismatchError(f"stream delivered {count} of {params.n} coordinates")
-    return Syndrome(params, tuple(entries))
+
+    return _fold(params, runs(), j)
 
 
 # ---------------------------------------------------------------------------
@@ -463,28 +476,21 @@ def syndrome_streaming(params: CodeParams, stream) -> Syndrome:
 
 
 def encode(P: MultilinearPoly, params: CodeParams) -> ReceivedWord:
-    """Evaluation table of a polynomial of degree <= m - 2r - 2; over odd
-    p, the transpose of syndrome_of_word's moment transform."""
+    """Evaluation table of a polynomial of degree <= m - 2r - 2: the
+    transpose of the moment transform on its coefficient table."""
     if P.index.m != params.m or P.index.p != params.p:
         raise ValueError("polynomial index does not match the parameters")
     if P.degree() > params.code_degree:
         raise DegreeError(
             f"degree {P.degree()} exceeds code degree {params.code_degree}")
     m, p = params.m, params.p
-    if p == 2:
-        dense = 0
-        index = P.index
-        for i, c in enumerate(P.coeffs):
-            if c:
-                dense |= 1 << index.masks[i]
-        for i, mask in enumerate(_zeta_masks(m)):
-            dense ^= (dense & mask) << (1 << i)
-        return ReceivedWord(params, dense)
     table = [0] * params.n
-    for mono, c in zip(P.index.monomials, P.coeffs):
-        table[point_to_int(mono, p)] = c
-    slot = _power_transform(table, m, p, moments=False)
-    return ReceivedWord(params, tuple(map(slot, range(params.n))))
+    positions = P.index.masks or [point_to_int(e, p) for e in P.index.monomials]
+    for i, c in zip(positions, P.coeffs):
+        table[i] = c
+    W = _power_transform(_pack(table, m, p), m, p, moments=False)
+    return ReceivedWord(params, W if p == 2 else
+                        tuple(map(_slots(W, m, p), range(params.n))))
 
 
 def corrupt(word: ReceivedWord, E: ErrorSet, rng=None) -> ReceivedWord:
@@ -494,9 +500,7 @@ def corrupt(word: ReceivedWord, E: ErrorSet, rng=None) -> ReceivedWord:
     if E.params != params:
         raise ValueError("parameter mismatch")
     if params.p == 2:
-        delta = 0
-        for e in E.points:
-            delta |= 1 << point_to_int(e, 2)
+        delta = sum(1 << point_to_int(e, 2) for e in E.points)  # distinct points
         return ReceivedWord(params, word.values ^ delta)
     if rng is None:
         raise ValueError("corrupting over an odd-order field needs an rng")
@@ -513,17 +517,13 @@ def corrupt(word: ReceivedWord, E: ErrorSet, rng=None) -> ReceivedWord:
 
 
 def write_word_file(word: ReceivedWord, path) -> None:
-    path = Path(path)
-    path.write_bytes(word.to_bytes())
-    sidecar = Path(str(path) + ".json")
-    sidecar.write_text(json.dumps(word.params.to_json_dict()))
+    Path(path).write_bytes(word.to_bytes())
+    Path(f"{path}.json").write_text(json.dumps(word.params.to_json_dict()))
 
 
 def read_word_file(path) -> ReceivedWord:
-    path = Path(path)
-    sidecar = Path(str(path) + ".json")
-    params = CodeParams.from_json_dict(json.loads(sidecar.read_text()))
-    return ReceivedWord.from_bytes(params, path.read_bytes())
+    params = CodeParams.from_json_dict(json.loads(Path(f"{path}.json").read_text()))
+    return ReceivedWord.from_bytes(params, Path(path).read_bytes())
 
 
 def write_syndrome_file(s: Syndrome, path) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
-                   solve_error_magnitudes, syndrome_from_errors, tensor_power)
+                   solve_error_magnitudes, syndrome_from_errors)
 from .fields import extension_field, find_primitive_element
 from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      eigen_decompose, full_rank_submatrix, inverse, rank)
@@ -120,41 +120,6 @@ def derandomized_flattening_vectors(F, alpha: int, m: int) -> tuple[tuple, tuple
     a = tuple(F.pow(alpha, i) for i in range(m + 1))
     b = tuple(F.pow(alpha, 3 * m + 2 * i) for i in range(m + 1))
     return a, b
-
-
-def check_flattening_conditions(F, a, b, E: ErrorSet) -> bool:
-    """Test-only: do the weights separate the error set?  True iff the 2t
-    values <a, e^{<=1}>, <b, e^{<=1}> are nonzero and pairwise distinct and
-    the ratios a_i / b_i are pairwise distinct."""
-    avals, bvals = _weight_values(F, a, b, E)
-    t = len(avals)
-    allv = avals + bvals
-    if any(v == 0 for v in allv) or len(set(allv)) < 2 * t:
-        return False
-    ratios = {F.mul(ai, F.inv(bi)) for ai, bi in zip(avals, bvals)}
-    return len(ratios) == t
-
-
-def _weight_values(F, a, b, E: ErrorSet):
-    p = E.params.p
-    avals, bvals = [], []
-    for e in E.points:
-        x = tensor_power(e, 1, p)
-        if p == 2:
-            av = bv = 0
-            for k, bit in enumerate(x):
-                if bit:
-                    av ^= a[k]
-                    bv ^= b[k]
-        else:
-            av = bv = 0
-            for k, c in enumerate(x):
-                if c:
-                    av = F.add(av, F.mul(c, a[k]))
-                    bv = F.add(bv, F.mul(c, b[k]))
-        avals.append(av)
-        bvals.append(bv)
-    return avals, bvals
 
 
 def decompose(S: Syndrome, mode: str = "randomized", rng=None,

@@ -213,8 +213,9 @@ class MultilinearPoly:
         return all(c == 0 for c in self.coeffs)
 
     def degree(self) -> int:
-        degs = [self.index.degree_of(i) for i, c in enumerate(self.coeffs) if c]
-        return max(degs) if degs else -1
+        # the index is graded, so the last nonzero coefficient has top degree
+        last = next((i for i in reversed(range(self.index.size)) if self.coeffs[i]), -1)
+        return -1 if last < 0 else self.index.degree_of(last)
 
     def evaluate(self, point) -> int:
         if len(point) != self.index.m:
@@ -347,29 +348,6 @@ def substitution_matrix(index: MonomialIndex, mat_rows, b) -> FFMatrix:
                         acc[tgt] = add(acc[tgt], mul(cu, c))
         rows[i] = acc
     return FFMatrix.from_rows(field, rows)
-
-
-def affine_substitute(P: MultilinearPoly, mat, b) -> MultilinearPoly:
-    """reduce(P(Ay + b)) in k variables, for an m x k matrix A (rows as
-    sequences) of full column rank."""
-    idx = P.index
-    mat_rows, target = _affine_map(idx, mat, b)
-    S = substitution_matrix(idx, mat_rows, tuple(b))
-    if idx.p == 2:
-        acc = 0
-        for i, c in enumerate(P.coeffs):
-            if c:
-                acc ^= S.packed_row(i)
-        return MultilinearPoly.from_packed(target, acc)
-    f = prime_field(idx.p)
-    acc = [0] * target.size
-    for i, c in enumerate(P.coeffs):
-        if c:
-            row = S.row(i)
-            for j in range(target.size):
-                if row[j]:
-                    acc[j] = f.add(acc[j], f.mul(c, row[j]))
-    return MultilinearPoly(target, acc)
 
 
 def _affine_map(index: MonomialIndex, mat, b):
@@ -528,8 +506,10 @@ def poly_to_obj(P: MultilinearPoly) -> list:
 
 def poly_from_obj(obj, index: MonomialIndex) -> MultilinearPoly:
     """The polynomial of a list of [exponent vector, coefficient] pairs,
-    each vector m non-negative ints and each coefficient an int; raises
-    MalformedInputError for any other shape."""
+    each vector m non-negative ints and each coefficient an int; the
+    coefficients of repeated vectors add, like those of vectors that
+    reduce to the same monomial.  Raises MalformedInputError for any other
+    shape."""
     from .code import MalformedInputError
     if not isinstance(obj, list) or not all(
             isinstance(term, list) and len(term) == 2
@@ -540,7 +520,10 @@ def poly_from_obj(obj, index: MonomialIndex) -> MultilinearPoly:
         raise MalformedInputError(
             f"a polynomial must be a list of [exponents, coefficient] pairs "
             f"with {index.m} non-negative int exponents and an int coefficient")
-    return reduce_terms({tuple(e): c for e, c in obj}, index)
+    terms: dict = {}
+    for e, c in obj:
+        terms[tuple(e)] = terms.get(tuple(e), 0) + c
+    return reduce_terms(terms, index)
 
 
 def space_to_obj(V: PolySpace) -> list:

@@ -69,6 +69,15 @@ def test_encode_malformed_polynomial_file_is_invalid_input(tmp_path, text):
                  "--out", str(tmp_path / "w.bits")]) == 3
 
 
+def test_encode_adds_repeated_exponent_vectors(tmp_path):
+    poly, out = tmp_path / "p.json", tmp_path / "w.bin"
+    _write_poly(poly, [([1, 0, 0, 0], 1), ([1, 0, 0, 0], 1)])
+    assert main(["encode", "--m", "4", "--r", "0", "--p", "3", "--poly", str(poly),
+                 "--out", str(out)]) == 0
+    # 2 X_1 at point i, whose first coordinate is i mod 3
+    assert read_word_file(out).values == tuple(2 * i % 3 for i in range(81))
+
+
 def test_syndrome_of_codeword_is_zero(tmp_path):
     poly = tmp_path / "p.json"
     _write_poly(poly, [([1, 1, 0, 0, 0, 0, 0, 0], 1), ([0] * 8, 1)])

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from rmsyndrome.code import (CodeParams, DegreeError, ErrorSet,
                              syndrome_from_errors, syndrome_from_weighted_errors,
                              syndrome_of_word, syndrome_streaming, tensor_power,
                              tensor_power_matrix, write_word_file)
-from rmsyndrome.code import _power_transform
+from rmsyndrome.code import _fold, _pack, _power_transform, _slots
 from rmsyndrome.linalg import rank
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index
 
@@ -108,6 +110,24 @@ def test_sample_error_set(rng):
         sample_error_set(CodeParams(4, 1), 4, _RiggedRng(), max_attempts=8)
 
 
+@pytest.mark.parametrize("m", [64, 128])
+def test_sample_error_set_beyond_index_range(m):
+    # p^m > sys.maxsize: rng.sample(range(p^m), t) would raise OverflowError
+    params = CodeParams(m, 1)
+    E = sample_error_set(params, 4, random.Random(m))
+    assert E.t == 4 and has_property_ur(E, 1)
+    assert sample_error_set(params, 4, random.Random(m)) == E
+
+
+def test_sample_error_set_draws_by_rng_sample_where_it_fits():
+    # seeded error sets of every test and benchmark stay the same
+    params = CodeParams(12, 1)
+    E = sample_error_set(params, 8, random.Random(3))
+    drawn = random.Random(3).sample(range(params.n), 8)
+    assert E.resamples == 0
+    assert E.as_set() == {int_to_point(x, 12, 2) for x in drawn}
+
+
 def test_syndrome_examples():
     params = CodeParams(2, 0)
     assert syndrome_from_errors(ErrorSet(params, ())).is_zero()
@@ -134,6 +154,76 @@ def test_streaming_stream_length_errors():
         syndrome_streaming(params, [0] * 3)
     with pytest.raises(LengthMismatchError):
         syndrome_streaming(params, [0] * 5)
+
+
+@pytest.mark.parametrize("params,stream", [
+    (CodeParams(2, 0), [2, 0, 0, 0]),
+    (CodeParams(2, 0), [0, 0, -1, 0]),
+    (CodeParams(2, 0, 3), [4] + [0] * 8),
+    (CodeParams(2, 0, 3), [0] * 8 + [-1]),
+], ids=["f2-two", "f2-negative", "f3-four", "f3-negative"])
+def test_streaming_rejects_symbols_outside_field(params, stream):
+    with pytest.raises(ValueError, match="symbols must lie in"):
+        syndrome_streaming(params, stream)
+
+
+# (p, m, r): streaming runs of p^j symbols with j = 0 for (7, 3, 0) and
+# 0 < j < m for the rest; the batch fold is j = m.
+STREAM_SHAPES = [(2, 2, 0), (2, 6, 1), (2, 7, 2), (3, 2, 0), (3, 5, 1),
+                 (5, 4, 1), (7, 3, 0)]
+
+
+@given(st.sampled_from(STREAM_SHAPES), st.integers(0, 2**32), st.data())
+def test_streaming_batch_and_every_run_length_equal_error_sum(shape, seed, data):
+    p, m, r = shape
+    params = CodeParams(m, r, p)
+    rng = random.Random(seed)
+    idx = monomial_index(m, params.code_degree, p)
+    P = MultilinearPoly(idx, [rng.randrange(p) for _ in range(idx.size)])
+    t = data.draw(st.integers(0, min(params.n, 6)))
+    E = ErrorSet(params, tuple(int_to_point(x, m, p)
+                               for x in rng.sample(range(params.n), t)))
+    weights = [rng.randrange(1, p) for _ in range(t)]
+    values = list(encode(P, params).iter_values())
+    for e, w in zip(E.points, weights):
+        values[point_to_int(e, p)] = (values[point_to_int(e, p)] + w) % p
+    expected = syndrome_from_weighted_errors(E, weights)
+    word = ReceivedWord(params, sum(v << i for i, v in enumerate(values))
+                        if p == 2 else tuple(values))
+    assert syndrome_of_word(word) == expected
+    assert syndrome_streaming(params, iter(values)) == expected
+    for j in range(m + 1):
+        runs = [_pack(values[c:c + p ** j], j, p) for c in range(0, params.n, p ** j)]
+        assert _fold(params, runs, j) == expected
+
+
+@given(st.sampled_from(STREAM_SHAPES), st.integers(0, 2**32), st.booleans())
+def test_streaming_one_symbol_short_or_long_is_length_mismatch(shape, seed, longer):
+    p, m, r = shape
+    params = CodeParams(m, r, p)
+    rng = random.Random(seed)
+    values = [rng.randrange(p) for _ in range(params.n + (1 if longer else -1))]
+    with pytest.raises(LengthMismatchError):
+        syndrome_streaming(params, iter(values))
+
+
+@pytest.mark.parametrize("p,m,r", [(3, 7, 1), (5, 6, 1)])
+@settings(max_examples=4)
+@given(st.integers(0, 2**32))
+def test_odd_streaming_peak_memory_within_two_syndromes(p, m, r, seed):
+    # the bound of acceptance criterion 8, for in-memory odd-p streams
+    params = CodeParams(m, r, p)
+    rng = random.Random(seed)
+    values = tuple(rng.randrange(p) for _ in range(params.n))
+    batch = syndrome_of_word(ReceivedWord(params, values))
+    syndrome_streaming(params, iter(values))  # build the cached indexes first
+    tracemalloc.start()
+    stream = syndrome_streaming(params, iter(values))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    syn_bytes = sys.getsizeof(list(batch.entries)) + 28 * len(batch.entries)
+    assert stream == batch
+    assert peak <= 2 * syn_bytes
 
 
 def test_dual_pairing_codewords_have_zero_syndrome(rng):
@@ -360,11 +450,11 @@ def _transform_axis_by_axis(values, m, p, moments):
     return table
 
 
-@pytest.mark.parametrize("m,p", [(7, 3), (6, 5), (5, 7)])
+@pytest.mark.parametrize("m,p", [(10, 2), (7, 3), (6, 5), (5, 7)])
 def test_power_transform_every_slot_at_full_width(m, p, rng):
     # the all-(p-1) table puts the largest possible value in every slot
     for values in ((p - 1,) * p ** m, tuple(rng.randrange(p) for _ in range(p ** m))):
         for moments in (True, False):
-            slot = _power_transform(values, m, p, moments)
+            slot = _slots(_power_transform(_pack(values, m, p), m, p, moments), m, p)
             assert list(map(slot, range(p ** m))) == _transform_axis_by_axis(
                 values, m, p, moments)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 from conftest import random_invertible
+from helpers import check_flattening_conditions
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode,
                              int_to_point, sample_error_set,
@@ -12,8 +13,7 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
 from rmsyndrome.fields import extension_field, find_primitive_element
-from rmsyndrome.jennrich import (_flatten, axis_decompose,
-                                 check_flattening_conditions, decompose,
+from rmsyndrome.jennrich import (_flatten, axis_decompose, decompose,
                                  derandomized_flattening_vectors,
                                  tensor_from_syndrome)
 from rmsyndrome.linalg import FFMatrix, full_rank_submatrix, inverse, rank

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import random_invertible
+from helpers import affine_substitute
 from rmsyndrome.code import tensor_power_matrix, vanishing_space
 from rmsyndrome.fields import prime_field
 from rmsyndrome.linalg import FFMatrix, inverse, rank
 from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
-                                    affine_substitute, monomial_count,
-                                    monomial_index, poly_from_obj, poly_to_obj,
-                                    reduce_terms, space_to_obj)
+                                    monomial_count, monomial_index,
+                                    poly_from_obj, poly_to_obj, reduce_terms,
+                                    space_to_obj)
 
 
 def test_graded_lex_order_constant_first():
@@ -234,6 +235,15 @@ def test_space_membership_and_canonical_equality(rng):
         assert V.contains(P)
     W = PolySpace.from_polys(V.index, list(reversed(V.polys())))
     assert W == V  # rref canonical form is order independent
+
+
+def test_poly_from_obj_adds_repeated_exponent_vectors():
+    idx = monomial_index(4, 3, 3)
+    x1 = [1, 0, 0, 0]
+    twice = poly_from_obj([[x1, 1], [x1, 1]], idx)
+    assert twice.terms() == [((1, 0, 0, 0), 2)]
+    assert twice == poly_from_obj([[x1, 1], [[3, 0, 0, 0], 1]], idx)  # X^3 = X
+    assert poly_from_obj([[x1, 1], [x1, 2]], idx).is_zero()
 
 
 def test_poly_serialization_round_trip(rng):
