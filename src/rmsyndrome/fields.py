@@ -137,16 +137,6 @@ def _gf2_square_int(a: int) -> int:
     return r
 
 
-def _gf2_mul_int(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _gf2_mod_int(a: int, f: int) -> int:
     df = f.bit_length() - 1
     da = a.bit_length() - 1
@@ -419,23 +409,20 @@ class ExtField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.p == 2:
-            # extended Euclid on int-encoded polynomials
-            r0, r1 = self._modint, a
-            s0, s1 = 0, 1
-            while r1:
-                d0, d1 = r0.bit_length() - 1, r1.bit_length() - 1
-                if d0 < d1:
+            # shift-xor extended Euclid (Hankerson, Menezes & Vanstone,
+            # Guide to Elliptic Curve Cryptography, Alg. 2.48): a s0 = r0
+            # and a s1 = r1 mod the modulus throughout, and s0 keeps
+            # degree < k; the modulus is irreducible, so r0 reaches 1
+            r0, r1 = a, self._modint
+            s0, s1 = 1, 0
+            while r0 != 1:
+                sh = r0.bit_length() - r1.bit_length()
+                if sh < 0:
                     r0, r1, s0, s1 = r1, r0, s1, s0
-                    continue
-                q = 0
-                while r0.bit_length() >= r1.bit_length() and r0:
-                    sh = r0.bit_length() - r1.bit_length()
-                    q ^= 1 << sh
-                    r0 ^= r1 << sh
-                s0 ^= _gf2_mul_int(q, s1)
-                r0, r1, s0, s1 = r1, r0, s1, s0
-            # r0 == gcd == 1 since modulus is irreducible
-            return self._reduce2(s0)
+                    sh = -sh
+                r0 ^= r1 << sh
+                s0 ^= s1 << sh
+            return s0
         # generic: Fermat
         return self.pow(a, self.order - 2)
 

@@ -273,21 +273,23 @@ def test_criterion_10_independence_preserved_by_affine_maps():
 
 def test_timing_growth_report():
     # wall-clock decode time vs m at fixed r: report and check the medians
-    # do not shrink (no hard constants asserted)
+    # do not shrink (no hard constants asserted).  The trials run
+    # round-robin over m, so that a burst of load on a shared host slows
+    # every m alike instead of one m's whole block of trials.
     r = 1
-    medians = []
-    for m in (8, 10, 12):
-        params = CodeParams(m, r)
-        times = []
-        for trial in range(7):
+    ms = (8, 10, 12)
+    times = {m: [] for m in ms}
+    for trial in range(7):
+        for m in ms:
+            params = CodeParams(m, r)
             rng = substream_rng(1111, 100 * m + trial)
             E = sample_error_set(params, T_PLANTED, rng)
             S = syndrome_from_errors(E)
             t0 = time.perf_counter()
             decompose(S, "randomized", rng, ext_degree=4 * m)
-            times.append(time.perf_counter() - t0)
-        medians.append(statistics.median(times))
+            times[m].append(time.perf_counter() - t0)
+    medians = [statistics.median(times[m]) for m in ms]
     print("decode time vs m (r=1, tensor decoder): "
           + ", ".join(f"m={m}: {t * 1e3:.1f}ms"
-                      for m, t in zip((8, 10, 12), medians)), flush=True)
+                      for m, t in zip(ms, medians)), flush=True)
     assert medians[1] >= 0.7 * medians[0] and medians[2] >= 0.7 * medians[1]

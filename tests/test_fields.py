@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from rmsyndrome.fields import (OrderFactorizationError, UniPoly,
                                berlekamp_roots, extension_field, factorize,
@@ -188,3 +189,14 @@ def test_field_descriptor_round_trip():
     for field in (prime_field(5), extension_field(2, 8), extension_field(3, 2)):
         back = field_from_descriptor(field.descriptor())
         assert back == field
+
+
+@given(st.sampled_from([1, 2, 3, 8, 16, 40, 64, 120]), st.data())
+def test_ext_field_inverse_over_f2(k, data):
+    F = extension_field(2, k)
+    a = data.draw(st.integers(1, F.order - 1))
+    inv = F.inv(a)
+    assert F.mul(a, inv) == 1
+    assert inv == F.pow(a, F.order - 2)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)

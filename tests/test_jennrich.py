@@ -12,8 +12,10 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
-from rmsyndrome.fields import extension_field, find_primitive_element
-from rmsyndrome.jennrich import (_flatten, axis_decompose, decompose,
+from rmsyndrome import jennrich
+from rmsyndrome.fields import UniPoly, extension_field, find_primitive_element
+from rmsyndrome.jennrich import (_flatten, _krylov_readout, _RetryableFailure,
+                                 _split_points, axis_decompose, decompose,
                                  derandomized_flattening_vectors,
                                  tensor_from_syndrome)
 from rmsyndrome.linalg import FFMatrix, full_rank_submatrix, inverse, rank
@@ -170,7 +172,7 @@ def test_flattening_identity_against_ground_truth(rng):
         b = tuple(F.random_element(rng) for _ in range(9))
         if check_flattening_conditions(F, a, b, E):
             break
-    Sa, Sb = _flatten(T, F, a), _flatten(T, F, b)
+    Sa, Sb = _flatten(T.slices, F, a), _flatten(T.slices, F, b)
     assert rank(Sa) == len(E)  # rank reveals the error count
     K, L = full_rank_submatrix(Sa)
     M = Sa.submatrix(K, L) @ inverse(Sb.submatrix(K, L))
@@ -225,6 +227,19 @@ def test_randomized_requires_rng():
         decompose(S, "randomized")
     with pytest.raises(ValueError):
         decompose(S, "sideways")
+
+
+def test_bad_mode_is_rejected_before_any_work(monkeypatch, rng):
+    def unreachable(*args):
+        raise AssertionError("decompose did work before checking its mode")
+
+    monkeypatch.setattr(jennrich, "tensor_from_syndrome", unreachable)
+    monkeypatch.setattr(jennrich, "extension_field", unreachable)
+    S2 = syndrome_from_errors(sample_error_set(CodeParams(6, 1), 3, rng))
+    S3 = syndrome_from_errors(sample_error_set(CodeParams(5, 1, 3), 2, rng))
+    for S, mode in ((S2, "sideways"), (S3, "derandomized"), (S2, "randomized")):
+        with pytest.raises(ValueError):
+            decompose(S, mode)
 
 
 # (m, r) per field for the differential tests: r in {1, 2} over every
@@ -301,3 +316,128 @@ def test_dependent_tensor_powers_raise(m, r, p):
         S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
         with pytest.raises(DecodingFailure):
             locate_and_correct(S)
+
+
+# The Krylov readout and the gcd split.  Each crafted case below must make
+# one decode attempt retry.  They live over F_2^39 with m = 6 variables;
+# the degree is odd, so X^2 + X + 1 has no root there (its roots generate F_4).
+READOUT_M, READOUT_D = 6, 39
+
+
+def _quadratic_leaf(F):
+    # chi = q (X - lam) with q = X^2 + X + 1 irreducible over F; g_1 =
+    # q / q(lam) is 1 at lam and 0 at both roots of q, so q ends as a
+    # leaf of degree 2
+    q = UniPoly(F, (1, 1, 1))
+    lam = 5
+    chi = q * UniPoly(F, (lam, 1))
+    g = q.scale(F.inv(q.evaluate(lam)))
+    return list(chi.coeffs), [list(g.coeffs)] + [[]] * (READOUT_M - 1)
+
+
+def _coordinate_outside_base_field(F):
+    # chi = (X - 1)(X - z) and g_1 = X, whose value z at a root is not in F_2
+    chi = UniPoly.from_roots(F, (1, 2))
+    return list(chi.coeffs), [[0, 1]] + [[]] * (READOUT_M - 1)
+
+
+def _repeated_eigenvalue(F):
+    # M = diag(lam, lam, mu): no vector is cyclic, so the Krylov columns of
+    # any start vector have rank < 3
+    M = FFMatrix.diagonal(F, [7, 7, 9])
+    return M, (1, 1, 1), [(0, 1, 1)] * READOUT_M
+
+
+def test_quadratic_leaf_is_a_retry():
+    F = extension_field(2, READOUT_D)
+    chi, gs = _quadratic_leaf(F)
+    with pytest.raises(_RetryableFailure, match="repeated eigenvalue"):
+        _split_points(chi, gs, F)
+
+
+def test_coordinate_outside_base_field_is_a_retry():
+    F = extension_field(2, READOUT_D)
+    chi, gs = _coordinate_outside_base_field(F)
+    with pytest.raises(_RetryableFailure, match="outside the base field"):
+        _split_points(chi, gs, F)
+
+
+def test_repeated_eigenvalue_is_a_retry():
+    F = extension_field(2, READOUT_D)
+    with pytest.raises(_RetryableFailure, match="not cyclic"):
+        _krylov_readout(*_repeated_eigenvalue(F))
+
+
+def test_krylov_readout_of_a_simple_spectrum():
+    # M = diag(lam_e) and y = (1, ..., 1): chi has the lam_e as roots and
+    # g(lam_e) = u_e for the column u
+    F = extension_field(3, 4)
+    lams, u = [4, 17, 30], (1, 0, 2)
+    chi, (g,) = _krylov_readout(FFMatrix.diagonal(F, lams), (1,) * 3, [u])
+    assert UniPoly(F, chi) == UniPoly.from_roots(F, lams)
+    assert tuple(UniPoly(F, g).evaluate(x) for x in lams) == u
+    assert sorted(_split_points(chi, [g], F)) == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("case", [_quadratic_leaf, _coordinate_outside_base_field,
+                                  _repeated_eigenvalue])
+def test_unlucky_readout_retries_when_randomized_and_fails_when_derandomized(
+        case, monkeypatch, rng):
+    F = extension_field(2, READOUT_D)
+    crafted = case(F)
+    real_readout = _krylov_readout
+    calls = []
+
+    def first_attempt_unlucky(M, y, cols):
+        calls.append(M)
+        if len(calls) > 1:
+            return real_readout(M, y, cols)
+        if isinstance(crafted[0], FFMatrix):
+            return real_readout(*crafted)
+        return crafted
+
+    monkeypatch.setattr(jennrich, "_krylov_readout", first_attempt_unlucky)
+    E = sample_error_set(CodeParams(READOUT_M, 1), 5, rng)
+    S = syndrome_from_errors(E)
+    assert decompose(S, "randomized", rng, ext_degree=READOUT_D).points == E.points
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(DecodingFailure):
+        decompose(S, "derandomized", ext_degree=READOUT_D)
+    assert len(calls) == 1
+
+
+# Fields and sizes for the readout property tests.
+READOUT_GRID = {2: [(4, 1), (6, 1), (6, 2)], 3: [(4, 1), (5, 1)]}
+
+
+@given(st.sampled_from(sorted(READOUT_GRID)), st.integers(0, 2**32), st.data())
+def test_randomized_readout_matches_planted_and_axis(p, seed, data):
+    m, r = data.draw(st.sampled_from(READOUT_GRID[p]))
+    params = CodeParams(m, r, p)
+    rng = random.Random(seed)
+    t = data.draw(st.integers(0, monomial_index(m, r, p).size))
+    try:
+        E = sample_error_set(params, t, rng)
+    except SamplingError:
+        reject()
+    S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
+    # small extension degrees, well below the default 10m
+    D = data.draw(st.integers(2 * m, 3 * m))
+    assert decompose(S, "randomized", rng, ext_degree=D).points == E.points
+    assert axis_decompose(S).points == E.points
+
+
+@given(st.sampled_from(READOUT_GRID[2]), st.integers(0, 2**32), st.data())
+def test_derandomized_readout_at_the_guarantee_degree(mr, seed, data):
+    # D = 6m + 1 is the smallest extension degree the fixed weights cover
+    m, r = mr
+    params = CodeParams(m, r)
+    t = data.draw(st.integers(0, monomial_index(m, r, 2).size))
+    try:
+        E = sample_error_set(params, t, random.Random(seed))
+    except SamplingError:
+        reject()
+    S = syndrome_from_errors(E)
+    got = decompose(S, "derandomized", ext_degree=6 * m + 1)
+    assert got.points == axis_decompose(S).points == E.points
