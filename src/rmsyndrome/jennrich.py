@@ -25,13 +25,18 @@ vector by the eigenspace idempotents 1 - (M_v - c)^{p-1} separates the
 points with no extension field, characteristic polynomial or eigenvector
 solve.  This is the eigenvalue method for zero-dimensional systems
 (Moeller & Stetter 1995), i.e. solution extraction from moment matrices
-(Henrion & Lasserre 2005).
+(Henrion & Lasserre 2005).  It builds only T_0 in full and reads the
+other slices off the syndrome at [K, L] alone.  Over F_2 no M_v is formed:
+vectors are t-bit ints, the stacked minor [T_1; ...; T_m][K, L] is one
+int per column, and one product with it, after z = T_0[K,L]^{-1} y, gives
+M_v y for every v at once, so each split costs one product per new leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 
 from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
                    solve_error_magnitudes, syndrome_from_errors)
@@ -40,7 +45,7 @@ from .fields import (UniPoly, _c2_divmod, _c2_gcd, extension_field,
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, full_rank_submatrix,  # noqa: F401
-                     inverse, rank, rref)
+                     inverse, rank, rref, xor_picked)
 from .polynomials import pair_positions
 
 
@@ -68,18 +73,23 @@ class Tensor3:
 def tensor_from_syndrome(S: Syndrome) -> Tensor3:
     """Reshape a degree <= 2r+1 syndrome into the 3-tensor; the entry at
     (M_i, M_j, M''_k) is the syndrome entry of reduce(M_i M_j M''_k)."""
+    return Tensor3(S.params, tuple(_slice_minor(S, k) for k in range(S.params.m + 1)))
+
+
+def _slice_minor(S: Syndrome, k: int, rows=None, cols=None) -> FFMatrix:
+    """Slice k of the tensor, or its minor at (rows, cols), read straight
+    off the syndrome: T_0 for k = 0, else T_k along the variable x_k."""
     params = S.params
-    m, r, p = params.m, params.r, params.p
-    pairpos = pair_positions(m, r, r, p)
-    sidx = params.syndrome_index
-    f = params.field
-    entries = S.entries
-    slices = [FFMatrix.from_rows(f, [[entries[q] for q in row] for row in pairpos])]
-    for v in range(m):
-        vmap = sidx.var_mul(v)
-        slices.append(FFMatrix.from_rows(
-            f, [[entries[vmap[q]] for q in row] for row in pairpos]))
-    return Tensor3(params, tuple(slices))
+    pairpos = pair_positions(params.m, params.r, params.r, params.p)
+    rows = range(len(pairpos)) if rows is None else rows
+    cols = range(len(pairpos)) if cols is None else cols
+    e = S.entries
+    pos = map(pairpos.__getitem__, rows)
+    if k:
+        vmap = params.syndrome_index.var_mul(k - 1)
+        return FFMatrix.from_rows(params.field,
+                                  [[e[vmap[row[j]]] for j in cols] for row in pos])
+    return FFMatrix.from_rows(params.field, [[e[row[j]] for j in cols] for row in pos])
 
 
 def _flatten(slices, F, weights) -> FFMatrix:
@@ -292,41 +302,145 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
     T_0[K, 0] = sum_e w_e e^{<=r}[K] has a nonzero component along every
     column of A, so splitting it one variable at a time into its
     eigencomponents under each M_v leaves one eigenvector per error point,
-    whose eigenvalues are that point's coordinates.
+    whose eigenvalues are that point's coordinates.  Only T_0 is built in
+    full; each T_v is read off the syndrome at [K, L] alone.  Over F_2 the
+    split runs on bit-packed vectors against the stacked minor
+    [T_1; ...; T_m][K, L] and forms no M_v (_packed_axis_points); over odd
+    p it forms each M_v (_field_axis_points).
 
     Raises DecodingFailure unless the splits end in exactly rank(T_0)
     common eigenvectors of every M_v with distinct eigenvalue tuples;
     callers check the set against the syndrome (locate_and_correct).
     """
     params = S.params
-    f = params.field
-    T = tensor_from_syndrome(S)
-    T0 = T.slices[0]
+    T0 = _slice_minor(S, 0)
     K, L = full_rank_submatrix(T0)
-    t = len(K)
-    if t == 0:
+    if not K:
         if not S.is_zero():
             raise DecodingFailure("zero constant slice of a nonzero syndrome")
         return ErrorSet(params, ())
     B = inverse(T0.submatrix(K, L))
-    mats = [Tv.submatrix(K, L) @ B for Tv in T.slices[1:]]
-    leaves = [T0.submatrix(K, (0,)).column(0)]
-    for M in mats:
-        if len(leaves) == t:
-            break
-        leaves = [y for x in leaves for y in _eigen_split(M, x, f)]
-        if len(leaves) > t:
-            raise DecodingFailure(
-                f"{len(leaves)} eigencomponents for a rank-{t} constant slice")
-    if len(leaves) < t:
-        raise DecodingFailure("a joint eigenspace of the axis matrices "
-                              "is not one-dimensional")
-    stacked = reduce(FFMatrix.vstack, mats)
-    points = [_eigenvalues(stacked, y, f) for y in leaves]
+    split = _packed_axis_points if params.p == 2 else _field_axis_points
+    points = split(S, T0, K, L, B)
     try:
         return ErrorSet(params, points)
     except ValueError as exc:
         raise DecodingFailure(f"invalid point set: {exc}") from exc
+
+
+def _start_vector(T0: FFMatrix, K) -> tuple:
+    """y = T_0[K, 0], the vector both axis kernels split; zero only when
+    the syndrome is not that of an error set with independent tensor
+    powers."""
+    y = tuple(T0.at(k, 0) for k in K)
+    if not any(y):
+        raise DecodingFailure("zero start vector: the constant slice's "
+                              "first column vanishes on its row basis")
+    return y
+
+
+def _check_leaf_count(n: int, t: int) -> None:
+    if n > t:
+        raise DecodingFailure(f"{n} eigencomponents for a rank-{t} constant slice")
+
+
+_NOT_ONE_DIMENSIONAL = "a joint eigenspace of the axis matrices is not one-dimensional"
+_NOT_COMMON = "a split component is not a common eigenvector of the axis matrices"
+
+
+def _packed_axis_points(S: Syndrome, T0: FFMatrix, K, L, B: FFMatrix) -> list[tuple]:
+    """axis_decompose's split over F_2, on t-bit int vectors (bit k is
+    row K[k]).
+
+    Column l of the stacked minor is one int whose bit v t + k is
+    T_{v+1}[K[k], L[l]], so the product of y, i.e. [M_1 y; ...; M_m y]
+    in blocks of t bits, is the xor of B's columns picked by y (z = B y)
+    then the xor of stacked columns picked by z.  Over F_2 the split of
+    y by M_v is P_1 y = M_v y (block v of its product) and
+    P_0 y = y ^ M_v y; by linearity the two parts' products add up to
+    y's, so each new leaf costs one product.  A leaf's coordinate v is 1
+    if block v equals y and 0 if it is zero; anything else is not an
+    eigenvector.
+    """
+    m, t = S.params.m, len(K)
+    mask = (1 << t) - 1
+    y = sum(bit << k for k, bit in enumerate(_start_vector(T0, K)))
+    BT = B.transpose()
+    bcols = [BT.packed_row(j) for j in range(t)]
+    stacked = _stacked_minor(S, K, L)
+
+    def product(y: int) -> int:
+        return xor_picked(stacked, xor_picked(bcols, y))
+
+    leaves = [(y, product(y))]
+    for shift in range(0, m * t, t):
+        if len(leaves) == t:
+            break
+        split = []
+        for y, prod in leaves:
+            one = prod >> shift & mask
+            zero = y ^ one
+            if one and zero:
+                prod_zero = product(zero)
+                split += [(zero, prod_zero), (one, prod ^ prod_zero)]
+            else:
+                split.append((y, prod))
+        leaves = split
+        _check_leaf_count(len(leaves), t)
+    if len(leaves) < t:
+        raise DecodingFailure(_NOT_ONE_DIMENSIONAL)
+    points = []
+    for y, prod in leaves:
+        blocks = [prod >> shift & mask for shift in range(0, m * t, t)]
+        if any(block and block != y for block in blocks):
+            raise DecodingFailure(_NOT_COMMON)
+        points.append(tuple(1 if block else 0 for block in blocks))
+    return points
+
+
+def _stacked_minor(S: Syndrome, K, L) -> list[int]:
+    """The columns of [T_1; ...; T_m][K, L] over F_2 as ints: bit v t + k
+    of column l is S[var_mul(v)[pair_positions(m, r, r)[K[k]][L[l]]]].
+
+    Each int is parsed from an ASCII bit string, most significant bit
+    first, gathered by itemgetter one block of all t columns at a time."""
+    params = S.params
+    m, r = params.m, params.r
+    t = len(K)
+    pairpos = pair_positions(m, r, r)
+    sidx = params.syndrome_index
+    bits = bytes(S.entries).translate(_ASCII_BITS)
+    qs = [pairpos[k][l] for l in L for k in reversed(K)]
+    blocks = [bytes(_gather(bits, _gather(sidx.var_mul(v), qs)))
+              for v in reversed(range(m))]
+    return [int(b"".join([b[i:i + t] for b in blocks]), 2) for i in range(0, t * t, t)]
+
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _gather(seq, idx) -> tuple:
+    """(seq[i] for i in idx) as a tuple, at C speed."""
+    got = itemgetter(*idx)(seq)
+    return got if len(idx) > 1 else (got,)
+
+
+def _field_axis_points(S: Syndrome, T0: FFMatrix, K, L, B: FFMatrix) -> list[tuple]:
+    """axis_decompose's split over any prime field: forms each M_v and
+    splits tuple vectors by its eigenspace idempotents (_eigen_split)."""
+    f = S.params.field
+    t = len(K)
+    mats = [_slice_minor(S, v, K, L) @ B for v in range(1, S.params.m + 1)]
+    leaves = [_start_vector(T0, K)]
+    for M in mats:
+        if len(leaves) == t:
+            break
+        leaves = [y for x in leaves for y in _eigen_split(M, x, f)]
+        _check_leaf_count(len(leaves), t)
+    if len(leaves) < t:
+        raise DecodingFailure(_NOT_ONE_DIMENSIONAL)
+    stacked = reduce(FFMatrix.vstack, mats)
+    return [_eigenvalues(stacked, y, f) for y in leaves]
 
 
 def _eigen_split(M: FFMatrix, y: tuple, f) -> list[tuple]:
@@ -362,8 +476,7 @@ def _eigenvalues(stacked: FFMatrix, y: tuple, f) -> tuple[int, ...]:
     for start in range(0, len(My), t):
         c = f.mul(My[start + i], yi_inv)
         if My[start:start + t] != tuple(f.mul(c, a) for a in y):
-            raise DecodingFailure("a split component is not a common "
-                                  "eigenvector of the axis matrices")
+            raise DecodingFailure(_NOT_COMMON)
         out.append(c)
     return tuple(out)
 

@@ -170,16 +170,7 @@ class FFMatrix:
             raise ValueError("shape or field mismatch")
         f = self.field
         if self._packed:
-            out = []
-            brows = other._rows
-            for r in self._rows:
-                acc = 0
-                rr = r
-                while rr:
-                    lsb = rr & -rr
-                    acc ^= brows[lsb.bit_length() - 1]
-                    rr ^= lsb
-                out.append(acc)
+            out = [xor_picked(other._rows, r) for r in self._rows]
             return FFMatrix(f, self.nrows, other.ncols, out, True)
         mul, add = f.mul, f.add
         bcols = other.ncols
@@ -247,6 +238,17 @@ class FFMatrix:
     def to_json_dict(self) -> dict:
         return {"field": self.field.descriptor(), "rows": self.nrows,
                 "cols": self.ncols, "data": self.to_lists()}
+
+
+def xor_picked(vectors: list[int], x: int) -> int:
+    """The xor of the packed F_2 vectors picked by the bits of x: x times
+    the matrix with rows `vectors`, or that matrix's transpose times x."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= vectors[low.bit_length() - 1]
+        x ^= low
+    return out
 
 
 def _parity(x: int) -> int:

@@ -252,20 +252,21 @@ def locate_and_correct(S: Syndrome, algorithm: str = "jennrich",
 
     Over F_2 the located tensor powers are subtracted directly; over odd
     fields the unknown error magnitudes are solved first (unique, since
-    the tensor-power columns are independent).  A nonzero residual raises
+    the tensor-power columns are independent).  The residual is the zero
+    syndrome: a located set whose syndrome differs from S raises
     DecodingFailure."""
     E = run_decoder(S, algorithm, mode, rng, ext_degree)
     params = S.params
     if params.p == 2:
-        residual = S - syndrome_from_errors(E)
+        explained = syndrome_from_errors(E)
     else:
         mags = solve_error_magnitudes(S, E)
         if mags is None:
             raise DecodingFailure("located set cannot explain the syndrome")
-        residual = S - syndrome_from_weighted_errors(E, mags)
-    if not residual.is_zero():
+        explained = syndrome_from_weighted_errors(E, mags)
+    if explained.entries != tuple(S.entries):
         raise DecodingFailure("nonzero residual after correction")
-    return E, residual
+    return E, Syndrome(params, (0,) * len(S.entries))
 
 
 def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = None,

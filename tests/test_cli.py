@@ -184,6 +184,20 @@ def test_decode_failure_exit_code(tmp_path, rng):
                     + extra) == 2
 
 
+def test_decode_without_a_start_vector_exits_2(tmp_path, capsys):
+    # over F_3 the syndrome 1 at x_1^2 gives the default decoder a zero
+    # vector to split: a decode failure, not a traceback
+    from rmsyndrome.code import Syndrome
+    params = CodeParams(4, 1, 3)
+    entries = [0] * params.syndrome_index.size
+    entries[params.syndrome_index.position[(2, 0, 0, 0)]] = 1
+    spath = tmp_path / "synd.json"
+    write_syndrome_file(Syndrome(params, tuple(entries)), spath)
+    assert main(["decode", "--syndrome", str(spath),
+                 "--out", str(tmp_path / "locs.json")]) == 2
+    assert "decode failure: zero start vector" in capsys.readouterr().err
+
+
 def test_exit_codes_for_bad_input(tmp_path):
     assert main(["decode", "--syndrome", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o.json")]) == 3

@@ -318,6 +318,83 @@ def test_dependent_tensor_powers_raise(m, r, p):
             locate_and_correct(S)
 
 
+def _syndrome_with_one_entry(params, exponents):
+    entries = [0] * params.syndrome_index.size
+    entries[params.syndrome_index.position[exponents]] = 1
+    return Syndrome(params, tuple(entries))
+
+
+def _axis_outcome(split, S):
+    """What one axis kernel makes of S past the shared rank-revealing
+    front: its list of points, the DecodingFailure message, or None for
+    a zero T_0."""
+    T0 = tensor_from_syndrome(S).slices[0]
+    K, L = full_rank_submatrix(T0)
+    if not K:
+        return None
+    try:
+        return split(S, T0, K, L, inverse(T0.submatrix(K, L)))
+    except DecodingFailure as exc:
+        return str(exc)
+
+
+def test_zero_start_vector_is_a_decoding_failure():
+    # over F_3 the syndrome 1 at x_1^2 has a rank-1 constant slice whose
+    # row basis is x_1, and T_0[x_1, 1] = s[x_1] = 0: no vector to split
+    S = _syndrome_with_one_entry(CodeParams(4, 1, 3), (2, 0, 0, 0))
+    for decode in (axis_decompose, locate_and_correct):
+        with pytest.raises(DecodingFailure, match="zero start vector"):
+            decode(S)
+    # over F_2 the diagonal of T_0 is its first row, so a zero start
+    # vector needs rank >= 2: the syndrome 1 at x_1 x_2 has K = {x_1, x_2}
+    S = _syndrome_with_one_entry(CodeParams(4, 1), (1, 1, 0, 0))
+    assert full_rank_submatrix(tensor_from_syndrome(S).slices[0])[0] == (1, 2)
+    for split in (jennrich._packed_axis_points, jennrich._field_axis_points):
+        assert _axis_outcome(split, S).startswith("zero start vector")
+
+
+def test_more_eigencomponents_than_the_rank_is_a_decoding_failure():
+    # flipping s[x_2 x_3] of a planted 3-point syndrome lifts T_0 to rank
+    # 5, and the axis matrices no longer commute: one split overshoots
+    params = CodeParams(8, 1)
+    E = ErrorSet(params, ((1, 0, 1, 1, 0, 0, 0, 0), (1, 1, 0, 1, 0, 1, 0, 0),
+                          (0, 0, 0, 0, 1, 1, 0, 0)))
+    entries = list(syndrome_from_errors(E).entries)
+    entries[params.syndrome_index.position[(0, 1, 1, 0, 0, 0, 0, 0)]] ^= 1
+    S = Syndrome(params, tuple(entries))
+    message = "8 eigencomponents for a rank-5 constant slice"
+    with pytest.raises(DecodingFailure, match=message):
+        axis_decompose(S)
+    assert _axis_outcome(jennrich._field_axis_points, S) == message
+
+
+@st.composite
+def f2_syndromes(draw):
+    """An F_2 syndrome over AXIS_GRID[2]: uniformly arbitrary entries, or
+    a planted syndrome with up to three entries flipped."""
+    m, r = draw(st.sampled_from(AXIS_GRID[2]))
+    params = CodeParams(m, r)
+    size = params.syndrome_index.size
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        return Syndrome(params, tuple(entries))
+    t = draw(st.integers(1, monomial_index(m, r, 2).size))
+    try:
+        E = sample_error_set(params, t, random.Random(draw(st.integers(0, 2**32))))
+    except SamplingError:
+        reject()
+    entries = list(syndrome_from_errors(E).entries)
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        entries[i] ^= 1
+    return Syndrome(params, tuple(entries))
+
+
+@given(f2_syndromes())
+def test_packed_and_field_axis_kernels_agree_over_f2(S):
+    assert (_axis_outcome(jennrich._packed_axis_points, S)
+            == _axis_outcome(jennrich._field_axis_points, S))
+
+
 # The Krylov readout and the gcd split.  Each crafted case below must make
 # one decode attempt retry.  They live over F_2^39 with m = 6 variables;
 # the degree is odd, so X^2 + X + 1 has no root there (its roots generate F_4).

@@ -6,10 +6,11 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from rmsyndrome.code import (CodeParams, ErrorSet,
+from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode,
                              sample_error_set, syndrome_from_errors,
-                             syndrome_of_word, vanishing_space)
+                             syndrome_from_weighted_errors, syndrome_of_word,
+                             vanishing_space)
 from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import decompose
 from rmsyndrome.linalg import FFMatrix, nullspace_basis, rank
@@ -216,6 +217,25 @@ def test_locate_and_correct_f3_magnitudes(rng):
     assert got.points == E.points and res.is_zero()
     E0, res0 = locate_and_correct(syndrome_from_errors(ErrorSet(params, ())))
     assert E0.points == () and res0.is_zero()
+
+
+@pytest.mark.parametrize("p,m,message", [
+    (2, 8, "nonzero residual after correction"),
+    (3, 6, "located set cannot explain the syndrome")])
+def test_residual_is_zero_and_one_flipped_entry_raises(p, m, message, rng):
+    params = CodeParams(m, 1, p)
+    E = sample_error_set(params, 3, rng)
+    S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(3)])
+    got, res = locate_and_correct(S)
+    assert got.points == E.points
+    assert res == Syndrome(params, (0,) * len(S.entries))
+    # the last entry, a degree-3 moment, lies outside every minor the
+    # decoder reads on these instances: the located set comes back, and
+    # only the residual check rejects it
+    entries = list(S.entries)
+    entries[-1] = (entries[-1] + 1) % p
+    with pytest.raises(DecodingFailure, match=message):
+        locate_and_correct(Syndrome(params, tuple(entries)))
 
 
 def test_locate_and_correct_all_decoders(rng):
