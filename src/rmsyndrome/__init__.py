@@ -22,7 +22,7 @@ from .code import (CodeParams, DecodingFailure, DegreeError, ErrorSet,
 from .fields import (ExtField, OrderFactorizationError, PrimeField, UniPoly,
                      berlekamp_roots, extension_field, find_irreducible,
                      find_primitive_element, is_irreducible, prime_field)
-from .jennrich import (Tensor3, axis_decompose, decompose,
+from .jennrich import (axis_decompose, decompose,
                        derandomized_flattening_vectors, tensor_from_syndrome)
 from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      char_poly, eigen_decompose, full_rank_submatrix, inverse,

@@ -314,6 +314,15 @@ def solve_error_magnitudes(S: "Syndrome", E: ErrorSet) -> tuple | None:
     return solve(A, S.entries)
 
 
+def explains(S: "Syndrome", E: ErrorSet) -> bool:
+    """Does E explain S?  Over F_2, E's syndrome is S; over odd p, S is
+    sum_e w_e e^{<= 2r+1} with every magnitude w_e nonzero."""
+    if S.params.p == 2:
+        return syndrome_from_errors(E).entries == tuple(S.entries)
+    mags = solve_error_magnitudes(S, E)
+    return mags is not None and all(mags)
+
+
 # ---------------------------------------------------------------------------
 # Syndromes.
 

@@ -12,6 +12,7 @@ and elements of the prime field keep their encoding inside any extension.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 
@@ -66,19 +67,13 @@ def _pollard_rho(n: int, budget: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd_int(abs(x - y), n)
+            d = gcd(x - y, n)
             steps += 1
             if steps > budget:
                 return 0
         if d != n:
             return d
     return 0
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factorize(n: int, trial_bound: int = 100_000, rho_budget: int = 1 << 22) -> dict[int, int]:
@@ -219,9 +214,6 @@ class PrimeField:
         if e < 0:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
-
-    def embed(self, c: int) -> int:
-        return c % self.p
 
     def is_base(self, a: int) -> bool:
         return 0 <= a < self.p
@@ -437,9 +429,6 @@ class ExtField:
             a = self.square(a)
             e >>= 1
         return r
-
-    def embed(self, c: int) -> int:
-        return c % self.p
 
     def is_base(self, a: int) -> bool:
         return 0 <= a < self.p
@@ -706,8 +695,7 @@ def find_irreducible(base: PrimeField, k: int) -> UniPoly:
 
 
 @lru_cache(maxsize=None)
-def find_primitive_element(field, trial_bound: int = 100_000,
-                           rho_budget: int = 1 << 22) -> int:
+def find_primitive_element(field) -> int:
     """Deterministic generator of the multiplicative group of the field.
 
     Verified by g^{(q-1)/l} != 1 for every prime l dividing q - 1; raises
@@ -719,7 +707,7 @@ def find_primitive_element(field, trial_bound: int = 100_000,
         raise ValueError("field of order 1?")
     if n == 1:
         return 1
-    primes = sorted(factorize(n, trial_bound, rho_budget))
+    primes = sorted(factorize(n))
     cofactors = [n // q for q in primes]
     for g in range(2, field.order):
         if all(field.pow(g, c) != 1 for c in cofactors):

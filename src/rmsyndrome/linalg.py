@@ -96,9 +96,6 @@ class FFMatrix:
     def rows(self) -> list[tuple]:
         return [self.row(i) for i in range(self.nrows)]
 
-    def column(self, j) -> tuple:
-        return tuple(self.at(i, j) for i in range(self.nrows))
-
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.nrows)]
 
@@ -156,14 +153,6 @@ class FFMatrix:
     def _check_same_shape(self, other):
         if self.field != other.field or self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape or field mismatch")
-
-    def scale(self, c: int) -> "FFMatrix":
-        f = self.field
-        if self._packed:
-            return FFMatrix(f, self.nrows, self.ncols,
-                            [r if c & 1 else 0 for r in self._rows], True)
-        rows = [tuple(f.mul(c, v) for v in r) for r in self._rows]
-        return FFMatrix(f, self.nrows, self.ncols, rows, False)
 
     def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
         if self.field != other.field or self.ncols != other.nrows:

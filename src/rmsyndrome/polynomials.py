@@ -372,12 +372,9 @@ class PolySpace:
 
     __slots__ = ("index", "basis", "pivots")
 
-    def __init__(self, index: MonomialIndex, basis: FFMatrix, pivots=None):
+    def __init__(self, index: MonomialIndex, basis: FFMatrix, pivots):
         if basis.ncols != index.size:
             raise ValueError("basis width does not match the index")
-        if pivots is None:
-            basis, _, pivots = rref(basis)
-            basis = _drop_zero_rows(basis)
         self.index = index
         self.basis = basis
         self.pivots = tuple(pivots)
@@ -486,14 +483,6 @@ class PolySpace:
     def __repr__(self) -> str:
         return (f"PolySpace(m={self.index.m}, t={self.index.t}, "
                 f"p={self.index.p}, dim={self.dim})")
-
-
-def _drop_zero_rows(mat: FFMatrix) -> FFMatrix:
-    if mat._packed:
-        rows = [r for r in mat._rows if r]
-    else:
-        rows = [r for r in mat._rows if any(r)]
-    return FFMatrix(mat.field, len(rows), mat.ncols, rows, mat._packed)
 
 
 # ---------------------------------------------------------------------------

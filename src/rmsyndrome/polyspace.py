@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 import warnings
 
-from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome,
-                   solve_error_magnitudes, syndrome_from_errors,
-                   syndrome_from_weighted_errors, tensor_power_matrix)
+from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, explains,
+                   tensor_power_matrix)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
 from .linalg import FFMatrix, nullspace_basis, rank
@@ -252,21 +251,14 @@ def locate_and_correct(S: Syndrome, algorithm: str = "jennrich",
 
     Over F_2 the located tensor powers are subtracted directly; over odd
     fields the unknown error magnitudes are solved first (unique, since
-    the tensor-power columns are independent).  The residual is the zero
-    syndrome: a located set whose syndrome differs from S raises
-    DecodingFailure."""
+    the tensor-power columns are independent) and must all be nonzero.
+    The residual is the zero syndrome: a located set that does not
+    explain S (code.explains) raises DecodingFailure."""
     E = run_decoder(S, algorithm, mode, rng, ext_degree)
-    params = S.params
-    if params.p == 2:
-        explained = syndrome_from_errors(E)
-    else:
-        mags = solve_error_magnitudes(S, E)
-        if mags is None:
-            raise DecodingFailure("located set cannot explain the syndrome")
-        explained = syndrome_from_weighted_errors(E, mags)
-    if explained.entries != tuple(S.entries):
-        raise DecodingFailure("nonzero residual after correction")
-    return E, Syndrome(params, (0,) * len(S.entries))
+    if not explains(S, E):
+        raise DecodingFailure("nonzero residual after correction" if S.params.p == 2
+                              else "located set cannot explain the syndrome")
+    return E, Syndrome(S.params, (0,) * len(S.entries))
 
 
 def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = None,

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from rmsyndrome import polynomials
 from rmsyndrome.code import (CodeParams, DegreeError, ErrorSet,
                              LengthMismatchError, MalformedInputError,
-                             ReceivedWord, SamplingError, Syndrome, corrupt, encode, has_property_ur,
+                             ReceivedWord, SamplingError, Syndrome, corrupt, encode, explains,
+                             has_property_ur,
                              int_to_point, point_to_int, read_word_file,
                              sample_error_set, solve_error_magnitudes,
                              syndrome_from_errors, syndrome_from_weighted_errors,
@@ -458,3 +459,14 @@ def test_power_transform_every_slot_at_full_width(m, p, rng):
             slot = _slots(_power_transform(_pack(values, m, p), m, p, moments), m, p)
             assert list(map(slot, range(p ** m))) == _transform_axis_by_axis(
                 values, m, p, moments)
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 6), (5, 4)])
+def test_explains_a_planted_syndrome_and_not_one_flipped_entry(p, m, rng):
+    params = CodeParams(m, 1, p)
+    E = sample_error_set(params, 3, rng)
+    S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(3)])
+    assert explains(S, E)
+    entries = list(S.entries)
+    entries[-1] = (entries[-1] + 1) % p
+    assert not explains(Syndrome(params, tuple(entries)), E)

@@ -18,7 +18,7 @@ from rmsyndrome.jennrich import (_flatten, _krylov_readout, _RetryableFailure,
                                  _split_points, axis_decompose, decompose,
                                  derandomized_flattening_vectors,
                                  tensor_from_syndrome)
-from rmsyndrome.linalg import FFMatrix, full_rank_submatrix, inverse, rank
+from rmsyndrome.linalg import FFMatrix, full_rank_submatrix, inverse, rank, rref
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index
 from rmsyndrome.polyspace import det_find_roots, locate_and_correct, space_roots
 
@@ -28,7 +28,7 @@ def test_tensor_entries_match_direct_sum(rng):
     E = sample_error_set(params, 4, rng)
     T = tensor_from_syndrome(syndrome_from_errors(E))
     idx1 = monomial_index(6, 1, 2)
-    assert T.side == idx1.size
+    assert T[0].nrows == idx1.size
     for i in range(idx1.size):
         for j in range(idx1.size):
             for k in range(7):
@@ -37,13 +37,13 @@ def test_tensor_entries_match_direct_sum(rng):
                     direct ^= (idx1.monomial_eval(i, e)
                                & idx1.monomial_eval(j, e)
                                & idx1.monomial_eval(k, e))
-                assert T.slices[k].at(i, j) == direct
+                assert T[k].at(i, j) == direct
 
 
 def test_zero_syndrome_gives_zero_tensor():
     params = CodeParams(6, 1)
     T = tensor_from_syndrome(syndrome_from_errors(ErrorSet(params, ())))
-    assert all(sl.is_zero() for sl in T.slices)
+    assert all(sl.is_zero() for sl in T)
 
 
 def test_decompose_empty_and_singleton(rng):
@@ -172,7 +172,7 @@ def test_flattening_identity_against_ground_truth(rng):
         b = tuple(F.random_element(rng) for _ in range(9))
         if check_flattening_conditions(F, a, b, E):
             break
-    Sa, Sb = _flatten(T.slices, F, a), _flatten(T.slices, F, b)
+    Sa, Sb = _flatten(T, F, a), _flatten(T, F, b)
     assert rank(Sa) == len(E)  # rank reveals the error count
     K, L = full_rank_submatrix(Sa)
     M = Sa.submatrix(K, L) @ inverse(Sb.submatrix(K, L))
@@ -229,11 +229,23 @@ def test_randomized_requires_rng():
         decompose(S, "sideways")
 
 
+def test_zero_constant_slice_fails_before_the_extension_field(monkeypatch, rng):
+    # the only 1 is at x_1 x_2 x_3, of degree 3 > 2r: T_0 is zero and S is not
+    def unreachable(*args):
+        raise AssertionError("decompose built F_{p^D} for a zero constant slice")
+
+    monkeypatch.setattr(jennrich, "extension_field", unreachable)
+    S = _syndrome_with_one_entry(CodeParams(4, 1), (1, 1, 1, 0))
+    for args in (("randomized", rng), ("derandomized",)):
+        with pytest.raises(DecodingFailure, match="zero constant slice"):
+            decompose(S, *args)
+
+
 def test_bad_mode_is_rejected_before_any_work(monkeypatch, rng):
     def unreachable(*args):
         raise AssertionError("decompose did work before checking its mode")
 
-    monkeypatch.setattr(jennrich, "tensor_from_syndrome", unreachable)
+    monkeypatch.setattr(jennrich, "_slice_minor", unreachable)
     monkeypatch.setattr(jennrich, "extension_field", unreachable)
     S2 = syndrome_from_errors(sample_error_set(CodeParams(6, 1), 3, rng))
     S3 = syndrome_from_errors(sample_error_set(CodeParams(5, 1, 3), 2, rng))
@@ -262,6 +274,26 @@ def planted_syndromes(draw):
         reject()
     mags = draw(st.lists(st.integers(1, p - 1), min_size=t, max_size=t))
     return E, syndrome_from_weighted_errors(E, mags)
+
+
+@st.composite
+def arbitrary_syndromes(draw):
+    """A syndrome over AXIS_GRID with uniformly random entries."""
+    p = draw(st.sampled_from(sorted(AXIS_GRID)))
+    params = CodeParams(*draw(st.sampled_from(AXIS_GRID[p])), p)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return Syndrome(params, tuple(rng.randrange(p)
+                                  for _ in range(params.syndrome_index.size)))
+
+
+@given(st.one_of(arbitrary_syndromes(), planted_syndromes().map(lambda case: case[1])))
+def test_slices_are_symmetric_and_one_rref_gives_the_minor(S):
+    # the front half both tensor decoders share rests on this: the pivots
+    # K of rref(T_0) are the full-rank minor's rows and its columns
+    T = tensor_from_syndrome(S)
+    assert all(sl == sl.transpose() for sl in T)
+    K, L = full_rank_submatrix(T[0])
+    assert K == L == rref(T[0])[2]
 
 
 @given(planted_syndromes())
@@ -328,12 +360,12 @@ def _axis_outcome(split, S):
     """What one axis kernel makes of S past the shared rank-revealing
     front: its list of points, the DecodingFailure message, or None for
     a zero T_0."""
-    T0 = tensor_from_syndrome(S).slices[0]
-    K, L = full_rank_submatrix(T0)
+    T0 = tensor_from_syndrome(S)[0]
+    K, _ = full_rank_submatrix(T0)
     if not K:
         return None
     try:
-        return split(S, T0, K, L, inverse(T0.submatrix(K, L)))
+        return split(S, T0, K, inverse(T0.submatrix(K, K)))
     except DecodingFailure as exc:
         return str(exc)
 
@@ -348,7 +380,7 @@ def test_zero_start_vector_is_a_decoding_failure():
     # over F_2 the diagonal of T_0 is its first row, so a zero start
     # vector needs rank >= 2: the syndrome 1 at x_1 x_2 has K = {x_1, x_2}
     S = _syndrome_with_one_entry(CodeParams(4, 1), (1, 1, 0, 0))
-    assert full_rank_submatrix(tensor_from_syndrome(S).slices[0])[0] == (1, 2)
+    assert full_rank_submatrix(tensor_from_syndrome(S)[0])[0] == (1, 2)
     for split in (jennrich._packed_axis_points, jennrich._field_axis_points):
         assert _axis_outcome(split, S).startswith("zero start vector")
 

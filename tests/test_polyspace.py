@@ -6,9 +6,11 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
+from rmsyndrome import polyspace
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
-                             SamplingError, Syndrome, corrupt, encode,
-                             sample_error_set, syndrome_from_errors,
+                             SamplingError, Syndrome, corrupt, encode, explains,
+                             sample_error_set, solve_error_magnitudes,
+                             syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              vanishing_space)
 from rmsyndrome.fields import prime_field
@@ -236,6 +238,23 @@ def test_residual_is_zero_and_one_flipped_entry_raises(p, m, message, rng):
     entries[-1] = (entries[-1] + 1) % p
     with pytest.raises(DecodingFailure, match=message):
         locate_and_correct(Syndrome(params, tuple(entries)))
+
+
+def test_located_point_of_zero_magnitude_raises(monkeypatch, rng):
+    # a decoder that returns one point too many: over F_3 the four tensor
+    # powers are independent, so the magnitudes still solve, with 0 on
+    # the extra point, and that set does not explain the syndrome
+    params = CodeParams(6, 1, 3)
+    E4 = sample_error_set(params, 4, rng)
+    E = ErrorSet(params, E4.points[:3])
+    S = syndrome_from_weighted_errors(E, [1, 2, 1])
+    assert explains(S, E)
+    planted = dict(zip(E.points, (1, 2, 1)))
+    assert solve_error_magnitudes(S, E4) == tuple(planted.get(e, 0) for e in E4.points)
+    assert not explains(S, E4)
+    monkeypatch.setattr(polyspace, "run_decoder", lambda *args: E4)
+    with pytest.raises(DecodingFailure, match="located set cannot explain the syndrome"):
+        locate_and_correct(S)
 
 
 def test_locate_and_correct_all_decoders(rng):
