@@ -30,9 +30,8 @@ from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
 from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                           monomial_index, reduce_terms)
 from .polyspace import (IsolationBoundWarning, PartialRecoveryWarning,
-                        StructuralInconsistencyError, check_ur_preserved,
-                        det_find_roots, find_roots, find_unique_root,
-                        locate_and_correct, run_decoder, space_roots,
-                        vv_sample)
+                        StructuralInconsistencyError, det_find_roots,
+                        find_roots, find_unique_root, locate_and_correct,
+                        run_decoder, space_roots, vv_sample)
 
 __version__ = "0.1.0"

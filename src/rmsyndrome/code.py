@@ -29,7 +29,7 @@ from operator import xor
 from pathlib import Path
 
 from .fields import is_prime, prime_field
-from .linalg import FFMatrix, nullspace_basis, rank, solve
+from .linalg import FFMatrix, nullspace_basis, rank, rref, solve
 from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                           monomial_count, monomial_index)
 
@@ -304,23 +304,36 @@ def vanishing_space(points, degree: int, m: int, p: int = 2) -> PolySpace:
 
 
 def solve_error_magnitudes(S: "Syndrome", E: ErrorSet) -> tuple | None:
-    """The weights w_e with sum_e w_e * e^{<= 2r+1} = S.
+    """The weights w_e with sum_e w_e * e^{<= 2r+1} = S, or None when
+    there are none or E's degree <= r tensor powers are dependent.
 
-    Unique when the degree <= 2r+1 tensor powers of E are independent;
-    None when the system is inconsistent (E does not explain S)."""
+    The entries of S at the monomials of degree <= r, a prefix of the
+    graded syndrome index, are A^T w, with A the t x |M_r| matrix of E's
+    degree <= r tensor powers.  With K the pivots of one rref of A, the
+    t x t minor A[:, K] is invertible exactly when |K| = t, and then w
+    solves A[:, K]^T w = S[K]; it is returned only if it reproduces all
+    of S."""
     params = S.params
-    A = tensor_power_matrix(E.points, 2 * params.r + 1, params.p,
-                            params.m).transpose()
-    return solve(A, S.entries)
+    A = tensor_power_matrix(E.points, params.r, params.p, params.m)
+    K = rref(A)[2]
+    if len(K) < E.t:
+        return None
+    w = solve(A.submatrix(range(E.t), K).transpose(), [S.entries[k] for k in K])
+    if syndrome_from_weighted_errors(E, w).entries != tuple(S.entries):
+        return None
+    return w
 
 
 def explains(S: "Syndrome", E: ErrorSet) -> bool:
-    """Does E explain S?  Over F_2, E's syndrome is S; over odd p, S is
-    sum_e w_e e^{<= 2r+1} with every magnitude w_e nonzero."""
+    """Does E explain S?  True iff S = sum_e w_e e^{<= 2r+1} with every
+    magnitude w_e nonzero (solve_error_magnitudes, so over odd p E's
+    degree <= r tensor powers must be independent).  Over F_2 the only
+    nonzero magnitudes are w = 1, so E's syndrome must be S and no system
+    is solved."""
     if S.params.p == 2:
         return syndrome_from_errors(E).entries == tuple(S.entries)
-    mags = solve_error_magnitudes(S, E)
-    return mags is not None and all(mags)
+    w = solve_error_magnitudes(S, E)
+    return w is not None and all(w)
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,6 @@ class PrimeField:
     def element_coeffs(self, a: int) -> list[int]:
         return [a % self.p]
 
-    def descriptor(self) -> dict:
-        return {"p": self.p, "k": 1, "modulus": [0, 1]}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -442,9 +439,6 @@ class ExtField:
     def element_coeffs(self, a: int) -> list[int]:
         return self._digits(a)
 
-    def descriptor(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus.coeffs)}
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExtField) and other.p == self.p
                 and other.k == self.k and other.modulus.coeffs == self.modulus.coeffs)
@@ -466,15 +460,6 @@ def extension_field(p: int, k: int) -> ExtField:
     """F_{p^k} with the deterministic modulus from find_irreducible."""
     base = prime_field(p)
     return ExtField(base, k, find_irreducible(base, k))
-
-
-def field_from_descriptor(desc: dict):
-    p, k = desc["p"], desc["k"]
-    if k == 1:
-        return prime_field(p)
-    base = prime_field(p)
-    mod = UniPoly(base, tuple(c % p for c in desc["modulus"]))
-    return ExtField(base, k, mod)
 
 
 # ---------------------------------------------------------------------------

@@ -29,15 +29,19 @@ points with no extension field, characteristic polynomial or eigenvector
 solve.  This is the eigenvalue method for zero-dimensional systems
 (Moeller & Stetter 1995), i.e. solution extraction from moment matrices
 (Henrion & Lasserre 2005).  It builds only T_0 in full and reads the
-other slices off the syndrome at [K, K] alone.  Over F_2 no M_v is formed:
-vectors are t-bit ints, the stacked minor [T_1; ...; T_m][K, K] is one
-int per column, and one product with it, after z = T_0[K,K]^{-1} y, gives
-M_v y for every v at once, so each split costs one product per new leaf.
+other slices off the syndrome at [K, K] alone, and it forms no M_v, over
+any p: a vector is one int with one F_p entry per slot (a bit over F_2,
+a machine word reduced mod p after each combination over odd p), the
+stacked minor [T_1; ...; T_m][K, K] is one int per column, and one
+product with it, after z = T_0[K,K]^{-1} y, gives M_v y for every v at
+once, so a split by M_v costs p - 1 products.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+import sys
+from array import array
+from functools import lru_cache
 from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, explains
@@ -303,10 +307,9 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
     column of A, so splitting it one variable at a time into its
     eigencomponents under each M_v leaves one eigenvector per error point,
     whose eigenvalues are that point's coordinates.  Only T_0 is built in
-    full; each T_v is read off the syndrome at [K, K] alone.  Over F_2 the
-    split runs on bit-packed vectors against the stacked minor
-    [T_1; ...; T_m][K, K] and forms no M_v (_packed_axis_points); over odd
-    p it forms each M_v (_field_axis_points).
+    full; each T_v is read off the syndrome at [K, K] alone, and no M_v is
+    formed: the split runs on packed vectors against the stacked minor
+    [T_1; ...; T_m][K, K] (_axis_points), the same loop for every p.
 
     Raises DecodingFailure unless the splits end in exactly rank(T_0)
     common eigenvectors of every M_v with distinct eigenvalue tuples;
@@ -316,9 +319,7 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
     T0, K = _constant_slice(S)
     if not K:
         return ErrorSet(params, ())
-    B = inverse(T0.submatrix(K, K))
-    split = _packed_axis_points if params.p == 2 else _field_axis_points
-    points = split(S, T0, K, B)
+    points = _axis_points(S, T0, K, inverse(T0.submatrix(K, K)))
     try:
         return ErrorSet(params, points)
     except ValueError as exc:
@@ -326,8 +327,8 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
 
 
 def _start_vector(T0: FFMatrix, K) -> tuple:
-    """y = T_0[K, 0], the vector both axis kernels split; zero only when
-    the syndrome is not that of an error set with independent tensor
+    """y = T_0[K, 0], the vector the axis split starts from; zero only
+    when the syndrome is not that of an error set with independent tensor
     powers."""
     y = tuple(T0.at(k, 0) for k in K)
     if not any(y):
@@ -345,72 +346,138 @@ _NOT_ONE_DIMENSIONAL = "a joint eigenspace of the axis matrices is not one-dimen
 _NOT_COMMON = "a split component is not a common eigenvector of the axis matrices"
 
 
-def _packed_axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
-    """axis_decompose's split over F_2, on t-bit int vectors (bit k is
-    row K[k]).
+def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
+    """axis_decompose's split, on vectors packed one entry per slot of an
+    int (slot k is row K[k]; _slot_ops).
 
-    Column l of the stacked minor is one int whose bit v t + k is
-    T_{v+1}[K[k], K[l]], so the product of y, i.e. [M_1 y; ...; M_m y]
-    in blocks of t bits, is the xor of B's columns picked by y (z = B y)
-    then the xor of stacked columns picked by z.  B = T_0[K,K]^{-1} is
-    symmetric, so its columns are its packed rows.  Over F_2 the split of
-    y by M_v is P_1 y = M_v y (block v of its product) and
-    P_0 y = y ^ M_v y; by linearity the two parts' products add up to
-    y's, so each new leaf costs one product.  A leaf's coordinate v is 1
-    if block v equals y and 0 if it is zero; anything else is not an
-    eigenvector.
+    Column l of the stacked minor holds T_{v+1}[K[k], K[l]] in slot
+    v t + k, so B's columns combined by y (z = B y), then the stacked
+    columns combined by z, give [M_1 y; ...; M_m y] in blocks of t slots.
+    The product of y is [y; M_1 y; ...; M_m y]: linear in y, and y is its
+    block 0.  B = T_0[K,K]^{-1} is symmetric, so its columns are its rows.
+
+    A leaf is the product of its vector y and the multiples c y, c in
+    F_p.  When block v of the product is one of them, y already lies in
+    one eigenspace of M_v.  Otherwise y splits into the parts
+    P_c y = y - sum_k c^{p-1-k} M_v^k y, the eigenspace idempotents
+    I - (M_v - cI)^{p-1} applied to y (binom(p-1, k) is (-1)^k mod p).
+    Each M_v^k y is block v of the product of M_v^{k-1} y, and a part's
+    product is the same combination of those products, so a split costs
+    p - 1 products.  Over F_2 the parts are y + M_v y and M_v y, at one
+    product.  A leaf's coordinate v is the c with block v equal to c y;
+    anything else is not an eigenvector.
     """
-    m, t = S.params.m, len(K)
-    mask = (1 << t) - 1
-    y = sum(bit << k for k, bit in enumerate(_start_vector(T0, K)))
-    bcols = [B.packed_row(j) for j in range(t)]
-    stacked = _stacked_minor(S, K)
+    m, p, t = S.params.m, S.params.p, len(K)
+    bits, encode, decode, dot, multiples_of = _slot_ops(p, t)
+    mask = (1 << bits * t) - 1
+    shifts = range(t * bits, (m + 1) * t * bits, t * bits)
+    bcols = [B.packed_row(j) if p == 2 else decode(encode(B.row(j))) for j in range(t)]
+    stacked = _stacked_minor(S, K, encode, decode)
+    idempotents = _idempotents(p, t)
 
     def product(y: int) -> int:
-        return xor_picked(stacked, xor_picked(bcols, y))
+        return dot(stacked, dot(bcols, y)) << t * bits | y
 
-    leaves = [(y, product(y))]
-    for shift in range(0, m * t, t):
+    prod = product(decode(encode(_start_vector(T0, K))))
+    leaves = [(prod, multiples_of(prod & mask))]
+    for shift in shifts:
         if len(leaves) == t:
             break
         split = []
-        for y, prod in leaves:
-            one = prod >> shift & mask
-            zero = y ^ one
-            if one and zero:
-                prod_zero = product(zero)
-                split += [(zero, prod_zero), (one, prod ^ prod_zero)]
-            else:
-                split.append((y, prod))
+        for prod, multiples in leaves:
+            if prod >> shift & mask in multiples:
+                split.append((prod, multiples))
+                continue
+            prods = [prod]
+            for _ in range(p - 1):
+                prods.append(product(prods[-1] >> shift & mask))
+            for coefs in idempotents:
+                part = dot(prods, coefs)
+                if part & mask:
+                    split.append((part, multiples_of(part & mask)))
         leaves = split
         _check_leaf_count(len(leaves), t)
     if len(leaves) < t:
         raise DecodingFailure(_NOT_ONE_DIMENSIONAL)
-    points = []
-    for y, prod in leaves:
-        blocks = [prod >> shift & mask for shift in range(0, m * t, t)]
-        if any(block and block != y for block in blocks):
-            raise DecodingFailure(_NOT_COMMON)
-        points.append(tuple(1 if block else 0 for block in blocks))
-    return points
+    try:
+        return [tuple(multiples.index(prod >> shift & mask) for shift in shifts)
+                for prod, multiples in leaves]
+    except ValueError:
+        raise DecodingFailure(_NOT_COMMON) from None
 
 
-def _stacked_minor(S: Syndrome, K) -> list[int]:
-    """The columns of [T_1; ...; T_m][K, K] over F_2 as ints: bit v t + k
-    of column l is S[var_mul(v)[pair_positions(m, r, r)[K[k]][K[l]]]].
+@lru_cache(maxsize=None)
+def _idempotents(p: int, t: int) -> tuple[int, ...]:
+    """The coefficients of P_c y = y - sum_k c^{p-1-k} M_v^k y in
+    (y, M_v y, ..., M_v^{p-1} y), c in F_p, each packed by _slot_ops."""
+    _, encode, decode, _, _ = _slot_ops(p, t)
+    return tuple(decode(encode([((k == 0) - pow(c, p - 1 - k, p)) % p for k in range(p)]))
+                 for c in range(p))
 
-    Each int is parsed from an ASCII bit string, most significant bit
-    first, gathered by itemgetter one block of all t columns at a time."""
+
+@lru_cache(maxsize=None)
+def _slot_ops(p: int, t: int):
+    """(bits, encode, decode, dot, multiples) for F_p vectors packed one
+    entry per slot of an int: the slot width in bits, encode(values), the
+    bytes of the slots in order, decode(raw), the int they pack into,
+    dot(vectors, x), the packed vectors combined by the slots of x, and
+    multiples(y), the tuple of c y over c in F_p.
+
+    Over F_2 a slot is one bit and slots add by xor, so dot is
+    xor_picked; encode keeps one byte per bit, which decode parses as an
+    ASCII bit string, most significant bit first.  Over odd p a slot is
+    the smallest machine word that holds a sum of max(t, p) products of
+    two residues, the most any combination here adds up (t columns of B
+    or of the stacked minor, p powers of M_v y), so sums never carry;
+    dot reduces every slot mod p.
+    """
+    if p == 2:
+        return 1, bytes, _decode_bits, xor_picked, lambda y: (0, y)
+    bound = max(t, p) * (p - 1) ** 2
+    code = next(c for c in "BHIQ" if bound < 1 << 8 * array(c).itemsize)
+    size = array(code).itemsize
+
+    def encode(values) -> bytes:
+        return array(code, values).tobytes()
+
+    def decode(raw) -> int:
+        return int.from_bytes(raw, sys.byteorder)
+
+    def slots(x: int):
+        return memoryview(x.to_bytes(-(-x.bit_length() // (8 * size)) * size,
+                                     sys.byteorder)).cast(code)
+
+    def dot(vectors, x: int) -> int:
+        acc = sum(c * v for c, v in zip(slots(x), vectors) if c)
+        return decode(encode([s % p for s in slots(acc)]))
+
+    def multiples(y: int) -> tuple:
+        return tuple(dot((y,), c) for c in range(p))
+
+    return 8 * size, encode, decode, dot, multiples
+
+
+def _decode_bits(raw: bytes) -> int:
+    return int(raw[::-1].translate(_ASCII_BITS), 2)
+
+
+def _stacked_minor(S: Syndrome, K, encode, decode) -> list[int]:
+    """The columns of [T_1; ...; T_m][K, K], packed by _slot_ops: slot
+    v t + k of column l is T_{v+1}[K[k], K[l]], the syndrome entry at
+    var_mul(v)[pair_positions(m, r, r)[K[k]][K[l]]].
+
+    The entries are gathered by itemgetter and encoded one block of all t
+    columns at a time; each column joins its slices of the m blocks."""
     params = S.params
-    m, r = params.m, params.r
     t = len(K)
-    pairpos = pair_positions(m, r, r)
+    pairpos = pair_positions(params.m, params.r, params.r, params.p)
     sidx = params.syndrome_index
-    bits = bytes(S.entries).translate(_ASCII_BITS)
-    qs = [pairpos[k][l] for l in K for k in reversed(K)]
-    blocks = [bytes(_gather(bits, _gather(sidx.var_mul(v), qs)))
-              for v in reversed(range(m))]
-    return [int(b"".join([b[i:i + t] for b in blocks]), 2) for i in range(0, t * t, t)]
+    qs = [pairpos[k][l] for l in K for k in K]
+    blocks = [encode(_gather(S.entries, _gather(sidx.var_mul(v), qs)))
+              for v in range(params.m)]
+    width = len(blocks[0]) // t
+    return [decode(b"".join([b[i:i + width] for b in blocks]))
+            for i in range(0, t * width, width)]
 
 
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -420,60 +487,3 @@ def _gather(seq, idx) -> tuple:
     """(seq[i] for i in idx) as a tuple, at C speed."""
     got = itemgetter(*idx)(seq)
     return got if len(idx) > 1 else (got,)
-
-
-def _field_axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
-    """axis_decompose's split over any prime field: forms each M_v and
-    splits tuple vectors by its eigenspace idempotents (_eigen_split)."""
-    f = S.params.field
-    t = len(K)
-    mats = [_slice_minor(S, v, K, K) @ B for v in range(1, S.params.m + 1)]
-    leaves = [_start_vector(T0, K)]
-    for M in mats:
-        if len(leaves) == t:
-            break
-        leaves = [y for x in leaves for y in _eigen_split(M, x, f)]
-        _check_leaf_count(len(leaves), t)
-    if len(leaves) < t:
-        raise DecodingFailure(_NOT_ONE_DIMENSIONAL)
-    stacked = reduce(FFMatrix.vstack, mats)
-    return [_eigenvalues(stacked, y, f) for y in leaves]
-
-
-def _eigen_split(M: FFMatrix, y: tuple, f) -> list[tuple]:
-    """The nonzero components P_c y, c in F_p, of y, where
-    P_c = I - (M - cI)^{p-1}; they always sum to y, and for M
-    diagonalizable over F_p they are y's components in its eigenspaces.
-    Uses (M - cI)^{p-1} = sum_k c^{p-1-k} M^k, since binom(p-1, k) is
-    (-1)^k mod p."""
-    p = f.p
-    powers = [y]
-    for _ in range(p - 1):
-        powers.append(M.mat_vec(powers[-1]))
-    out = []
-    for c in range(p):
-        z = y
-        for k, w in enumerate(powers):
-            coef = pow(c, p - 1 - k, p)
-            if coef:
-                z = tuple(f.sub(a, f.mul(coef, b)) for a, b in zip(z, w))
-        if any(z):
-            out.append(z)
-    return out
-
-
-def _eigenvalues(stacked: FFMatrix, y: tuple, f) -> tuple[int, ...]:
-    """The c_v with M_v y = c_v y for the square blocks M_v stacked in
-    rows; raises DecodingFailure if y is not an eigenvector of each."""
-    t = len(y)
-    My = stacked.mat_vec(y)
-    i = next(i for i, a in enumerate(y) if a)
-    yi_inv = f.inv(y[i])
-    out = []
-    for start in range(0, len(My), t):
-        c = f.mul(My[start + i], yi_inv)
-        if My[start:start + t] != tuple(f.mul(c, a) for a in y):
-            raise DecodingFailure(_NOT_COMMON)
-        out.append(c)
-    return tuple(out)
-

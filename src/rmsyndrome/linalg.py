@@ -223,11 +223,6 @@ class FFMatrix:
         return FFMatrix(self.field, self.nrows + other.nrows, self.ncols,
                         list(self._rows) + list(other._rows), self._packed)
 
-    # Serialization -------------------------------------------------------------
-    def to_json_dict(self) -> dict:
-        return {"field": self.field.descriptor(), "rows": self.nrows,
-                "cols": self.ncols, "data": self.to_lists()}
-
 
 def xor_picked(vectors: list[int], x: int) -> int:
     """The xor of the packed F_2 vectors picked by the bits of x: x times

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, explains,
-                   tensor_power_matrix)
+from .code import CodeParams, DecodingFailure, ErrorSet, Syndrome, explains
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
 from .linalg import FFMatrix, nullspace_basis, rank
@@ -250,8 +249,9 @@ def locate_and_correct(S: Syndrome, algorithm: str = "jennrich",
     """Locate the error set and cancel it from the syndrome.
 
     Over F_2 the located tensor powers are subtracted directly; over odd
-    fields the unknown error magnitudes are solved first (unique, since
-    the tensor-power columns are independent) and must all be nonzero.
+    fields the unknown error magnitudes are solved first, on the t x t
+    minor of the located degree <= r tensor powers (unique, since those
+    are independent), and must all be nonzero.
     The residual is the zero syndrome: a located set that does not
     explain S (code.explains) raises DecodingFailure."""
     E = run_decoder(S, algorithm, mode, rng, ext_degree)
@@ -277,17 +277,3 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
         return decompose(S, "randomized", rng, ext_degree)
     return decompose(S, "derandomized", ext_degree=ext_degree)
 
-
-def check_ur_preserved(E: ErrorSet, M, b) -> bool:
-    """Test-only: does the invertible affine map x -> Mx + b preserve the
-    rank of the tensor-power matrix of E (at the decoder's order r)?"""
-    params = E.params
-    f = params.field
-    Mm = M if isinstance(M, FFMatrix) else FFMatrix.from_rows(f, M)
-    if Mm.nrows != Mm.ncols or rank(Mm) != Mm.nrows:
-        raise ValueError("affine map must be invertible")
-    mapped = [tuple(f.add(x, bb) for x, bb in zip(Mm.mat_vec(e), b))
-              for e in E.points]
-    before = rank(tensor_power_matrix(E.points, params.r, params.p, params.m))
-    after = rank(tensor_power_matrix(mapped, params.r, params.p, params.m))
-    return before == after

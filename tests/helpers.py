@@ -1,8 +1,17 @@
 """Checks that only the tests use: oracles for conditions the library
-decoders establish (or retry on) without computing them directly."""
+decoders establish (or retry on) without computing them directly, and
+reference versions of library kernels for differential tests."""
 
-from rmsyndrome.code import ErrorSet, tensor_power
+from functools import reduce
+
+from rmsyndrome.code import (DecodingFailure, ErrorSet, Syndrome,
+                             syndrome_from_errors, tensor_power,
+                             tensor_power_matrix)
 from rmsyndrome.fields import prime_field
+from rmsyndrome.jennrich import (_NOT_COMMON, _NOT_ONE_DIMENSIONAL,
+                                 _check_leaf_count, _slice_minor,
+                                 _start_vector)
+from rmsyndrome.linalg import FFMatrix, rank, solve
 from rmsyndrome.polynomials import (MultilinearPoly, _affine_map,
                                     substitution_matrix)
 
@@ -63,3 +72,95 @@ def affine_substitute(P: MultilinearPoly, mat, b) -> MultilinearPoly:
                 if row[j]:
                     acc[j] = f.add(acc[j], f.mul(c, row[j]))
     return MultilinearPoly(target, acc)
+
+
+def check_ur_preserved(E: ErrorSet, M, b) -> bool:
+    """Does the invertible affine map x -> Mx + b preserve the rank of
+    the tensor-power matrix of E (at the decoder's order r)?"""
+    params = E.params
+    f = params.field
+    Mm = M if isinstance(M, FFMatrix) else FFMatrix.from_rows(f, M)
+    if Mm.nrows != Mm.ncols or rank(Mm) != Mm.nrows:
+        raise ValueError("affine map must be invertible")
+    mapped = [tuple(f.add(x, bb) for x, bb in zip(Mm.mat_vec(e), b))
+              for e in E.points]
+    before = rank(tensor_power_matrix(E.points, params.r, params.p, params.m))
+    after = rank(tensor_power_matrix(mapped, params.r, params.p, params.m))
+    return before == after
+
+
+def full_system_magnitudes(S: Syndrome, E: ErrorSet) -> tuple | None:
+    """The weights w_e with sum_e w_e * e^{<= 2r+1} = S from the whole
+    |M_{2r+1}| x t system: the reference for solve_error_magnitudes,
+    which solves a t x t minor instead."""
+    params = S.params
+    A = tensor_power_matrix(E.points, 2 * params.r + 1, params.p,
+                            params.m).transpose()
+    return solve(A, S.entries)
+
+
+def full_system_explains(S: Syndrome, E: ErrorSet) -> bool:
+    """explains by the full system: over F_2 E's syndrome is S, over odd
+    p the full-system magnitudes exist and are all nonzero."""
+    if S.params.p == 2:
+        return syndrome_from_errors(E).entries == tuple(S.entries)
+    mags = full_system_magnitudes(S, E)
+    return mags is not None and all(mags)
+
+
+def reference_axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
+    """The axis split on tuple vectors over any prime field: forms each
+    M_v = T_v[K,K] B and splits by its eigenspace idempotents.  The
+    reference for jennrich._axis_points, with the same points in the same
+    order and the same failure messages."""
+    f = S.params.field
+    t = len(K)
+    mats = [_slice_minor(S, v, K, K) @ B for v in range(1, S.params.m + 1)]
+    leaves = [_start_vector(T0, K)]
+    for M in mats:
+        if len(leaves) == t:
+            break
+        leaves = [y for x in leaves for y in _eigen_split(M, x, f)]
+        _check_leaf_count(len(leaves), t)
+    if len(leaves) < t:
+        raise DecodingFailure(_NOT_ONE_DIMENSIONAL)
+    stacked = reduce(FFMatrix.vstack, mats)
+    return [_eigenvalues(stacked, y, f) for y in leaves]
+
+
+def _eigen_split(M: FFMatrix, y: tuple, f) -> list[tuple]:
+    """The nonzero components P_c y, c in F_p, of y, where
+    P_c = I - (M - cI)^{p-1}; they always sum to y, and for M
+    diagonalizable over F_p they are y's components in its eigenspaces.
+    Uses (M - cI)^{p-1} = sum_k c^{p-1-k} M^k, since binom(p-1, k) is
+    (-1)^k mod p."""
+    p = f.p
+    powers = [y]
+    for _ in range(p - 1):
+        powers.append(M.mat_vec(powers[-1]))
+    out = []
+    for c in range(p):
+        z = y
+        for k, w in enumerate(powers):
+            coef = pow(c, p - 1 - k, p)
+            if coef:
+                z = tuple(f.sub(a, f.mul(coef, b)) for a, b in zip(z, w))
+        if any(z):
+            out.append(z)
+    return out
+
+
+def _eigenvalues(stacked: FFMatrix, y: tuple, f) -> tuple[int, ...]:
+    """The c_v with M_v y = c_v y for the square blocks M_v stacked in
+    rows; raises DecodingFailure if y is not an eigenvector of each."""
+    t = len(y)
+    My = stacked.mat_vec(y)
+    i = next(i for i, a in enumerate(y) if a)
+    yi_inv = f.inv(y[i])
+    out = []
+    for start in range(0, len(My), t):
+        c = f.mul(My[start + i], yi_inv)
+        if My[start:start + t] != tuple(f.mul(c, a) for a in y):
+            raise DecodingFailure(_NOT_COMMON)
+        out.append(c)
+    return tuple(out)

@@ -23,10 +23,10 @@ from rmsyndrome.fields import (UniPoly, berlekamp_roots, extension_field,
 from rmsyndrome.jennrich import decompose, derandomized_flattening_vectors
 from rmsyndrome.linalg import rank
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index
-from rmsyndrome.polyspace import (IsolationBoundWarning, check_ur_preserved,
-                                  det_find_roots, find_roots, space_roots,
-                                  vv_sample)
+from rmsyndrome.polyspace import (IsolationBoundWarning, det_find_roots,
+                                  find_roots, space_roots, vv_sample)
 from conftest import random_invertible
+from helpers import check_ur_preserved
 
 GRID = [(10, 1), (12, 1), (8, 2)]
 T_PLANTED = 8

@@ -17,6 +17,7 @@ from rmsyndrome.code import (CodeParams, DegreeError, ErrorSet,
                              syndrome_of_word, syndrome_streaming, tensor_power,
                              tensor_power_matrix, write_word_file)
 from rmsyndrome.code import _fold, _pack, _power_transform, _slots
+from helpers import full_system_magnitudes
 from rmsyndrome.linalg import rank
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index
 
@@ -470,3 +471,42 @@ def test_explains_a_planted_syndrome_and_not_one_flipped_entry(p, m, rng):
     entries = list(S.entries)
     entries[-1] = (entries[-1] + 1) % p
     assert not explains(Syndrome(params, tuple(entries)), E)
+
+
+def test_dependent_low_degree_tensor_powers_give_no_magnitudes():
+    # the three points of an affine line over F_3 have dependent degree-1
+    # tensor powers (they sum to 0) but independent degree-3 ones: the
+    # full system still solves, the t x t minor does not exist
+    params = CodeParams(4, 1, 3)
+    E = ErrorSet(params, ((0, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)))
+    S = syndrome_from_weighted_errors(E, [1, 2, 2])
+    assert rank(tensor_power_matrix(E.points, 1, 3, 4)) == 2
+    assert full_system_magnitudes(S, E) == (1, 2, 2)
+    assert solve_error_magnitudes(S, E) is None
+    assert not explains(S, E)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_empty_set_explains_only_the_zero_syndrome(p):
+    params = CodeParams(4, 1, p)
+    empty = ErrorSet(params, ())
+    zero = Syndrome(params, (0,) * params.syndrome_index.size)
+    assert explains(zero, empty)
+    one = Syndrome(params, (1,) + zero.entries[1:])
+    assert not explains(one, empty)
+    if p > 2:
+        assert solve_error_magnitudes(zero, empty) == ()
+        assert solve_error_magnitudes(one, empty) is None
+
+
+def test_an_extra_point_gets_magnitude_zero(rng):
+    # one point more than the syndrome's support, tensor powers still
+    # independent: the minor solve puts 0 on it, as the full system does
+    params = CodeParams(6, 1, 5)
+    E4 = sample_error_set(params, 4, rng)
+    E = ErrorSet(params, E4.points[:3])
+    S = syndrome_from_weighted_errors(E, [4, 2, 3])
+    planted = dict(zip(E.points, (4, 2, 3)))
+    want = tuple(planted.get(e, 0) for e in E4.points)
+    assert solve_error_magnitudes(S, E4) == full_system_magnitudes(S, E4) == want
+    assert explains(S, E) and not explains(S, E4)

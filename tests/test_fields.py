@@ -184,13 +184,6 @@ def test_unipoly_divmod_gcd(rng):
     assert (g * h).gcd(g * g) == g
 
 
-def test_field_descriptor_round_trip():
-    from rmsyndrome.fields import field_from_descriptor
-    for field in (prime_field(5), extension_field(2, 8), extension_field(3, 2)):
-        back = field_from_descriptor(field.descriptor())
-        assert back == field
-
-
 @given(st.sampled_from([1, 2, 3, 8, 16, 40, 64, 120]), st.data())
 def test_ext_field_inverse_over_f2(k, data):
     F = extension_field(2, k)

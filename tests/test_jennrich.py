@@ -2,12 +2,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, reject, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import random_invertible
-from helpers import check_flattening_conditions
+from helpers import (check_flattening_conditions, full_system_explains,
+                     reference_axis_points)
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
-                             SamplingError, Syndrome, corrupt, encode,
+                             SamplingError, Syndrome, corrupt, encode, explains,
                              int_to_point, sample_error_set,
                              syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
@@ -261,10 +262,10 @@ AXIS_GRID = {2: [(4, 1), (6, 1), (7, 1), (6, 2)], 3: [(4, 1), (5, 1), (6, 2)],
 
 
 @st.composite
-def planted_syndromes(draw):
+def planted_syndromes(draw, primes=tuple(AXIS_GRID)):
     """A planted error set with independent degree-r tensor powers, up to
     the |M_r| bound, and its syndrome with random nonzero magnitudes."""
-    p = draw(st.sampled_from(sorted(AXIS_GRID)))
+    p = draw(st.sampled_from(primes))
     m, r = draw(st.sampled_from(AXIS_GRID[p]))
     params = CodeParams(m, r, p)
     t = draw(st.integers(0, monomial_index(m, r, p).size))
@@ -277,9 +278,9 @@ def planted_syndromes(draw):
 
 
 @st.composite
-def arbitrary_syndromes(draw):
+def arbitrary_syndromes(draw, primes=tuple(AXIS_GRID)):
     """A syndrome over AXIS_GRID with uniformly random entries."""
-    p = draw(st.sampled_from(sorted(AXIS_GRID)))
+    p = draw(st.sampled_from(primes))
     params = CodeParams(*draw(st.sampled_from(AXIS_GRID[p])), p)
     rng = random.Random(draw(st.integers(0, 2**32)))
     return Syndrome(params, tuple(rng.randrange(p)
@@ -381,7 +382,7 @@ def test_zero_start_vector_is_a_decoding_failure():
     # vector needs rank >= 2: the syndrome 1 at x_1 x_2 has K = {x_1, x_2}
     S = _syndrome_with_one_entry(CodeParams(4, 1), (1, 1, 0, 0))
     assert full_rank_submatrix(tensor_from_syndrome(S)[0])[0] == (1, 2)
-    for split in (jennrich._packed_axis_points, jennrich._field_axis_points):
+    for split in (jennrich._axis_points, reference_axis_points):
         assert _axis_outcome(split, S).startswith("zero start vector")
 
 
@@ -397,34 +398,65 @@ def test_more_eigencomponents_than_the_rank_is_a_decoding_failure():
     message = "8 eigencomponents for a rank-5 constant slice"
     with pytest.raises(DecodingFailure, match=message):
         axis_decompose(S)
-    assert _axis_outcome(jennrich._field_axis_points, S) == message
+    for split in (jennrich._axis_points, reference_axis_points):
+        assert _axis_outcome(split, S) == message
 
 
 @st.composite
-def f2_syndromes(draw):
-    """An F_2 syndrome over AXIS_GRID[2]: uniformly arbitrary entries, or
-    a planted syndrome with up to three entries flipped."""
-    m, r = draw(st.sampled_from(AXIS_GRID[2]))
-    params = CodeParams(m, r)
-    size = params.syndrome_index.size
-    if draw(st.booleans()):
-        entries = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-        return Syndrome(params, tuple(entries))
-    t = draw(st.integers(1, monomial_index(m, r, 2).size))
-    try:
-        E = sample_error_set(params, t, random.Random(draw(st.integers(0, 2**32))))
-    except SamplingError:
-        reject()
-    entries = list(syndrome_from_errors(E).entries)
-    for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
-        entries[i] ^= 1
-    return Syndrome(params, tuple(entries))
+def axis_syndromes(draw, primes=tuple(AXIS_GRID)):
+    """A syndrome over AXIS_GRID: uniformly arbitrary entries, planted
+    (planted_syndromes), or planted with one to three entries changed."""
+    kind = draw(st.sampled_from(["arbitrary", "planted", "changed"]))
+    if kind == "arbitrary":
+        return draw(arbitrary_syndromes(primes))
+    _, S = draw(planted_syndromes(primes))
+    if kind == "planted":
+        return S
+    p = S.params.p
+    entries = list(S.entries)
+    for i in draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, max_size=3)):
+        entries[i] = (entries[i] + draw(st.integers(1, p - 1))) % p
+    return Syndrome(S.params, tuple(entries))
 
 
-@given(f2_syndromes())
-def test_packed_and_field_axis_kernels_agree_over_f2(S):
-    assert (_axis_outcome(jennrich._packed_axis_points, S)
-            == _axis_outcome(jennrich._field_axis_points, S))
+@settings(max_examples=150)
+@given(axis_syndromes())
+def test_axis_kernel_matches_the_tuple_reference(S):
+    # the packed split against the tuple split that forms each M_v: the
+    # same points in the same order, or the same failure message
+    assert (_axis_outcome(jennrich._axis_points, S)
+            == _axis_outcome(reference_axis_points, S))
+
+
+@settings(max_examples=100)
+@given(axis_syndromes(primes=(3, 5)))
+def test_explains_on_the_minor_matches_the_full_system(S):
+    # the t x t minor solve against the |M_{2r+1}| x t system, on the
+    # sets both library decoders return, for S and for S with its last
+    # entry changed
+    p = S.params.p
+    changed = Syndrome(S.params, S.entries[:-1] + ((S.entries[-1] + 1) % p,))
+    for decode in (axis_decompose, lambda S: det_find_roots(space_roots(S))):
+        try:
+            E = decode(S)
+        except DecodingFailure:
+            continue
+        for syndrome in (S, changed):
+            assert explains(syndrome, E) == full_system_explains(syndrome, E)
+
+
+@pytest.mark.parametrize("m,r,p,t,slot_bits", [(6, 2, 5, 28, 16), (12, 2, 3, 60, 8)])
+def test_axis_decode_exact_at_wide_slots_and_large_odd_t(m, r, p, t, slot_bits):
+    # a slot holds t (p - 1)^2: 448 over F_5 at t = 28 needs two bytes,
+    # 240 over F_3 at t = 60 fits one
+    params = CodeParams(m, r, p)
+    assert jennrich._slot_ops(p, t)[0] == slot_bits
+    for seed in range(2):
+        rng = random.Random(seed)
+        E = sample_error_set(params, t, rng)
+        S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
+        decoded, residual = locate_and_correct(S)
+        assert decoded == E and residual.is_zero()
 
 
 # The Krylov readout and the gcd split.  Each crafted case below must make

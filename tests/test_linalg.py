@@ -253,10 +253,3 @@ def test_inverse_errors():
     with pytest.raises(ValueError):
         inverse(FFMatrix.zeros(F2, 2, 3))
 
-
-def test_matrix_json_dump():
-    M = FFMatrix.from_rows(F16, [[1, 2], [3, 4]])
-    d = M.to_json_dict()
-    assert d["rows"] == 2 and d["cols"] == 2
-    assert d["data"] == [[1, 2], [3, 4]]
-    assert d["field"] == {"p": 2, "k": 4, "modulus": [1, 1, 0, 0, 1]}

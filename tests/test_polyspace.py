@@ -6,6 +6,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import check_ur_preserved
 from rmsyndrome import polyspace
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode, explains,
@@ -20,8 +21,7 @@ from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
                                     monomial_index)
 from rmsyndrome.polyspace import (IsolationBoundWarning,
                                   PartialRecoveryWarning,
-                                  StructuralInconsistencyError,
-                                  check_ur_preserved, det_find_roots,
+                                  StructuralInconsistencyError, det_find_roots,
                                   find_roots,
                                   find_unique_root, isolation_codim,
                                   locate_and_correct, space_roots, vv_sample)
