@@ -29,9 +29,10 @@ from operator import xor
 from pathlib import Path
 
 from .fields import is_prime, prime_field
-from .linalg import FFMatrix, nullspace_basis, rank, rref, solve
+from .linalg import FFMatrix, nullspace_basis, pack_bits, rank, rref
 from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
-                          monomial_count, monomial_index)
+                          mask_positions, moment_positions, monomial_count,
+                          monomial_index)
 
 
 class SamplingError(RuntimeError):
@@ -238,11 +239,6 @@ class ReceivedWord:
 # Tensor powers and the independence property.
 
 
-@lru_cache(maxsize=None)
-def _positions_by_mask(index: MonomialIndex) -> dict:
-    return {mask: i for i, mask in enumerate(index.masks)}
-
-
 def tensor_power(point, t: int, p: int = 2) -> tuple[int, ...]:
     """The vector of monomial evaluations of degree <= t at the point,
     constant entry first."""
@@ -309,16 +305,16 @@ def solve_error_magnitudes(S: "Syndrome", E: ErrorSet) -> tuple | None:
 
     The entries of S at the monomials of degree <= r, a prefix of the
     graded syndrome index, are A^T w, with A the t x |M_r| matrix of E's
-    degree <= r tensor powers.  With K the pivots of one rref of A, the
-    t x t minor A[:, K] is invertible exactly when |K| = t, and then w
-    solves A[:, K]^T w = S[K]; it is returned only if it reproduces all
-    of S."""
+    degree <= r tensor powers.  One rref of [A^T | S[:|M_r|]] has pivots
+    0..t-1 exactly when A^T has rank t and the system is consistent; its
+    last column then holds w, returned only if w reproduces all of S."""
     params = S.params
-    A = tensor_power_matrix(E.points, params.r, params.p, params.m)
-    K = rref(A)[2]
-    if len(K) < E.t:
+    powers = [tensor_power(e, params.r, params.p) for e in E.points]
+    prefix = S.entries[:monomial_count(params.m, params.r, params.p)]
+    R, _, pivots = rref(FFMatrix.from_rows(params.field, zip(*powers, prefix)))
+    if pivots != tuple(range(E.t)):
         return None
-    w = solve(A.submatrix(range(E.t), K).transpose(), [S.entries[k] for k in K])
+    w = tuple(R.at(i, E.t) for i in range(E.t))
     if syndrome_from_weighted_errors(E, w).entries != tuple(S.entries):
         return None
     return w
@@ -340,11 +336,27 @@ def explains(S: "Syndrome", E: ErrorSet) -> bool:
 # Syndromes.
 
 
+def moment_matrix(S: Syndrome, rows, cols, v: int = 0) -> FFMatrix:
+    """The minor H[rows, cols] of the syndrome's moment (Hankel) matrix
+    H[i, j] = S[reduce(M_i M_j)], M_i of degree <= r and M_j of degree
+    <= r + 1 (moment_positions); for v > 0, the minor of the tensor slice
+    T_v[i, j] = S[reduce(M_i M_j x_v)].  Reduction commutes with
+    products, so T_v[rows, cols] = H[rows, shift_v(cols)], with shift_v
+    the map M_j -> reduce(M_j x_v) on columns of degree <= r."""
+    params = S.params
+    table, e = moment_positions(params.m, params.r, params.p), S.entries
+    if v:
+        shift = monomial_index(params.m, params.r + 1, params.p).var_mul(v - 1)
+        cols = [shift[j] for j in cols]
+    return FFMatrix.from_rows(params.field, [[e[row[j]] for j in cols]
+                                             for row in map(table.__getitem__, rows)])
+
+
 def _accumulate_point(entries: list, point, weight: int, index: MonomialIndex):
     p = index.p
     if p == 2:
         bits = [1 << v for v, c in enumerate(point) if c]
-        pos = _positions_by_mask(index)
+        pos = mask_positions(index)
         for d in range(min(index.t, len(bits)) + 1):
             for comb in combinations(bits, d):
                 entries[pos[sum(comb)]] ^= 1
@@ -388,7 +400,7 @@ def _pack(values, m: int, p: int) -> int:
     if not 0 <= min(values) <= max(values) < p:
         raise ValueError(f"symbols must lie in [0, {p})")
     if p == 2:
-        return int(bytes(values)[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+        return pack_bits(values)
     width = _slot_bits(m, p) // 8
     data = bytearray(len(values) * width)
     for j in range(0, (p - 1).bit_length(), 8):

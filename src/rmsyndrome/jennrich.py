@@ -2,12 +2,15 @@
 
 The syndrome is reshaped into the 3-tensor with entries
 T[i, j, k] = sum_e M_i(e) M_j(e) M''_k(e) over the error set, where M_i,
-M_j range over monomials of degree <= r and M''_k over degree <= 1.  Two
-random (or derandomized) weightings of the degree-1 axis flatten T into
-matrices S^a, S^b over an extension field.  Every slice T_k is symmetric,
-a moment (Hankel) matrix of the weighted error points, so the pivot
-columns K of one rref of the constant slice T_0 index a row basis as well
-as a column basis and T_0[K,K] is invertible (_constant_slice, the front
+M_j range over monomials of degree <= r and M''_k over degree <= 1.  Its
+slices are column selections of the syndrome's one moment (Hankel)
+matrix H[i, j] = S[reduce(M_i M_j)], M_j of degree <= r + 1, whose
+nullspace is polyspace's vanishing space: T_0 = H[:, :|M_r|] and
+T_v = H[:, shift_v], shift_v(j) the position of reduce(M_j x_v)
+(code.moment_matrix).  Two random (or derandomized) weightings of the
+degree-1 axis flatten T into S^a, S^b over an extension field.  Every
+slice is symmetric, so the pivot columns K of one rref of T_0 index a
+row basis too and T_0[K,K] is invertible (_constant_slice, the front
 half both decoders share).  On that minor, M = S^a[K,K] (S^b[K,K])^{-1}
 has the tensor-power columns as eigenvectors.  The decoder never computes
 an eigenvalue: one rref of the Krylov columns of y = T_0[K, 0] against the
@@ -28,13 +31,13 @@ vector by the eigenspace idempotents 1 - (M_v - c)^{p-1} separates the
 points with no extension field, characteristic polynomial or eigenvector
 solve.  This is the eigenvalue method for zero-dimensional systems
 (Moeller & Stetter 1995), i.e. solution extraction from moment matrices
-(Henrion & Lasserre 2005).  It builds only T_0 in full and reads the
-other slices off the syndrome at [K, K] alone, and it forms no M_v, over
-any p: a vector is one int with one F_p entry per slot (a bit over F_2,
-a machine word reduced mod p after each combination over odd p), the
-stacked minor [T_1; ...; T_m][K, K] is one int per column, and one
-product with it, after z = T_0[K,K]^{-1} y, gives M_v y for every v at
-once, so a split by M_v costs p - 1 products.
+(Henrion & Lasserre 2005).  It reads only T_0 in full and the other
+slices at [K, K], and forms no M_v, over any p: a vector is one int with
+one F_p entry per slot (a bit over F_2, a machine word reduced mod p
+after each combination over odd p), the stacked minor
+[T_1; ...; T_m][K, K] is one int per column, and one product with it,
+after z = T_0[K,K]^{-1} y, gives M_v y for every v at once, so a split
+by M_v costs p - 1 products.
 """
 
 from __future__ import annotations
@@ -44,14 +47,14 @@ from array import array
 from functools import lru_cache
 from operator import itemgetter
 
-from .code import DecodingFailure, ErrorSet, Syndrome, explains
+from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
 from .fields import (UniPoly, _c2_divmod, _c2_gcd, extension_field,
                      find_primitive_element)
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
-                     rank, rref, xor_picked)
-from .polynomials import pair_positions
+                     pack_bits, rank, rref, xor_picked)
+from .polynomials import moment_positions, monomial_count, monomial_index
 
 
 # Flattening draws in randomized mode before decompose gives up.
@@ -66,7 +69,8 @@ def tensor_from_syndrome(S: Syndrome) -> tuple[FFMatrix, ...]:
     """The syndrome reshaped into the 3-tensor, as its m+1 slices along
     the degree-1 axis: the entry (M_i, M_j) of slice k is the syndrome
     entry of reduce(M_i M_j M''_k)."""
-    return tuple(_slice_minor(S, k) for k in range(S.params.m + 1))
+    square = range(monomial_count(S.params.m, S.params.r, S.params.p))
+    return tuple(moment_matrix(S, square, square, k) for k in range(S.params.m + 1))
 
 
 def _constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
@@ -78,27 +82,12 @@ def _constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
     T_0 = T_0[:, K] X, the rows T_0[K, :] = T_0[K, K] X are the transpose
     of the independent columns T_0[:, K], so they have rank t = |K|.
     Raises DecodingFailure for a zero T_0 of a nonzero syndrome."""
-    T0 = _slice_minor(S, 0)
+    square = range(monomial_count(S.params.m, S.params.r, S.params.p))
+    T0 = moment_matrix(S, square, square)
     K = rref(T0)[2]
     if not K and not S.is_zero():
         raise DecodingFailure("zero constant slice of a nonzero syndrome")
     return T0, K
-
-
-def _slice_minor(S: Syndrome, k: int, rows=None, cols=None) -> FFMatrix:
-    """Slice k of the tensor, or its minor at (rows, cols), read straight
-    off the syndrome: T_0 for k = 0, else T_k along the variable x_k."""
-    params = S.params
-    pairpos = pair_positions(params.m, params.r, params.r, params.p)
-    rows = range(len(pairpos)) if rows is None else rows
-    cols = range(len(pairpos)) if cols is None else cols
-    e = S.entries
-    pos = map(pairpos.__getitem__, rows)
-    if k:
-        vmap = params.syndrome_index.var_mul(k - 1)
-        return FFMatrix.from_rows(params.field,
-                                  [[e[vmap[row[j]]] for j in cols] for row in pos])
-    return FFMatrix.from_rows(params.field, [[e[row[j]] for j in cols] for row in pos])
 
 
 def _flatten(slices, F, weights) -> FFMatrix:
@@ -173,7 +162,7 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     T0, K = _constant_slice(S)
     if not K:
         return ErrorSet(params, ())
-    minors = [_slice_minor(S, v, K, K) for v in range(m + 1)]
+    minors = [moment_matrix(S, K, K, v) for v in range(m + 1)]
     cols = T0.submatrix(K, range(m + 1)).transpose().rows()
     D = ext_degree if ext_degree is not None else 10 * m
     F = extension_field(params.p, D)
@@ -432,7 +421,7 @@ def _slot_ops(p: int, t: int):
     dot reduces every slot mod p.
     """
     if p == 2:
-        return 1, bytes, _decode_bits, xor_picked, lambda y: (0, y)
+        return 1, bytes, pack_bits, xor_picked, lambda y: (0, y)
     bound = max(t, p) * (p - 1) ** 2
     code = next(c for c in "BHIQ" if bound < 1 << 8 * array(c).itemsize)
     size = array(code).itemsize
@@ -457,33 +446,17 @@ def _slot_ops(p: int, t: int):
     return 8 * size, encode, decode, dot, multiples
 
 
-def _decode_bits(raw: bytes) -> int:
-    return int(raw[::-1].translate(_ASCII_BITS), 2)
-
-
 def _stacked_minor(S: Syndrome, K, encode, decode) -> list[int]:
     """The columns of [T_1; ...; T_m][K, K], packed by _slot_ops: slot
-    v t + k of column l is T_{v+1}[K[k], K[l]], the syndrome entry at
-    var_mul(v)[pair_positions(m, r, r)[K[k]][K[l]]].
+    v t + k of column l is T_{v+1}[K[k], K[l]].
 
-    The entries are gathered by itemgetter and encoded one block of all t
-    columns at a time; each column joins its slices of the m blocks."""
+    T_{v+1} is symmetric, so that entry is T_{v+1}[K[l], K[k]] =
+    H[K[l], shift_{v+1}(K[k])] (code.moment_matrix): column l picks the
+    m t shifted columns of row K[l] of moment_positions, and reads and
+    encodes their syndrome entries, by itemgetter at C speed."""
     params = S.params
-    t = len(K)
-    pairpos = pair_positions(params.m, params.r, params.r, params.p)
-    sidx = params.syndrome_index
-    qs = [pairpos[k][l] for l in K for k in K]
-    blocks = [encode(_gather(S.entries, _gather(sidx.var_mul(v), qs)))
-              for v in range(params.m)]
-    width = len(blocks[0]) // t
-    return [decode(b"".join([b[i:i + width] for b in blocks]))
-            for i in range(0, t * width, width)]
-
-
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _gather(seq, idx) -> tuple:
-    """(seq[i] for i in idx) as a tuple, at C speed."""
-    got = itemgetter(*idx)(seq)
-    return got if len(idx) > 1 else (got,)
+    table = moment_positions(params.m, params.r, params.p)
+    cols = monomial_index(params.m, params.r + 1, params.p)
+    pick = itemgetter(*[shift[k] for shift in map(cols.var_mul, range(params.m))
+                        for k in K])
+    return [decode(encode(itemgetter(*pick(table[l]))(S.entries))) for l in K]

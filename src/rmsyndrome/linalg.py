@@ -235,6 +235,15 @@ def xor_picked(vectors: list[int], x: int) -> int:
     return out
 
 
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def pack_bits(bits) -> int:
+    """The int whose bit i is bits[i], for a sequence (or bytes) of 0s
+    and 1s: the bytes read back to front as an ASCII bit string."""
+    return int(bytes(bits)[::-1].translate(_ASCII_BITS) or b"0", 2)
+
+
 def _parity(x: int) -> int:
     return x.bit_count() & 1
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add
 
 from .fields import prime_field
-from .linalg import FFMatrix, rank, rref
+from .linalg import FFMatrix, pack_bits, rank, rref
 
 
 def reduce_exponent(e: int, p: int) -> int:
@@ -46,11 +47,8 @@ class MonomialIndex:
             monos.extend(self._degree_block(d))
         self.monomials = tuple(monos)
         self.position = {mono: i for i, mono in enumerate(monos)}
-        if p == 2:
-            self.masks = tuple(sum(1 << v for v, e in enumerate(mono) if e)
-                               for mono in monos)
-        else:
-            self.masks = None
+        # over F_2, the support of each monomial as a bit mask
+        self.masks = tuple(map(pack_bits, monos)) if p == 2 else None
         self._var_mul: dict[int, tuple] = {}
         self._parents = None
 
@@ -94,11 +92,13 @@ class MonomialIndex:
         got = self._var_mul.get(v)
         if got is not None:
             return got
-        out = []
-        for mono in self.monomials:
-            e = list(mono)
-            e[v] = reduce_exponent(e[v] + 1, self.p)
-            out.append(self.position.get(tuple(e), -1))
+        if self.masks is not None:
+            pos, bit = mask_positions(self), 1 << v
+            out = [pos.get(mask | bit, -1) for mask in self.masks]
+        else:
+            p, pos = self.p, self.position
+            out = [pos.get(e[:v] + (reduce_exponent(e[v] + 1, p),) + e[v + 1:], -1)
+                   for e in self.monomials]
         self._var_mul[v] = tuple(out)
         return self._var_mul[v]
 
@@ -150,22 +150,29 @@ def monomial_count(m: int, t: int, p: int = 2) -> int:
 
 
 @lru_cache(maxsize=None)
-def pair_positions(m: int, row_deg: int, col_deg: int,
-                   p: int = 2) -> tuple[tuple[int, ...], ...]:
-    """Entry (i, j) is the position of reduce(M_i * M_j) for M_i of degree
-    <= row_deg and M_j of degree <= col_deg: the index pattern of the
-    moment (Hankel) matrix H[i, j] = s[reduce(M_i M_j)] of a syndrome s.
+def mask_positions(index: MonomialIndex) -> dict:
+    """Position of each monomial of an F_2 index, keyed by its support mask."""
+    return {mask: i for i, mask in enumerate(index.masks)}
 
-    Positions are those of monomial_index(m, row_deg + col_deg, p), which
-    agree with every larger-degree index since the graded order makes each
-    index a prefix of the next."""
-    rows = monomial_index(m, row_deg, p)
-    cols = monomial_index(m, col_deg, p)
-    position = monomial_index(m, row_deg + col_deg, p).position
-    return tuple(
-        tuple(position[tuple(reduce_exponent(a + b, p) for a, b in zip(ei, ej))]
-              for ej in cols.monomials)
-        for ei in rows.monomials)
+
+@lru_cache(maxsize=None)
+def moment_positions(m: int, r: int, p: int = 2) -> tuple[tuple[int, ...], ...]:
+    """Entry (i, j) is the position of reduce(M_i * M_j) in
+    monomial_index(m, 2r + 1, p), for M_i of degree <= r and M_j of degree
+    <= r + 1: the index pattern of the moment (Hankel) matrix
+    H[i, j] = s[reduce(M_i M_j)] of a syndrome s.
+
+    Over F_2 the product's support is the union of the supports, so a
+    position is read off the or of two masks; over odd p the exponent
+    tuples are added and reduced."""
+    rows, cols, target = (monomial_index(m, d, p) for d in (r, r + 1, 2 * r + 1))
+    if p == 2:
+        pos = mask_positions(target)
+        return tuple(tuple(map(pos.__getitem__, [a | b for b in cols.masks]))
+                     for a in rows.masks)
+    red = [reduce_exponent(e, p) for e in range(2 * p - 1)].__getitem__
+    return tuple(tuple(target.position[tuple(map(red, map(add, ei, ej)))]
+                       for ej in cols.monomials) for ei in rows.monomials)
 
 
 class MultilinearPoly:

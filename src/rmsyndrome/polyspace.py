@@ -1,9 +1,10 @@
 """Polynomial-space syndrome decoder.
 
 From the syndrome alone, space_roots recovers the linear space V of all
-reduced polynomials of degree <= r+1 vanishing on the error set: a
-polynomial A lies in V exactly when sum_M a_M s_{reduce(M M')} = 0 for
-every monomial M' of degree <= r, because that system says the weighted
+reduced polynomials of degree <= r+1 vanishing on the error set: the
+nullspace of the syndrome's moment matrix H[M', M] = s_{reduce(M M')}
+(code.moment_matrix, whose column selections are also the Jennrich
+tensor slices T_v = H[:, shift_v]), because H a = 0 says the weighted
 evaluations of A on the error set are orthogonal to the independent
 tensor powers.
 
@@ -21,11 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 
-from .code import CodeParams, DecodingFailure, ErrorSet, Syndrome, explains
+from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, explains,
+                   moment_matrix)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
 from .linalg import FFMatrix, nullspace_basis, rank
-from .polynomials import PolySpace, monomial_index, pair_positions
+from .polynomials import PolySpace, monomial_count, monomial_index
 
 
 class StructuralInconsistencyError(DecodingFailure):
@@ -44,16 +46,13 @@ class PartialRecoveryWarning(UserWarning):
 
 def space_roots(S: Syndrome) -> PolySpace:
     """The space of all reduced polynomials of degree <= r+1 that vanish
-    on the error set, computed from the syndrome alone.
-
-    Nullspace of the |M_r| x |M_{r+1}| system whose (M', M) entry is the
-    syndrome entry of reduce(M * M')."""
-    params = S.params
-    m, r, p = params.m, params.r, params.p
-    entries = S.entries
-    rows = [[entries[q] for q in row] for row in pair_positions(m, r, r + 1, p)]
-    mat = FFMatrix.from_rows(params.field, rows)
-    return PolySpace.from_matrix(monomial_index(m, r + 1, p), nullspace_basis(mat))
+    on the error set: the nullspace of the syndrome's |M_r| x |M_{r+1}|
+    moment matrix, whose (M', M) entry is the syndrome entry of
+    reduce(M * M')."""
+    m, r, p = S.params.m, S.params.r, S.params.p
+    index = monomial_index(m, r + 1, p)
+    H = moment_matrix(S, range(monomial_count(m, r, p)), range(index.size))
+    return PolySpace.from_matrix(index, nullspace_basis(H))
 
 
 def find_unique_root(V: PolySpace) -> tuple | None:

@@ -5,14 +5,14 @@ reference versions of library kernels for differential tests."""
 from functools import reduce
 
 from rmsyndrome.code import (DecodingFailure, ErrorSet, Syndrome,
-                             syndrome_from_errors, tensor_power,
-                             tensor_power_matrix)
+                             moment_matrix, syndrome_from_errors,
+                             tensor_power, tensor_power_matrix)
 from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import (_NOT_COMMON, _NOT_ONE_DIMENSIONAL,
-                                 _check_leaf_count, _slice_minor,
-                                 _start_vector)
+                                 _check_leaf_count, _start_vector)
 from rmsyndrome.linalg import FFMatrix, rank, solve
 from rmsyndrome.polynomials import (MultilinearPoly, _affine_map,
+                                    monomial_index, reduce_exponent,
                                     substitution_matrix)
 
 
@@ -89,6 +89,21 @@ def check_ur_preserved(E: ErrorSet, M, b) -> bool:
     return before == after
 
 
+def reference_pair_positions(m: int, row_deg: int, col_deg: int,
+                             p: int = 2) -> tuple[tuple[int, ...], ...]:
+    """Entry (i, j) is the position of reduce(M_i * M_j) in
+    monomial_index(m, row_deg + col_deg, p), for M_i of degree <= row_deg
+    and M_j of degree <= col_deg, from added and reduced exponent tuples
+    over every p: the reference for polynomials.moment_positions."""
+    rows = monomial_index(m, row_deg, p)
+    cols = monomial_index(m, col_deg, p)
+    position = monomial_index(m, row_deg + col_deg, p).position
+    return tuple(
+        tuple(position[tuple(reduce_exponent(a + b, p) for a, b in zip(ei, ej))]
+              for ej in cols.monomials)
+        for ei in rows.monomials)
+
+
 def full_system_magnitudes(S: Syndrome, E: ErrorSet) -> tuple | None:
     """The weights w_e with sum_e w_e * e^{<= 2r+1} = S from the whole
     |M_{2r+1}| x t system: the reference for solve_error_magnitudes,
@@ -115,7 +130,7 @@ def reference_axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tup
     order and the same failure messages."""
     f = S.params.field
     t = len(K)
-    mats = [_slice_minor(S, v, K, K) @ B for v in range(1, S.params.m + 1)]
+    mats = [moment_matrix(S, K, K, v) @ B for v in range(1, S.params.m + 1)]
     leaves = [_start_vector(T0, K)]
     for M in mats:
         if len(leaves) == t:

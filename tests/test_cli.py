@@ -243,6 +243,17 @@ def test_experiment_reproducible_and_summary(tmp_path):
     assert summary[0]["success_rate"] == "1.0"
 
 
+def test_experiment_decodes_every_trial_at_m_64(tmp_path):
+    # the paper's regime at r = 1: a 2^64-point code, t = m errors, with
+    # the default decoder from a cold position table
+    out = tmp_path / "m64.csv"
+    assert main(["experiment", "--m", "64", "--r", "1", "--t", "64",
+                 "--trials", "2", "--omit-timing", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    trials = [r for r in rows if r["record"] == "trial"]
+    assert len(trials) == 2 and all(r["success"] == "1" for r in trials)
+
+
 def test_experiment_t_sweep_records_sampling_failures(tmp_path):
     # t sweeps past the independence bound |M_1^4| = 5: recorded, no crash
     out = tmp_path / "sweep.csv"

@@ -9,7 +9,7 @@ from helpers import (check_flattening_conditions, full_system_explains,
                      reference_axis_points)
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode, explains,
-                             int_to_point, sample_error_set,
+                             int_to_point, moment_matrix, sample_error_set,
                              syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
@@ -20,7 +20,8 @@ from rmsyndrome.jennrich import (_flatten, _krylov_readout, _RetryableFailure,
                                  derandomized_flattening_vectors,
                                  tensor_from_syndrome)
 from rmsyndrome.linalg import FFMatrix, full_rank_submatrix, inverse, rank, rref
-from rmsyndrome.polynomials import MultilinearPoly, monomial_index
+from rmsyndrome.polynomials import (MultilinearPoly, monomial_index,
+                                    reduce_exponent)
 from rmsyndrome.polyspace import det_find_roots, locate_and_correct, space_roots
 
 
@@ -246,7 +247,7 @@ def test_bad_mode_is_rejected_before_any_work(monkeypatch, rng):
     def unreachable(*args):
         raise AssertionError("decompose did work before checking its mode")
 
-    monkeypatch.setattr(jennrich, "_slice_minor", unreachable)
+    monkeypatch.setattr(jennrich, "moment_matrix", unreachable)
     monkeypatch.setattr(jennrich, "extension_field", unreachable)
     S2 = syndrome_from_errors(sample_error_set(CodeParams(6, 1), 3, rng))
     S3 = syndrome_from_errors(sample_error_set(CodeParams(5, 1, 3), 2, rng))
@@ -295,6 +296,29 @@ def test_slices_are_symmetric_and_one_rref_gives_the_minor(S):
     assert all(sl == sl.transpose() for sl in T)
     K, L = full_rank_submatrix(T[0])
     assert K == L == rref(T[0])[2]
+
+
+@given(st.one_of(arbitrary_syndromes(), planted_syndromes().map(lambda case: case[1])),
+       st.data())
+def test_moment_matrix_reads_the_tensor_slices(S, data):
+    # moment_matrix reads T_v[i, j] as H[i, shift_v(j)]; the definition is
+    # the syndrome entry of reduce(M_i M_j x_v), from exponent tuples
+    m, r, p = S.params.m, S.params.r, S.params.p
+    monos = monomial_index(m, r, p).monomials
+    position = S.params.syndrome_index.position
+
+    def entry(i, j, v):
+        x_v = [int(u == v - 1) for u in range(m)]
+        return S.entries[position[tuple(reduce_exponent(a + b + c, p) for a, b, c
+                                        in zip(monos[i], monos[j], x_v))]]
+
+    K0 = rref(moment_matrix(S, range(len(monos)), range(len(monos))))[2]
+    subset = data.draw(st.lists(st.integers(0, len(monos) - 1), min_size=1,
+                                max_size=len(monos), unique=True))
+    for K in {K0, tuple(subset)} - {()}:
+        for v in range(m + 1):
+            want = [[entry(i, j, v) for j in K] for i in K]
+            assert moment_matrix(S, K, K, v).to_lists() == want
 
 
 @given(planted_syndromes())

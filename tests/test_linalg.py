@@ -9,7 +9,7 @@ from rmsyndrome.fields import UniPoly, extension_field, prime_field
 from rmsyndrome.linalg import (FFMatrix, SingularMatrixError,
                                SpectrumNotSimpleError, char_poly,
                                eigen_decompose, full_rank_submatrix, inverse,
-                               nullspace_basis, rank, rref, solve)
+                               nullspace_basis, pack_bits, rank, rref, solve)
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -162,6 +162,12 @@ def test_solve_exactly_when_consistent(field, nrows, ncols, rk, in_range, seed):
     assert (x is not None) == consistent
     if x is not None:
         assert A.mat_vec(x) == b
+
+
+@given(st.lists(st.integers(0, 1), max_size=80))
+def test_pack_bits_sets_bit_i_to_entry_i(bits):
+    want = sum(b << i for i, b in enumerate(bits))
+    assert pack_bits(bits) == pack_bits(bytes(bits)) == want
 
 
 def test_char_poly_diagonal_and_zero():

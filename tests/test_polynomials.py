@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import random_invertible
-from helpers import affine_substitute
+from helpers import affine_substitute, reference_pair_positions
 from rmsyndrome.code import tensor_power_matrix, vanishing_space
 from rmsyndrome.fields import prime_field
 from rmsyndrome.linalg import FFMatrix, inverse, rank
 from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
-                                    monomial_count, monomial_index,
-                                    poly_from_obj, poly_to_obj, reduce_terms,
-                                    space_to_obj)
+                                    moment_positions, monomial_count,
+                                    monomial_index, poly_from_obj, poly_to_obj,
+                                    reduce_exponent, reduce_terms, space_to_obj)
 
 
 def test_graded_lex_order_constant_first():
@@ -39,6 +39,30 @@ def test_monomial_order_round_trip(m, t, p):
         assert idx.position[mono] == i
     degs = [sum(mono) for mono in idx.monomials]
     assert degs == sorted(degs) and degs[0] == 0
+
+
+@pytest.mark.parametrize("m,t,p", [(5, 3, 2), (6, 2, 2), (4, 3, 3), (3, 4, 5)])
+def test_var_mul_matches_the_exponent_tuples(m, t, p):
+    # over F_2 var_mul reads masks; the definition adds 1 to exponent v
+    idx = monomial_index(m, t, p)
+    for v in range(m):
+        want = []
+        for mono in idx.monomials:
+            e = list(mono)
+            e[v] = reduce_exponent(e[v] + 1, p)
+            want.append(idx.position.get(tuple(e), -1))
+        assert idx.var_mul(v) == tuple(want)
+
+
+@pytest.mark.parametrize("m,r,p", [(6, 1, 2), (7, 2, 2), (5, 1, 3), (4, 2, 3),
+                                   (4, 1, 5), (3, 2, 5)])
+def test_moment_positions_match_the_exponent_tuple_reference(m, r, p):
+    # the F_2 table is read off support masks, the odd-p one off reduced
+    # exponent sums; both must equal the tuple formula for every p
+    table = moment_positions(m, r, p)
+    assert table == reference_pair_positions(m, r, r + 1, p)
+    assert len(table) == monomial_count(m, r, p)
+    assert {len(row) for row in table} == {monomial_count(m, r + 1, p)}
 
 
 def test_evaluate_constant_and_linear():
