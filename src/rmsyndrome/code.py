@@ -14,7 +14,10 @@ Word syndromes, batch and streaming, and encoding share one packed
 per-axis moment transform (_power_transform): 1-bit slots added by xor
 over F_2, byte slots over odd p.  The batch syndrome is the one-run case
 of the streaming fold (_fold); encode runs the transpose.  Error-set
-syndromes and tensor powers use a sparse per-point update instead.
+syndromes, tensor powers and tensor-power matrices read monomial values
+off one walk down the monomial index (MonomialIndex.values), all points
+at once: t-bit point masks combined by and over F_2, per-point tuples
+over odd p.
 """
 
 from __future__ import annotations
@@ -23,16 +26,15 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations, islice
+from itertools import islice
 from math import lcm
-from operator import xor
+from operator import and_, mul, xor
 from pathlib import Path
 
 from .fields import is_prime, prime_field
 from .linalg import FFMatrix, nullspace_basis, pack_bits, rank, rref
-from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
-                          mask_positions, moment_positions, monomial_count,
-                          monomial_index)
+from .polynomials import (MultilinearPoly, PolySpace, moment_positions,
+                          monomial_count, monomial_index)
 
 
 class SamplingError(RuntimeError):
@@ -106,7 +108,8 @@ class CodeParams:
         return self.m - 2 * self.r - 2
 
     @property
-    def syndrome_index(self) -> MonomialIndex:
+    def syndrome_index(self):
+        """The index of the syndrome's monomials, of degree <= 2r+1."""
         return monomial_index(self.m, 2 * self.r + 1, self.p)
 
     def to_json_dict(self) -> dict:
@@ -242,10 +245,22 @@ class ReceivedWord:
 def tensor_power(point, t: int, p: int = 2) -> tuple[int, ...]:
     """The vector of monomial evaluations of degree <= t at the point,
     constant entry first."""
-    index = monomial_index(len(point), t, p)
-    out = [0] * index.size
-    _accumulate_point(out, point, 1, index)
-    return tuple(out)
+    # from a list: a tuple grown from a generator took syndrome_streaming,
+    # which calls this once per run, past its two-syndrome memory bound
+    return tuple([v % p for v in monomial_index(len(point), t, p).values(1, point, mul)])
+
+
+def _point_columns(points, weights, index) -> list:
+    """Per monomial of the index, its weighted values at the points, by
+    one walk down the index (MonomialIndex.values) with one value per
+    point in each step: over F_2 the t-bit mask of the points of odd
+    weight where the monomial is 1, over odd p the tuple of w_e e^a,
+    unreduced."""
+    cols = list(zip(*points)) or [()] * index.m
+    if index.p == 2:
+        return index.values(pack_bits([w & 1 for w in weights]),
+                            list(map(pack_bits, cols)), and_)
+    return index.values(tuple(weights), cols, lambda a, b: tuple(map(mul, a, b)))
 
 
 def tensor_power_matrix(points, t: int, p: int = 2, m: int | None = None) -> FFMatrix:
@@ -258,7 +273,10 @@ def tensor_power_matrix(points, t: int, p: int = 2, m: int | None = None) -> FFM
     f = prime_field(p)
     if not points:
         return FFMatrix.zeros(f, 0, monomial_count(m, t, p))
-    return FFMatrix.from_rows(f, [tensor_power(e, t, p) for e in points])
+    cols = _point_columns(points, [1] * len(points), monomial_index(m, t, p))
+    if p == 2:
+        return FFMatrix.from_packed_rows(f, cols, len(points)).transpose()
+    return FFMatrix.from_rows(f, [[v % p for v in row] for row in zip(*cols)])
 
 
 def has_property_ur(E: ErrorSet, r: int) -> bool:
@@ -352,22 +370,6 @@ def moment_matrix(S: Syndrome, rows, cols, v: int = 0) -> FFMatrix:
                                              for row in map(table.__getitem__, rows)])
 
 
-def _accumulate_point(entries: list, point, weight: int, index: MonomialIndex):
-    p = index.p
-    if p == 2:
-        bits = [1 << v for v, c in enumerate(point) if c]
-        pos = mask_positions(index)
-        for d in range(min(index.t, len(bits)) + 1):
-            for comb in combinations(bits, d):
-                entries[pos[sum(comb)]] ^= 1
-        return
-    powers = [1] * index.size  # x^a = x^(a - e_v) x_v, v the lowest variable in a
-    for i, (parent, v) in enumerate(index.parents()[1:], 1):
-        powers[i] = powers[parent] * point[v] % p
-    for i, v in enumerate(powers):
-        entries[i] = (entries[i] + weight * v) % p
-
-
 def syndrome_from_errors(E: ErrorSet) -> Syndrome:
     """Sum of the degree <= 2r+1 tensor powers of the error locations."""
     return syndrome_from_weighted_errors(E, [1] * E.t)
@@ -376,12 +378,10 @@ def syndrome_from_errors(E: ErrorSet) -> Syndrome:
 def syndrome_from_weighted_errors(E: ErrorSet, weights) -> Syndrome:
     """Sum of weighted tensor powers: the syndrome of a word whose error at
     each location has the given magnitude."""
-    index = E.params.syndrome_index
-    entries = [0] * index.size
-    for e, w in zip(E.points, weights):
-        if w % E.params.p:
-            _accumulate_point(entries, e, w % E.params.p, index)
-    return Syndrome(E.params, tuple(entries))
+    p = E.params.p
+    cols = _point_columns(E.points, weights, E.params.syndrome_index)
+    return Syndrome(E.params, tuple([c.bit_count() & 1 for c in cols] if p == 2
+                                    else [sum(c) % p for c in cols]))
 
 
 def _slot_bits(m: int, p: int) -> int:

@@ -40,8 +40,7 @@ class FFMatrix:
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         if field.order == 2:
-            packed = [sum((1 << j) for j, v in enumerate(r) if v & 1) for r in rows]
-            return cls(field, nrows, ncols, packed, True)
+            return cls(field, nrows, ncols, list(map(pack_bits, rows)), True)
         order = field.order
         out = []
         for r in rows:
@@ -182,11 +181,8 @@ class FFMatrix:
             raise ValueError("length mismatch")
         f = self.field
         if self._packed:
-            vmask = sum(1 << j for j, x in enumerate(v) if x & 1)
-            out = []
-            for r in self._rows:
-                out.append(_parity(r & vmask))
-            return tuple(out)
+            vmask = pack_bits(v)
+            return tuple([_parity(r & vmask) for r in self._rows])
         mul, add = f.mul, f.add
         out = []
         for r in self._rows:
@@ -235,12 +231,14 @@ def xor_picked(vectors: list[int], x: int) -> int:
     return out
 
 
-_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
+# bytes 0 and 1 to ASCII digits; every other byte to one int() rejects
+_ASCII_BITS = b"01" + b"x" * 254
 
 
 def pack_bits(bits) -> int:
     """The int whose bit i is bits[i], for a sequence (or bytes) of 0s
-    and 1s: the bytes read back to front as an ASCII bit string."""
+    and 1s: the bytes read back to front as an ASCII bit string.  Raises
+    ValueError for any other entry."""
     return int(bytes(bits)[::-1].translate(_ASCII_BITS) or b"0", 2)
 
 

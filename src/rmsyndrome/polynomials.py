@@ -15,9 +15,9 @@ row echelon form, so equal spaces compare equal.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from operator import add
+from operator import add, mul
 
 from .fields import prime_field
 from .linalg import FFMatrix, pack_bits, rank, rref
@@ -104,26 +104,33 @@ class MonomialIndex:
 
     def parents(self) -> tuple:
         """For each non-constant monomial: (position of M / X_v, v) where v
-        is the lowest variable with nonzero exponent.  Entry 0 is None."""
+        is the lowest variable with nonzero exponent.  Entry 0 is None.
+        Over F_2 both are read off the support mask."""
         if self._parents is None:
-            out = [None]
-            for mono in self.monomials[1:]:
-                v = next(i for i, e in enumerate(mono) if e)
-                par = list(mono)
-                par[v] -= 1
-                out.append((self.position[tuple(par)], v))
-            self._parents = tuple(out)
+            if self.masks is not None:
+                pos = mask_positions(self)
+                out = [(pos[mask & mask - 1], (mask & -mask).bit_length() - 1)
+                       for mask in self.masks[1:]]
+            else:
+                out = []
+                for mono in self.monomials[1:]:
+                    v = next(i for i, e in enumerate(mono) if e)
+                    par = list(mono)
+                    par[v] -= 1
+                    out.append((self.position[tuple(par)], v))
+            self._parents = (None, *out)
         return self._parents
 
-    def monomial_eval(self, i: int, point) -> int:
-        field = prime_field(self.p)
-        acc = 1
-        for v, e in enumerate(self.monomials[i]):
-            if e:
-                acc = field.mul(acc, field.pow(point[v], e))
-                if acc == 0:
-                    return 0
-        return acc
+    def values(self, one, var, prod) -> list:
+        """One value per monomial by one walk down parents(): entry 0 is
+        `one`, entry i is prod(values[parent_i], var[v_i]).  With a point
+        as var and the product as prod, these are the monomials' values
+        at the point, unreduced."""
+        out = [one]
+        append = out.append
+        for parent, v in islice(self.parents(), 1, None):
+            append(prod(out[parent], var[v]))
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MonomialIndex) and other.m == self.m
@@ -225,26 +232,11 @@ class MultilinearPoly:
         return -1 if last < 0 else self.index.degree_of(last)
 
     def evaluate(self, point) -> int:
+        """The value at a point: the coefficients dotted with the
+        monomials' values there (MonomialIndex.values)."""
         if len(point) != self.index.m:
             raise ValueError("point dimension mismatch")
-        idx = self.index
-        if idx.p == 2:
-            xmask = 0
-            for v, x in enumerate(point):
-                if x & 1:
-                    xmask |= 1 << v
-            acc = 0
-            masks = idx.masks
-            for i, c in enumerate(self.coeffs):
-                if c and masks[i] & ~xmask == 0:
-                    acc ^= 1
-            return acc
-        f = self.field
-        acc = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc = f.add(acc, f.mul(c, idx.monomial_eval(i, point)))
-        return acc
+        return sum(map(mul, self.coeffs, self.index.values(1, point, mul))) % self.index.p
 
     def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         if other.index != self.index:

@@ -23,7 +23,7 @@ import math
 import warnings
 
 from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, explains,
-                   moment_matrix)
+                   moment_matrix, tensor_power)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
 from .linalg import FFMatrix, nullspace_basis, rank
@@ -150,7 +150,6 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     budget = max_iterations
     if budget is None:
         budget = math.ceil(100 * t * math.log2(t)) if t > 1 else 0
-    basis_polys = V.polys()
     f = prime_field(p)
     found: set = set()
     for _ in range(budget):
@@ -166,7 +165,7 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
         e = tuple(f.add(nv, xv) for nv, xv in zip(Nt.mat_vec(cand), x0))
         if e in found:
             continue
-        if any(P.evaluate(e) != 0 for P in basis_polys):
+        if any(V.basis.mat_vec(tensor_power(e, idx.t, p))):
             continue  # possible only when V is not a full vanishing space
         found.add(e)
         if len(found) == t:

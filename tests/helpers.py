@@ -3,6 +3,7 @@ decoders establish (or retry on) without computing them directly, and
 reference versions of library kernels for differential tests."""
 
 from functools import reduce
+from math import prod
 
 from rmsyndrome.code import (DecodingFailure, ErrorSet, Syndrome,
                              moment_matrix, syndrome_from_errors,
@@ -87,6 +88,14 @@ def check_ur_preserved(E: ErrorSet, M, b) -> bool:
     before = rank(tensor_power_matrix(E.points, params.r, params.p, params.m))
     after = rank(tensor_power_matrix(mapped, params.r, params.p, params.m))
     return before == after
+
+
+def direct_tensor_power(point, t: int, p: int = 2) -> tuple[int, ...]:
+    """The degree <= t tensor power of a point from the definition: the
+    entry of x^a is prod(pow(e_v, a_v, p)).  The reference for the walk
+    down the monomial index (MonomialIndex.values) and its readers."""
+    return tuple(prod(map(pow, point, mono, [p] * len(point))) % p
+                 for mono in monomial_index(len(point), t, p).monomials)
 
 
 def reference_pair_positions(m: int, row_deg: int, col_deg: int,

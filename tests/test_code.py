@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from rmsyndrome.code import (CodeParams, DegreeError, ErrorSet,
                              syndrome_of_word, syndrome_streaming, tensor_power,
                              tensor_power_matrix, write_word_file)
 from rmsyndrome.code import _fold, _pack, _power_transform, _slots
-from helpers import full_system_magnitudes
+from helpers import direct_tensor_power, full_system_magnitudes
 from rmsyndrome.linalg import rank
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index
 
@@ -79,6 +80,37 @@ def test_tensor_power_multiplicativity(rng):
             for j, mj in enumerate(idx1.monomials):
                 prod = tuple(min(a + b, 1) for a, b in zip(mi, mj))
                 assert t2[idx2.position[prod]] == t1[i] * t1[j]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("r", [1, 2])
+def test_monomial_walk_matches_the_direct_definition(p, r, rng):
+    # every reader of MonomialIndex.values against prod(pow(e_v, a_v, p)),
+    # on the empty set, the zero point and weights of 0 and >= p
+    m = 2 * r + 2
+    params = CodeParams(m, r, p)
+    pts = {(0,) * m} | {tuple(rng.randrange(p) for _ in range(m)) for _ in range(6)}
+    E = ErrorSet(params, pts)
+    for t in (r, 2 * r + 1):
+        powers = [direct_tensor_power(e, t, p) for e in E.points]
+        assert [tensor_power(e, t, p) for e in E.points] == powers
+        assert tensor_power_matrix(E.points, t, p).rows() == powers
+        empty = tensor_power_matrix((), t, p, m)
+        assert (empty.nrows, empty.ncols) == (0, monomial_index(m, t, p).size)
+    weights = [(0, p, p + 1, 2 * p - 1, 1)[i % 5] for i in range(E.t)]
+    for F, w in [(ErrorSet(params, ()), []), (E, [1] * E.t), (E, weights)]:
+        want = [0] * params.syndrome_index.size
+        for e, we in zip(F.points, w):
+            for i, x in enumerate(direct_tensor_power(e, 2 * r + 1, p)):
+                want[i] = (want[i] + we * x) % p
+        assert syndrome_from_weighted_errors(F, w).entries == tuple(want)
+    assert syndrome_from_errors(E) == syndrome_from_weighted_errors(E, [1] * E.t)
+    idx = monomial_index(m, r + 1, p)
+    for _ in range(3):
+        P = MultilinearPoly(idx, [rng.randrange(p) for _ in range(idx.size)])
+        for e in E.points:
+            want = sum(map(operator.mul, P.coeffs, direct_tensor_power(e, r + 1, p)))
+            assert P.evaluate(e) == want % p
 
 
 def test_property_ur_examples():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from conftest import random_invertible
-from helpers import (check_flattening_conditions, full_system_explains,
-                     reference_axis_points)
+from helpers import (check_flattening_conditions, direct_tensor_power,
+                     full_system_explains, reference_axis_points)
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode, explains,
                              int_to_point, moment_matrix, sample_error_set,
@@ -29,16 +29,15 @@ def test_tensor_entries_match_direct_sum(rng):
     params = CodeParams(6, 1)
     E = sample_error_set(params, 4, rng)
     T = tensor_from_syndrome(syndrome_from_errors(E))
-    idx1 = monomial_index(6, 1, 2)
-    assert T[0].nrows == idx1.size
-    for i in range(idx1.size):
-        for j in range(idx1.size):
+    size = monomial_index(6, 1, 2).size
+    powers = [direct_tensor_power(e, 1, 2) for e in E.points]
+    assert T[0].nrows == size
+    for i in range(size):
+        for j in range(size):
             for k in range(7):
                 direct = 0
-                for e in E.points:
-                    direct ^= (idx1.monomial_eval(i, e)
-                               & idx1.monomial_eval(j, e)
-                               & idx1.monomial_eval(k, e))
+                for x in powers:
+                    direct ^= x[i] & x[j] & x[k]
                 assert T[k].at(i, j) == direct
 
 

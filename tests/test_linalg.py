@@ -170,6 +170,15 @@ def test_pack_bits_sets_bit_i_to_entry_i(bits):
     assert pack_bits(bits) == pack_bits(bytes(bits)) == want
 
 
+@pytest.mark.parametrize("bad", [2, 32, 43, 45, 48, 49, 95, 255, 256, -1])
+def test_f2_rows_and_vectors_reject_entries_outside_0_1(bad):
+    # int() would read space, +, -, the ASCII digits 0 and 1 and _ as text
+    with pytest.raises(ValueError):
+        FFMatrix.from_rows(F2, [[0, 1], [bad, 0]])
+    with pytest.raises(ValueError):
+        FFMatrix.identity(F2, 2).mat_vec((1, bad))
+
+
 def test_char_poly_diagonal_and_zero():
     lams = [1, 2, 4]
     D = FFMatrix.diagonal(F16, lams)

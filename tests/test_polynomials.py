@@ -9,7 +9,7 @@ from helpers import affine_substitute, reference_pair_positions
 from rmsyndrome.code import tensor_power_matrix, vanishing_space
 from rmsyndrome.fields import prime_field
 from rmsyndrome.linalg import FFMatrix, inverse, rank
-from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
+from rmsyndrome.polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                                     moment_positions, monomial_count,
                                     monomial_index, poly_from_obj, poly_to_obj,
                                     reduce_exponent, reduce_terms, space_to_obj)
@@ -63,6 +63,16 @@ def test_moment_positions_match_the_exponent_tuple_reference(m, r, p):
     assert table == reference_pair_positions(m, r, r + 1, p)
     assert len(table) == monomial_count(m, r, p)
     assert {len(row) for row in table} == {monomial_count(m, r + 1, p)}
+
+
+@pytest.mark.parametrize("m,t", [(5, 3), (7, 2), (6, 6)])
+def test_f2_parents_read_off_masks_match_the_exponent_tuples(m, t):
+    idx = MonomialIndex(m, t, 2)  # uncached, so parents() is built here
+    want = [None]
+    for mono in idx.monomials[1:]:
+        v = mono.index(1)  # the lowest variable of the monomial
+        want.append((idx.position[mono[:v] + (0,) + mono[v + 1:]], v))
+    assert idx.parents() == tuple(want)
 
 
 def test_evaluate_constant_and_linear():

@@ -13,7 +13,7 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              sample_error_set, solve_error_magnitudes,
                              syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
-                             vanishing_space)
+                             tensor_power, vanishing_space)
 from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import decompose
 from rmsyndrome.linalg import FFMatrix, nullspace_basis, rank
@@ -127,6 +127,23 @@ def test_find_roots_degenerate_cases(rng):
     E1 = ErrorSet(params, ((1, 1, 0, 0, 1, 0),))
     V1 = space_roots(syndrome_from_errors(E1))
     assert find_roots(V1, rng).points == E1.points  # no isolation needed
+
+
+@pytest.mark.parametrize("m,r,p,t", [(8, 1, 2, 5), (5, 1, 3, 3)])
+def test_find_roots_returns_only_common_zeroes_of_a_partial_space(m, r, p, t, rng):
+    # half of a vanishing space's basis is not a full vanishing space, so
+    # isolation can read off candidates that are not common zeroes
+    E = sample_error_set(CodeParams(m, r, p), t, rng)
+    V = vanishing_space(E.points, r + 1, m, p)
+    W = PolySpace.from_matrix(V.index, V.basis.submatrix(range(V.dim // 2),
+                                                         range(V.index.size)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IsolationBoundWarning)
+        warnings.simplefilter("ignore", PartialRecoveryWarning)
+        found = find_roots(W, rng, max_iterations=200)
+    assert found.points
+    for e in found:
+        assert not any(W.basis.mat_vec(tensor_power(e, r + 1, p)))
 
 
 # The F_2 cases keep the ids they had before p became a parameter.
