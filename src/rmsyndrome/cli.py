@@ -67,6 +67,16 @@ def substream_rng(master: int, index: int) -> random.Random:
     return random.Random(substream_seed(master, index))
 
 
+def _t_range(text: str) -> tuple[int, int]:
+    """The bounds of --t-range LO:HI; an empty range is a bounds error later."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI with integer bounds, "
+                                         f"got {text!r}") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rmsyndrome",
                      description="syndrome decoding of high-rate Reed-Muller "
@@ -105,7 +115,7 @@ def build_parser() -> _Parser:
     exp.add_argument("--r", type=int, required=True)
     exp.add_argument("--p", type=int, default=2)
     exp.add_argument("--t", type=int, default=None)
-    exp.add_argument("--t-range", default=None, metavar="LO:HI",
+    exp.add_argument("--t-range", type=_t_range, default=None, metavar="LO:HI",
                      help="inclusive range of error counts to sweep")
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--seed", type=int, default=0)
@@ -271,7 +281,7 @@ def _cmd_experiment(args) -> int:
     if args.t is not None:
         t_values = [args.t]
     else:
-        lo, hi = (int(x) for x in args.t_range.split(":"))
+        lo, hi = args.t_range
         if hi < lo:
             raise ValueError("empty --t-range")
         t_values = list(range(lo, hi + 1))

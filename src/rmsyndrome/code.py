@@ -33,8 +33,9 @@ from pathlib import Path
 
 from .fields import is_prime, prime_field
 from .linalg import FFMatrix, nullspace_basis, pack_bits, rank, rref
-from .polynomials import (MultilinearPoly, PolySpace, moment_positions,
-                          monomial_count, monomial_index)
+from .polynomials import (MultilinearPoly, PolySpace, int_to_point,
+                          moment_positions, monomial_count, monomial_index,
+                          point_to_int)
 
 
 class SamplingError(RuntimeError):
@@ -58,24 +59,6 @@ class DegreeError(ValueError):
 class DecodingFailure(RuntimeError):
     """A decoder could not produce an error set consistent with the
     syndrome (typically a non-independent or oversized error set)."""
-
-
-# ---------------------------------------------------------------------------
-# Points.
-
-
-def point_to_int(point, p: int) -> int:
-    acc = 0
-    for c in reversed(point):
-        acc = acc * p + c
-    return acc
-
-
-def int_to_point(x: int, m: int, p: int) -> tuple[int, ...]:
-    out = [0] * m
-    for i in range(m):
-        x, out[i] = divmod(x, p)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -448,12 +431,13 @@ def _slots(W: int, m: int, p: int):
 def _run_layout(params: CodeParams, j: int) -> tuple:
     """The distinct run slots a_low of the syndrome monomials x^a =
     x_low^a_low x_high^a_high split at variable j, and per monomial its
-    a_low's index there and a_high's position in monomial_index(m - j, ...)."""
-    index = params.syndrome_index
+    a_low's index there and a_high's position in monomial_index(m - j, ...):
+    the key of x^a is a_high's key * p^j + a_low's run slot."""
+    index, q = params.syndrome_index, params.p ** j
     high = monomial_index(params.m - j, index.t, params.p).position
     lows: dict = {}
-    layout = tuple((lows.setdefault(point_to_int(mono[:j], params.p), len(lows)),
-                    high[mono[j:]]) for mono in index.monomials)
+    layout = tuple((lows.setdefault(low, len(lows)), high[hi])
+                   for hi, low in (divmod(key, q) for key in index.keys))
     return tuple(lows), layout
 
 
@@ -519,8 +503,7 @@ def encode(P: MultilinearPoly, params: CodeParams) -> ReceivedWord:
             f"degree {P.degree()} exceeds code degree {params.code_degree}")
     m, p = params.m, params.p
     table = [0] * params.n
-    positions = P.index.masks or [point_to_int(e, p) for e in P.index.monomials]
-    for i, c in zip(positions, P.coeffs):
+    for i, c in zip(P.index.keys, P.coeffs):
         table[i] = c
     W = _power_transform(_pack(table, m, p), m, p, moments=False)
     return ReceivedWord(params, W if p == 2 else

@@ -1,11 +1,13 @@
 """Reduced multivariate polynomials of bounded degree over F_p.
 
-A monomial is an exponent tuple of length m with every exponent < p
-(reduced: X^p = X on F_p points).  A MonomialIndex fixes the ordering of
-all monomials of total degree <= t: graded by degree, descending
-lexicographic within a degree, constant monomial at position 0.  Over F_2
-this is the usual subset order: within degree d, supports appear in
-itertools.combinations order.
+A monomial is an exponent vector of length m with every exponent < p
+(reduced: X^p = X on F_p points), keyed by one integer: the vector read
+as a little-endian base-p number, the same encoding as points
+(point_to_int).  x_v has key p^v; over F_2 the key is the support mask.
+A MonomialIndex fixes the ordering of all monomials of total degree <= t:
+graded by degree, descending lexicographic within a degree, constant
+monomial at position 0.  Over F_2 this is the usual subset order: within
+degree d, supports appear in itertools.combinations order.
 
 MultilinearPoly is a coefficient vector aligned to an index; PolySpace is
 a linear space of such polynomials whose basis matrix is kept in reduced
@@ -17,10 +19,27 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
-from operator import add, mul
+from operator import mul
 
 from .fields import prime_field
-from .linalg import FFMatrix, pack_bits, rank, rref
+from .linalg import FFMatrix, rank, rref
+
+
+def point_to_int(point, p: int) -> int:
+    """A point of F_p^m, or an exponent vector with entries in [0, p), as
+    a little-endian base-p number: the enumeration number of a point, the
+    key of a monomial."""
+    acc = 0
+    for c in reversed(point):
+        acc = acc * p + c
+    return acc
+
+
+def int_to_point(x: int, m: int, p: int) -> tuple[int, ...]:
+    out = [0] * m
+    for i in range(m):
+        x, out[i] = divmod(x, p)
+    return tuple(out)
 
 
 def reduce_exponent(e: int, p: int) -> int:
@@ -31,9 +50,14 @@ def reduce_exponent(e: int, p: int) -> int:
 
 
 class MonomialIndex:
-    """All reduced monomials in m variables of total degree <= t over F_p."""
+    """All reduced monomials in m variables of total degree <= t over F_p.
 
-    __slots__ = ("m", "t", "p", "monomials", "position", "masks",
+    Monomial i is keyed by keys[i], its exponent vector read as a
+    little-endian base-p number (point_to_int): x_v has key p^v, and over
+    F_2 the key is the support mask.  position maps a key back to i.  The
+    exponent tuples themselves (monomials) are built on first read."""
+
+    __slots__ = ("m", "t", "p", "keys", "position", "_monomials",
                  "_var_mul", "_parents")
 
     def __init__(self, m: int, t: int, p: int = 2):
@@ -42,83 +66,66 @@ class MonomialIndex:
         self.m = m
         self.t = t
         self.p = p
-        monos: list[tuple[int, ...]] = []
-        for d in range(min(t, m * (p - 1)) + 1):
-            monos.extend(self._degree_block(d))
-        self.monomials = tuple(monos)
-        self.position = {mono: i for i, mono in enumerate(monos)}
-        # over F_2, the support of each monomial as a bit mask
-        self.masks = tuple(map(pack_bits, monos)) if p == 2 else None
+        # graded, descending lex within a degree: over F_2 the supports in
+        # combinations order; over odd p the keys over variables v..m-1
+        # by degree, grown one variable at a time from the last
+        top = min(t, m * (p - 1))
+        if p == 2:
+            bits = [1 << v for v in range(m)]
+            keys = [key for d in range(top + 1) for key in map(sum, combinations(bits, d))]
+        else:
+            layer = [[0]] + [[] for _ in range(top)]
+            for q in reversed([p ** v for v in range(m)]):
+                layer = [[e * q + key for e in range(min(p - 1, d), -1, -1)
+                          for key in layer[d - e]] for d in range(top + 1)]
+            keys = [key for block in layer for key in block]
+        self.keys = tuple(keys)
+        self.position = {key: i for i, key in enumerate(keys)}
+        self._monomials = None
         self._var_mul: dict[int, tuple] = {}
         self._parents = None
 
-    def _degree_block(self, d: int) -> list[tuple[int, ...]]:
-        m, p = self.m, self.p
-        if d == 0:
-            return [(0,) * m]
-        if p == 2:
-            out = []
-            for supp in combinations(range(m), d):
-                e = [0] * m
-                for v in supp:
-                    e[v] = 1
-                out.append(tuple(e))
-            return out
-        block: list[tuple[int, ...]] = []
-
-        def gen(prefix, remaining, pos):
-            if pos == m:
-                if remaining == 0:
-                    block.append(tuple(prefix))
-                return
-            top = min(p - 1, remaining)
-            for e in range(top, -1, -1):  # descending lex
-                if remaining - e <= (m - pos - 1) * (p - 1):
-                    gen(prefix + [e], remaining - e, pos + 1)
-
-        gen([], d, 0)
-        return block
+    @property
+    def monomials(self) -> tuple:
+        """The exponent tuples, for polynomial I/O: int_to_point of the keys."""
+        if self._monomials is None:
+            m, p = self.m, self.p
+            self._monomials = tuple(int_to_point(key, m, p) for key in self.keys)
+        return self._monomials
 
     @property
     def size(self) -> int:
-        return len(self.monomials)
+        return len(self.keys)
 
     def degree_of(self, i: int) -> int:
-        return sum(self.monomials[i])
+        return sum(int_to_point(self.keys[i], self.m, self.p))
 
     def var_mul(self, v: int) -> tuple:
         """Map position i to the position of reduce(M_i * X_v), or -1 when
-        the product exceeds the degree bound."""
+        the product exceeds the degree bound: X_v adds p^v to the key,
+        except that X_v^(p-1) X_v = X_v subtracts (p-2) p^v (over F_2,
+        key | 1 << v)."""
         got = self._var_mul.get(v)
-        if got is not None:
-            return got
-        if self.masks is not None:
-            pos, bit = mask_positions(self), 1 << v
-            out = [pos.get(mask | bit, -1) for mask in self.masks]
-        else:
-            p, pos = self.p, self.position
-            out = [pos.get(e[:v] + (reduce_exponent(e[v] + 1, p),) + e[v + 1:], -1)
-                   for e in self.monomials]
-        self._var_mul[v] = tuple(out)
-        return self._var_mul[v]
+        if got is None:
+            p, pos, q = self.p, self.position, self.p ** v
+            got = self._var_mul[v] = tuple([
+                pos.get(key - (p - 2) * q if key // q % p == p - 1 else key + q, -1)
+                for key in self.keys])
+        return got
 
     def parents(self) -> tuple:
         """For each non-constant monomial: (position of M / X_v, v) where v
-        is the lowest variable with nonzero exponent.  Entry 0 is None.
-        Over F_2 both are read off the support mask."""
+        is the lowest variable with nonzero exponent, the lowest nonzero
+        base-p digit of the key (over F_2, its lowest set bit).  Entry 0
+        is None."""
         if self._parents is None:
-            if self.masks is not None:
-                pos = mask_positions(self)
-                out = [(pos[mask & mask - 1], (mask & -mask).bit_length() - 1)
-                       for mask in self.masks[1:]]
+            p, pos, keys = self.p, self.position, self.keys[1:]
+            if p == 2:
+                low = [(key & -key).bit_length() - 1 for key in keys]
             else:
-                out = []
-                for mono in self.monomials[1:]:
-                    v = next(i for i, e in enumerate(mono) if e)
-                    par = list(mono)
-                    par[v] -= 1
-                    out.append((self.position[tuple(par)], v))
-            self._parents = (None, *out)
+                low = [next(v for v, e in enumerate(int_to_point(key, self.m, p)) if e)
+                       for key in keys]
+            self._parents = (None, *[(pos[key - p ** v], v) for key, v in zip(keys, low)])
         return self._parents
 
     def values(self, one, var, prod) -> list:
@@ -157,29 +164,23 @@ def monomial_count(m: int, t: int, p: int = 2) -> int:
 
 
 @lru_cache(maxsize=None)
-def mask_positions(index: MonomialIndex) -> dict:
-    """Position of each monomial of an F_2 index, keyed by its support mask."""
-    return {mask: i for i, mask in enumerate(index.masks)}
-
-
-@lru_cache(maxsize=None)
 def moment_positions(m: int, r: int, p: int = 2) -> tuple[tuple[int, ...], ...]:
     """Entry (i, j) is the position of reduce(M_i * M_j) in
     monomial_index(m, 2r + 1, p), for M_i of degree <= r and M_j of degree
     <= r + 1: the index pattern of the moment (Hankel) matrix
     H[i, j] = s[reduce(M_i M_j)] of a syndrome s.
 
-    Over F_2 the product's support is the union of the supports, so a
-    position is read off the or of two masks; over odd p the exponent
-    tuples are added and reduced."""
+    Over F_2 the product's key is the or of the two keys.  Over odd p the
+    table is one walk down the rows (MonomialIndex.values): row i is its
+    parent's row shifted by x_v (var_mul), and row 0 is range(|M_{r+1}|),
+    since the columns are a prefix of the graded target index."""
     rows, cols, target = (monomial_index(m, d, p) for d in (r, r + 1, 2 * r + 1))
     if p == 2:
-        pos = mask_positions(target)
-        return tuple(tuple(map(pos.__getitem__, [a | b for b in cols.masks]))
-                     for a in rows.masks)
-    red = [reduce_exponent(e, p) for e in range(2 * p - 1)].__getitem__
-    return tuple(tuple(target.position[tuple(map(red, map(add, ei, ej)))]
-                       for ej in cols.monomials) for ei in rows.monomials)
+        pos = target.position
+        return tuple(tuple(map(pos.__getitem__, [a | b for b in cols.keys]))
+                     for a in rows.keys)
+    return tuple(rows.values(tuple(range(cols.size)), list(map(target.var_mul, range(m))),
+                             lambda row, shift: tuple(map(shift.__getitem__, row))))
 
 
 class MultilinearPoly:
@@ -206,17 +207,18 @@ class MultilinearPoly:
 
     @classmethod
     def variable(cls, index, v: int) -> "MultilinearPoly":
-        e = [0] * index.m
-        e[v] = 1
         out = [0] * index.size
-        out[index.position[tuple(e)]] = 1
+        out[index.position[index.p ** v]] = 1
         return cls(index, out)
 
     @classmethod
     def from_terms(cls, index, terms: dict) -> "MultilinearPoly":
         out = [0] * index.size
         for exps, c in terms.items():
-            out[index.position[tuple(exps)]] = c % index.p
+            # a key names a monomial only for m exponents in [0, p)
+            if len(exps) != index.m or not all(0 <= e < index.p for e in exps):
+                raise KeyError(tuple(exps))
+            out[index.position[point_to_int(exps, index.p)]] = c % index.p
         return cls(index, out)
 
     @property
@@ -287,7 +289,7 @@ def reduce_terms(terms: dict, index: MonomialIndex) -> MultilinearPoly:
         red = tuple(reduce_exponent(e, p) for e in exps)
         if sum(red) > index.t:
             raise ValueError("reduced monomial exceeds the index degree bound")
-        pos = index.position[red]
+        pos = index.position[point_to_int(red, p)]
         out[pos] = (out[pos] + c) % p
     return MultilinearPoly(index, out)
 

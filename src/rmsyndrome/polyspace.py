@@ -65,9 +65,7 @@ def find_unique_root(V: PolySpace) -> tuple | None:
     p = idx.p
     point = []
     for j in range(idx.m):
-        var_exp = [0] * idx.m
-        var_exp[j] = 1
-        var_pos = idx.position[tuple(var_exp)]
+        var_pos = idx.position[p ** j]
         hit = None
         for a in range(p):
             if p == 2:

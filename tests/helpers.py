@@ -3,6 +3,7 @@ decoders establish (or retry on) without computing them directly, and
 reference versions of library kernels for differential tests."""
 
 from functools import reduce
+from itertools import combinations
 from math import prod
 
 from rmsyndrome.code import (DecodingFailure, ErrorSet, Syndrome,
@@ -13,8 +14,8 @@ from rmsyndrome.jennrich import (_NOT_COMMON, _NOT_ONE_DIMENSIONAL,
                                  _check_leaf_count, _start_vector)
 from rmsyndrome.linalg import FFMatrix, rank, solve
 from rmsyndrome.polynomials import (MultilinearPoly, _affine_map,
-                                    monomial_index, reduce_exponent,
-                                    substitution_matrix)
+                                    monomial_index, point_to_int,
+                                    reduce_exponent, substitution_matrix)
 
 
 def check_flattening_conditions(F, a, b, E: ErrorSet) -> bool:
@@ -98,6 +99,31 @@ def direct_tensor_power(point, t: int, p: int = 2) -> tuple[int, ...]:
                  for mono in monomial_index(len(point), t, p).monomials)
 
 
+def reference_monomials(m: int, t: int, p: int = 2) -> list[tuple[int, ...]]:
+    """The exponent tuples of the reduced monomials of degree <= t, listed
+    graded by degree and in descending lex order within a degree (over
+    F_2, the supports in combinations order): the reference for the
+    order and the keys of polynomials.MonomialIndex."""
+    out = [(0,) * m]
+    for d in range(1, min(t, m * (p - 1)) + 1):
+        if p == 2:
+            out.extend(tuple(int(v in supp) for v in range(m))
+                       for supp in combinations(range(m), d))
+            continue
+
+        def gen(prefix, remaining):
+            if len(prefix) == m:
+                if remaining == 0:
+                    out.append(tuple(prefix))
+                return
+            for e in range(min(p - 1, remaining), -1, -1):
+                if remaining - e <= (m - len(prefix) - 1) * (p - 1):
+                    gen(prefix + [e], remaining - e)
+
+        gen([], d)
+    return out
+
+
 def reference_pair_positions(m: int, row_deg: int, col_deg: int,
                              p: int = 2) -> tuple[tuple[int, ...], ...]:
     """Entry (i, j) is the position of reduce(M_i * M_j) in
@@ -108,7 +134,7 @@ def reference_pair_positions(m: int, row_deg: int, col_deg: int,
     cols = monomial_index(m, col_deg, p)
     position = monomial_index(m, row_deg + col_deg, p).position
     return tuple(
-        tuple(position[tuple(reduce_exponent(a + b, p) for a, b in zip(ei, ej))]
+        tuple(position[point_to_int([reduce_exponent(a + b, p) for a, b in zip(ei, ej)], p)]
               for ej in cols.monomials)
         for ei in rows.monomials)
 

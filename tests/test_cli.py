@@ -9,7 +9,7 @@ from rmsyndrome.code import (CodeParams, ErrorSet, corrupt, encode,
                              read_word_file, sample_error_set,
                              syndrome_from_errors, write_syndrome_file,
                              write_word_file)
-from rmsyndrome.polynomials import MultilinearPoly, monomial_index
+from rmsyndrome.polynomials import MultilinearPoly, monomial_index, point_to_int
 
 
 def _write_poly(path, terms):
@@ -190,7 +190,7 @@ def test_decode_without_a_start_vector_exits_2(tmp_path, capsys):
     from rmsyndrome.code import Syndrome
     params = CodeParams(4, 1, 3)
     entries = [0] * params.syndrome_index.size
-    entries[params.syndrome_index.position[(2, 0, 0, 0)]] = 1
+    entries[params.syndrome_index.position[point_to_int((2, 0, 0, 0), 3)]] = 1
     spath = tmp_path / "synd.json"
     write_syndrome_file(Syndrome(params, tuple(entries)), spath)
     assert main(["decode", "--syndrome", str(spath),
@@ -243,15 +243,26 @@ def test_experiment_reproducible_and_summary(tmp_path):
     assert summary[0]["success_rate"] == "1.0"
 
 
-def test_experiment_decodes_every_trial_at_m_64(tmp_path):
-    # the paper's regime at r = 1: a 2^64-point code, t = m errors, with
+@pytest.mark.parametrize("m", [64, 128])
+def test_experiment_decodes_every_trial_at_m_64(tmp_path, m):
+    # the paper's regime at r = 1: a 2^m-point code, t = m errors, with
     # the default decoder from a cold position table
-    out = tmp_path / "m64.csv"
-    assert main(["experiment", "--m", "64", "--r", "1", "--t", "64",
+    out = tmp_path / f"m{m}.csv"
+    assert main(["experiment", "--m", str(m), "--r", "1", "--t", str(m),
                  "--trials", "2", "--omit-timing", "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     trials = [r for r in rows if r["record"] == "trial"]
     assert len(trials) == 2 and all(r["success"] == "1" for r in trials)
+
+
+@pytest.mark.parametrize("text", ["3", "1:x", "1:2:3"])
+def test_malformed_t_range_is_a_usage_error(tmp_path, capsys, text):
+    args = ["experiment", "--m", "8", "--r", "1", "--trials", "1",
+            "--out", str(tmp_path / "e.csv"), "--t-range"]
+    assert main(args + [text]) == 3
+    assert "argument --t-range: expected LO:HI" in capsys.readouterr().err
+    assert main(args + ["5:3"]) == 4  # well formed, but empty
+    assert "empty --t-range" in capsys.readouterr().err
 
 
 def test_experiment_t_sweep_records_sampling_failures(tmp_path):

@@ -79,7 +79,7 @@ def test_tensor_power_multiplicativity(rng):
         for i, mi in enumerate(idx1.monomials):
             for j, mj in enumerate(idx1.monomials):
                 prod = tuple(min(a + b, 1) for a, b in zip(mi, mj))
-                assert t2[idx2.position[prod]] == t1[i] * t1[j]
+                assert t2[idx2.position[point_to_int(prod, 2)]] == t1[i] * t1[j]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -9,7 +9,8 @@ from helpers import (check_flattening_conditions, direct_tensor_power,
                      full_system_explains, reference_axis_points)
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode, explains,
-                             int_to_point, moment_matrix, sample_error_set,
+                             int_to_point, moment_matrix, point_to_int,
+                             sample_error_set,
                              syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
@@ -308,8 +309,8 @@ def test_moment_matrix_reads_the_tensor_slices(S, data):
 
     def entry(i, j, v):
         x_v = [int(u == v - 1) for u in range(m)]
-        return S.entries[position[tuple(reduce_exponent(a + b + c, p) for a, b, c
-                                        in zip(monos[i], monos[j], x_v))]]
+        return S.entries[position[point_to_int([reduce_exponent(a + b + c, p) for a, b, c
+                                                in zip(monos[i], monos[j], x_v)], p)]]
 
     K0 = rref(moment_matrix(S, range(len(monos)), range(len(monos))))[2]
     subset = data.draw(st.lists(st.integers(0, len(monos) - 1), min_size=1,
@@ -376,7 +377,7 @@ def test_dependent_tensor_powers_raise(m, r, p):
 
 def _syndrome_with_one_entry(params, exponents):
     entries = [0] * params.syndrome_index.size
-    entries[params.syndrome_index.position[exponents]] = 1
+    entries[params.syndrome_index.position[point_to_int(exponents, params.p)]] = 1
     return Syndrome(params, tuple(entries))
 
 
@@ -416,7 +417,7 @@ def test_more_eigencomponents_than_the_rank_is_a_decoding_failure():
     E = ErrorSet(params, ((1, 0, 1, 1, 0, 0, 0, 0), (1, 1, 0, 1, 0, 1, 0, 0),
                           (0, 0, 0, 0, 1, 1, 0, 0)))
     entries = list(syndrome_from_errors(E).entries)
-    entries[params.syndrome_index.position[(0, 1, 1, 0, 0, 0, 0, 0)]] ^= 1
+    entries[params.syndrome_index.position[point_to_int((0, 1, 1, 0, 0, 0, 0, 0), 2)]] ^= 1
     S = Syndrome(params, tuple(entries))
     message = "8 eigencomponents for a rank-5 constant slice"
     with pytest.raises(DecodingFailure, match=message):

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import random_invertible
-from helpers import affine_substitute, reference_pair_positions
+from helpers import (affine_substitute, reference_monomials,
+                     reference_pair_positions)
 from rmsyndrome.code import tensor_power_matrix, vanishing_space
 from rmsyndrome.fields import prime_field
 from rmsyndrome.linalg import FFMatrix, inverse, rank
 from rmsyndrome.polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                                     moment_positions, monomial_count,
-                                    monomial_index, poly_from_obj, poly_to_obj,
-                                    reduce_exponent, reduce_terms, space_to_obj)
+                                    monomial_index, point_to_int, poly_from_obj,
+                                    poly_to_obj, reduce_exponent, reduce_terms,
+                                    space_to_obj)
 
 
 def test_graded_lex_order_constant_first():
@@ -32,11 +34,28 @@ def test_monomial_count_matches_index_size():
     assert monomial_count(400, 3, 2) == 1 + 400 + 79800 + 10586800
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_keys_are_the_base_p_numbers_of_the_reference_tuples(p):
+    # every index is a prefix of the reference at the top degree; uncached
+    # indexes, so the large ones (7^6 monomials at m = 6) are freed
+    for m in range(7):
+        ref = reference_monomials(m, m * (p - 1), p)
+        ref_keys = tuple(point_to_int(e, p) for e in ref)
+        ref_degrees = list(map(sum, ref))
+        for t in range(m * (p - 1) + 2):  # past the top degree too
+            idx = MonomialIndex(m, t, p)
+            n = monomial_count(m, t, p)
+            assert idx.keys == ref_keys[:n]
+            assert idx.position == {key: i for i, key in enumerate(ref_keys[:n])}
+            assert idx.monomials == tuple(ref[:n])
+            assert list(map(idx.degree_of, range(n))) == ref_degrees[:n]
+
+
 @pytest.mark.parametrize("m,t,p", [(5, 3, 2), (4, 3, 3), (3, 4, 5)])
 def test_monomial_order_round_trip(m, t, p):
     idx = monomial_index(m, t, p)
     for i, mono in enumerate(idx.monomials):
-        assert idx.position[mono] == i
+        assert idx.position[point_to_int(mono, p)] == i
     degs = [sum(mono) for mono in idx.monomials]
     assert degs == sorted(degs) and degs[0] == 0
 
@@ -50,7 +69,7 @@ def test_var_mul_matches_the_exponent_tuples(m, t, p):
         for mono in idx.monomials:
             e = list(mono)
             e[v] = reduce_exponent(e[v] + 1, p)
-            want.append(idx.position.get(tuple(e), -1))
+            want.append(idx.position.get(point_to_int(e, p), -1))
         assert idx.var_mul(v) == tuple(want)
 
 
@@ -71,7 +90,7 @@ def test_f2_parents_read_off_masks_match_the_exponent_tuples(m, t):
     want = [None]
     for mono in idx.monomials[1:]:
         v = mono.index(1)  # the lowest variable of the monomial
-        want.append((idx.position[mono[:v] + (0,) + mono[v + 1:]], v))
+        want.append((idx.position[point_to_int(mono[:v] + (0,) + mono[v + 1:], 2)], v))
     assert idx.parents() == tuple(want)
 
 
@@ -81,6 +100,15 @@ def test_evaluate_constant_and_linear():
     assert one.evaluate((0, 1)) == 1
     s = MultilinearPoly.from_terms(idx, {(1, 0): 1, (0, 1): 1})
     assert s.evaluate((1, 1)) == 0
+
+
+@pytest.mark.parametrize("m,t,p,exps", [(2, 2, 3, (3, 0)), (2, 1, 2, (1, 0, 0))],
+                         ids=["exponent-p", "m-plus-one-entries"])
+def test_from_terms_rejects_vectors_that_are_not_monomials(m, t, p, exps):
+    # read as base-p numbers both are keys of other monomials: 3 is x_1's
+    # key over F_3, 1 is x_0's
+    with pytest.raises(KeyError):
+        MultilinearPoly.from_terms(monomial_index(m, t, p), {exps: 1})
 
 
 @pytest.mark.parametrize("p,m", [(2, 8), (3, 4)])

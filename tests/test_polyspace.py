@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import check_ur_preserved
-from rmsyndrome import polyspace
+from rmsyndrome import code, polynomials, polyspace
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode, explains,
                              sample_error_set, solve_error_magnitudes,
                              syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
-                             tensor_power, vanishing_space)
+                             syndrome_streaming, tensor_power, vanishing_space)
 from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import decompose
 from rmsyndrome.linalg import FFMatrix, nullspace_basis, rank
-from rmsyndrome.polynomials import (MultilinearPoly, PolySpace,
+from rmsyndrome.polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                                     monomial_index)
 from rmsyndrome.polyspace import (IsolationBoundWarning,
                                   PartialRecoveryWarning,
@@ -346,3 +346,30 @@ def test_isolation_parametrization_enumerates_the_sampled_subspace(mp, t, seed):
     subspace = {x for x in itertools.product(range(p), repeat=m)
                 if C.mat_vec(x) == consts}
     assert len(set(image)) == len(image) and set(image) == subspace
+
+
+def test_no_decode_path_builds_exponent_tuples(monkeypatch):
+    # decoders and word syndromes read monomial keys only: with every
+    # index, position table and run layout cold, no index builds its
+    # exponent tuples
+    for cached in (polynomials.monomial_index, polynomials.moment_positions,
+                   code._run_layout):
+        cached.cache_clear()
+    monkeypatch.setattr(MonomialIndex, "monomials", property(
+        lambda idx: pytest.fail(f"{idx!r} built its exponent tuples")))
+    rng = random.Random(14)
+    for p, modes in ((2, polyspace.DECODER_MODES),
+                     (3, {"jennrich": ("axis", "rand"), "polyspace": ("det", "rand")})):
+        params = CodeParams(6, 1, p)
+        E = sample_error_set(params, 3, rng)
+        word = corrupt(encode(MultilinearPoly.zero(monomial_index(6, 2, p)), params),
+                       E, rng)
+        S = syndrome_of_word(word)
+        assert syndrome_streaming(params, word.iter_values()) == S
+        for algorithm, names in modes.items():
+            for mode in names:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IsolationBoundWarning)
+                    located, _ = locate_and_correct(S, algorithm, mode, rng,
+                                                    ext_degree=24)
+                assert located.points == E.points
