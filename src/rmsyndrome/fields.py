@@ -5,8 +5,9 @@ Field elements are plain Python ints everywhere.  In F_p an element is its
 residue, in F_{p^k} an element encodes its coefficient vector (lowest degree
 first) in base p; for p = 2 this is just the usual bit-packed polynomial
 representation, and multiplication runs on ints with carry-less arithmetic
-plus table-driven reduction.  Zero and one are always encoded as 0 and 1,
-and elements of the prime field keep their encoding inside any extension.
+plus reduction by folding the high half down.  Zero and one are always
+encoded as 0 and 1, and elements of the prime field keep their encoding
+inside any extension.
 """
 
 from __future__ import annotations
@@ -242,11 +243,13 @@ class ExtField:
 
     Elements are ints: the base-p digits of the int are the coefficients of
     the residue polynomial, lowest degree first.  For p = 2 multiplication
-    is carry-less int arithmetic with byte-table modular reduction.
+    is a 4-bit-windowed carry-less product folded back below degree k, and
+    the same two steps act on whole packed vectors (_window, _clmul,
+    _fold), which linalg uses for its matrices.
     """
 
     __slots__ = ("base", "k", "modulus", "p", "_modint", "_mask",
-                 "_redtab", "_modlow")
+                 "_lowbits", "_modlow")
 
     def __init__(self, base: PrimeField, k: int, modulus: "UniPoly"):
         if k < 1:
@@ -262,36 +265,13 @@ class ExtField:
         if self.p == 2:
             self._modint = sum(c << i for i, c in enumerate(modulus.coeffs))
             self._mask = (1 << k) - 1
-            self._redtab = self._build_redtab()
+            self._lowbits = tuple(i for i in range(k) if modulus.coeffs[i])
             self._modlow = None
         else:
             self._modint = None
             self._mask = None
-            self._redtab = None
+            self._lowbits = None
             self._modlow = modulus.coeffs[:-1]  # monic: X^k = -modlow
-
-    def _build_redtab(self):
-        # z^(k+i) mod modulus for i in [0, k-1], then byte tables over them.
-        k = self.k
-        zpow = []
-        cur = self._modint ^ (1 << k)
-        zpow.append(cur)
-        for _ in range(1, k):
-            cur <<= 1
-            if cur >> k & 1:
-                cur ^= self._modint
-            zpow.append(cur)
-        ntab = (k + 7) // 8
-        tabs = []
-        for t in range(ntab):
-            tab = [0] * 256
-            for byte in range(1, 256):
-                lsb = byte & -byte
-                j = lsb.bit_length() - 1
-                src = 8 * t + j
-                tab[byte] = tab[byte ^ lsb] ^ (zpow[src] if src < k else 0)
-            tabs.append(tab)
-        return tabs
 
     # Uniform field protocol -------------------------------------------------
     @property
@@ -305,16 +285,59 @@ class ExtField:
     zero = 0
     one = 1
 
-    def _reduce2(self, x: int) -> int:
-        lo = x & self._mask
-        hi = x >> self.k
-        t = 0
-        redtab = self._redtab
+    # Packed vectors over F_{2^k}: entry j sits in bits [2kj, 2kj + 2k) of
+    # one int, a slot wide enough for the unreduced carry-less product of
+    # two elements (Kronecker substitution; von zur Gathen & Gerhard,
+    # Modern Computer Algebra, 8.4).  A single element is the one-slot case.
+
+    def _pack(self, entries) -> int:
+        w = 2 * self.k
+        x = 0
+        for e in reversed(entries):
+            x = x << w | e
+        return x
+
+    def _unpack(self, x: int, n: int) -> tuple:
+        w = 2 * self.k
+        return tuple([x >> j * w & self._mask for j in range(n)])
+
+    @staticmethod
+    def _window(v: int) -> tuple:
+        """The carry-less products n * v for n < 16."""
+        t2 = v << 1
+        t4 = v << 2
+        t8 = v << 3
+        return (0, v, t2, t2 ^ v, t4, t4 ^ v, t4 ^ t2, t4 ^ t2 ^ v,
+                t8, t8 ^ v, t8 ^ t2, t8 ^ t2 ^ v, t8 ^ t4, t8 ^ t4 ^ v,
+                t8 ^ t4 ^ t2, t8 ^ t4 ^ t2 ^ v)
+
+    @staticmethod
+    def _clmul(c: int, tb: tuple) -> int:
+        """The carry-less product c * v for tb = _window(v), 4 bits of c
+        at a time.  With c and the slots of v below 2^k, each slot of the
+        product stays below 2^(2k - 1)."""
+        acc = shift = 0
+        while c:
+            if c & 15:
+                acc ^= tb[c & 15] << shift
+            c >>= 4
+            shift += 4
+        return acc
+
+    def _fold(self, x: int, lows: int) -> int:
+        """x with every slot that lows (the low k bits of some slots)
+        covers reduced mod the modulus, all slots at once.  X^k is the
+        modulus's low part, of degree below k, so a slot's high half hi
+        moves down as hi times that part: each pass lowers the degree of
+        hi, and no shift reaches the next slot."""
+        k = self.k
+        hi = x >> k & lows
         while hi:
-            lo ^= redtab[t][hi & 0xFF]
-            hi >>= 8
-            t += 1
-        return lo
+            x &= lows
+            for s in self._lowbits:
+                x ^= hi << s
+            hi = x >> k & lows
+        return x
 
     def _digits(self, a: int) -> list[int]:
         p = self.p
@@ -349,25 +372,7 @@ class ExtField:
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:
-            if a == 0 or b == 0:
-                return 0
-            # 4-bit windowed carry-less multiply, then table reduction
-            t1 = a
-            t2 = a << 1
-            t4 = t2 << 1
-            t8 = t4 << 1
-            tb = (0, t1, t2, t2 ^ t1, t4, t4 ^ t1, t4 ^ t2, t4 ^ t2 ^ t1,
-                  t8, t8 ^ t1, t8 ^ t2, t8 ^ t2 ^ t1, t8 ^ t4, t8 ^ t4 ^ t1,
-                  t8 ^ t4 ^ t2, t8 ^ t4 ^ t2 ^ t1)
-            acc = 0
-            shift = 0
-            while b:
-                w = b & 15
-                if w:
-                    acc ^= tb[w] << shift
-                b >>= 4
-                shift += 4
-            return self._reduce2(acc)
+            return self._fold(self._clmul(b, self._window(a)), self._mask)
         da, db = self._digits(a), self._digits(b)
         p = self.p
         prod = [0] * (2 * self.k - 1)
@@ -391,12 +396,14 @@ class ExtField:
 
     def square(self, a: int) -> int:
         if self.p == 2:
-            return self._reduce2(_gf2_square_int(a))
+            return self._fold(_gf2_square_int(a), self._mask)
         return self.mul(a, a)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if not 0 < a < self.order:
+            raise ValueError(f"{a} is not an element of {self!r}")
         if self.p == 2:
             # shift-xor extended Euclid (Hankerson, Menezes & Vanstone,
             # Guide to Elliptic Curve Cryptography, Alg. 2.48): a s0 = r0
@@ -760,39 +767,27 @@ def _c2_divmod(a: list, b: list, field, binv) -> tuple[list, list]:
     Algebra, 8.4): coefficients sit in 2k-bit slots of one int, wide
     enough for an unreduced carry-less product, so cancelling a leading
     term is one 4-bit-windowed carry-less product of a field element with
-    the packed divisor.  A slot is reduced into the field when it is read.
+    the packed divisor (ExtField._clmul).  A slot is reduced into the
+    field (ExtField._fold) when it is read.
     """
     db = len(b) - 1
     if len(a) <= db:
         return [], _c2_trim(a[:])
-    w = 2 * (field.order.bit_length() - 1)
+    if field.order == 2:  # the packed-vector helpers live on ExtField
+        field = extension_field(2, 1)
+    w = 2 * field.k
     mask = (1 << w) - 1
-    reduce = field._reduce2 if field.order > 2 else int
-    A = B = 0
-    for c in reversed(a):
-        A = A << w | c
-    for c in reversed(b):
-        B = B << w | c
-    tb = [0] * 16  # tb[n] = carry-less n * B
-    for n in range(1, 16):
-        low = n & -n
-        tb[n] = (B << low.bit_length() - 1) ^ tb[n ^ low]
-    fmul = field.mul
+    fold, clmul = field._fold, field._clmul
+    A, tb = field._pack(a), field._window(field._pack(b))
     quo = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
-        c = reduce(A >> i * w & mask)
+        c = fold(A >> i * w & mask, field._mask)
         if c:
-            qc = fmul(c, binv) if binv != 1 else c
+            qc = field.mul(c, binv) if binv != 1 else c
             quo[i - db] = qc
-            prod = shift = 0
-            while qc:
-                if qc & 15:
-                    prod ^= tb[qc & 15] << shift
-                qc >>= 4
-                shift += 4
-            A ^= prod << (i - db) * w
-    rem = [reduce(A >> j * w & mask) for j in range(db)]
-    return _c2_trim(quo), _c2_trim(rem)
+            A ^= clmul(qc, tb) << (i - db) * w
+    rem = field._unpack(fold(A, field._pack([field._mask] * db)), db)
+    return _c2_trim(quo), _c2_trim(list(rem))
 
 
 def _c2_gcd(a: list, b: list, field) -> list:

@@ -129,10 +129,17 @@ def derandomized_flattening_vectors(F, alpha: int, m: int) -> tuple[tuple, tuple
     distinctness conditions for every error set: the discriminating
     polynomials have degree <= 6m with F_2 coefficients, so they cannot
     vanish at an element whose minimal polynomial has degree D.
+    Both are running products: each entry of a is the one before times
+    a, each entry of b the one before times a^2.
     """
-    a = tuple(F.pow(alpha, i) for i in range(m + 1))
-    b = tuple(F.pow(alpha, 3 * m + 2 * i) for i in range(m + 1))
-    return a, b
+    a = [1]
+    for _ in range(m):
+        a.append(F.mul(a[-1], alpha))
+    step = F.square(alpha)
+    b = [F.mul(F.square(a[m]), a[m])]
+    for _ in range(m):
+        b.append(F.mul(b[-1], step))
+    return tuple(a), tuple(b)
 
 
 def decompose(S: Syndrome, mode: str = "randomized", rng=None,

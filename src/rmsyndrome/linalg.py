@@ -2,9 +2,12 @@
 
 FFMatrix stores F_2 matrices bit-packed (one Python int per row, bit j is
 column j) so row operations are single xors; matrices over any other field
-keep tuple-of-int rows and go through the field's arithmetic methods.
-Matrices are immutable from the caller's point of view: every operation
-returns fresh values.
+keep tuple-of-int rows.  Over F_{2^k}, k >= 2, rref, products and mat_vec
+pack each row (or column) into one int on entry, one entry per 2k-bit slot
+(ExtField's packed vectors), so a row operation is one windowed carry-less
+product and one fold; over odd p they go through the field's arithmetic
+methods.  Matrices are immutable from the caller's point of view: every
+operation returns fresh values.
 """
 
 from __future__ import annotations
@@ -160,9 +163,21 @@ class FFMatrix:
         if self._packed:
             out = [xor_picked(other._rows, r) for r in self._rows]
             return FFMatrix(f, self.nrows, other.ncols, out, True)
-        mul, add = f.mul, f.add
         bcols = other.ncols
         brows = other._rows
+        if f.char == 2:  # F_{2^k}: row i combines the packed rows of other
+            tables = [f._window(f._pack(rb)) for rb in brows]
+            lows = f._pack([f._mask] * bcols)
+            clmul = f._clmul
+            out = []
+            for ra in self._rows:
+                acc = 0
+                for c, tb in zip(ra, tables):
+                    if c:
+                        acc ^= clmul(c, tb)
+                out.append(f._unpack(f._fold(acc, lows), bcols))
+            return FFMatrix(f, self.nrows, bcols, out, False)
+        mul, add = f.mul, f.add
         out = []
         for ra in self._rows:
             acc = [0] * bcols
@@ -183,6 +198,8 @@ class FFMatrix:
         if self._packed:
             vmask = pack_bits(v)
             return tuple([_parity(r & vmask) for r in self._rows])
+        if f.char == 2:  # F_{2^k}: the columns combined by the entries of v
+            return (FFMatrix.from_rows(f, [v]) @ self.transpose()).row(0)
         mul, add = f.mul, f.add
         out = []
         for r in self._rows:
@@ -280,6 +297,8 @@ def rref(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
                 break
         return FFMatrix(M.field, M.nrows, M.ncols, rows, True), len(pivots), tuple(pivots)
     f = M.field
+    if f.char == 2:
+        return _rref_c2(M)
     mul, sub, inv = f.mul, f.sub, f.inv
     rows = [list(r) for r in M._rows]
     pivots = []
@@ -312,6 +331,44 @@ def rref(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
         if prow == M.nrows:
             break
     out = FFMatrix(f, M.nrows, M.ncols, [tuple(r) for r in rows], False)
+    return out, len(pivots), tuple(pivots)
+
+
+def _rref_c2(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
+    """rref over F_{2^k}, k >= 2, on packed rows.  Scaling the pivot row
+    and clearing its column from another row are each one windowed
+    carry-less product with the pivot row from that column on (its window
+    table built once per pivot) and one fold of the product."""
+    f = M.field
+    n, ncols = M.nrows, M.ncols
+    w = 2 * f.k
+    lo = f._mask
+    lows = f._pack([lo] * ncols)
+    window, clmul, fold = f._window, f._clmul, f._fold
+    rows = [f._pack(r) for r in M._rows]
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        sh = col * w
+        piv = next((i for i in range(prow, n) if rows[i] >> sh & lo), None)
+        if piv is None:
+            continue
+        rows[prow], rows[piv] = rows[piv], rows[prow]
+        pr = rows[prow] >> sh  # the slots before col are 0
+        if pr & lo != 1:
+            pr = fold(clmul(f.inv(pr & lo), window(pr)), lows)
+            rows[prow] = pr << sh
+        tb = window(pr)
+        for i in range(n):
+            if i != prow:
+                c = rows[i] >> sh & lo
+                if c:
+                    rows[i] ^= fold(clmul(c, tb), lows) << sh
+        pivots.append(col)
+        prow += 1
+        if prow == n:
+            break
+    out = FFMatrix(f, n, ncols, [f._unpack(r, ncols) for r in rows], False)
     return out, len(pivots), tuple(pivots)
 
 

@@ -214,3 +214,113 @@ def _eigenvalues(stacked: FFMatrix, y: tuple, f) -> tuple[int, ...]:
             raise DecodingFailure(_NOT_COMMON)
         out.append(c)
     return tuple(out)
+
+
+# Schoolbook F_{2^k} arithmetic, one bit at a time: the reference for the
+# packed carry-less kernels (ExtField._clmul, ExtField._fold) and for the
+# matrix and polynomial code built on them.
+
+def ref_modulus(F) -> int:
+    return sum(c << i for i, c in enumerate(F.modulus.coeffs))
+
+
+def ref_clmul(a: int, b: int) -> int:
+    out = 0
+    i = 0
+    while b:
+        if b & 1:
+            out ^= a << i
+        b >>= 1
+        i += 1
+    return out
+
+
+def ref_divmod2(a: int, b: int) -> tuple[int, int]:
+    """Long division of a by b in F_2[X], polynomials as ints."""
+    db = b.bit_length() - 1
+    q = 0
+    for i in range(a.bit_length() - 1, db - 1, -1):
+        if a >> i & 1:
+            a ^= b << (i - db)
+            q |= 1 << (i - db)
+    return q, a
+
+
+def ref_mul(F, a: int, b: int) -> int:
+    return ref_divmod2(ref_clmul(a, b), ref_modulus(F))[1]
+
+
+def ref_inv(F, a: int) -> int:
+    """Extended Euclid by long division: s a = r mod the modulus."""
+    r0, r1, s0, s1 = ref_modulus(F), a, 0, 1
+    while r1:
+        q, r = ref_divmod2(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 ^ ref_clmul(q, s1)
+    assert r0 == 1
+    return ref_divmod2(s0, ref_modulus(F))[1]
+
+
+def ref_pow(F, a: int, e: int) -> int:
+    if e < 0:
+        a, e = ref_inv(F, a), -e
+    out = 1
+    for bit in bin(e)[2:]:
+        out = ref_mul(F, out, out)
+        if bit == "1":
+            out = ref_mul(F, out, a)
+    return out
+
+
+def ref_rref(F, rows, ncols):
+    """Gauss-Jordan with linalg.rref's pivot rule, entry by entry:
+    (reduced rows, rank, pivot columns)."""
+    R = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(R)) if R[i][col]), None)
+        if piv is None:
+            continue
+        R[top], R[piv] = R[piv], R[top]
+        inv = ref_inv(F, R[top][col])
+        R[top] = [ref_mul(F, inv, x) for x in R[top]]
+        for i, row in enumerate(R):
+            c = row[col]
+            if i != top and c:
+                R[i] = [x ^ ref_mul(F, c, y) for x, y in zip(row, R[top])]
+        pivots.append(col)
+    return R, len(pivots), tuple(pivots)
+
+
+def ref_matmul(F, A, B, ncols):
+    return [[reduce(int.__xor__, (ref_mul(F, a, row[j]) for a, row in zip(ra, B)), 0)
+             for j in range(ncols)] for ra in A]
+
+
+def ref_poly_divmod(F, a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of coefficient lists (lowest first, b's
+    leading coefficient nonzero), both trimmed."""
+    rem = list(a)
+    db = len(b) - 1
+    lead_inv = ref_inv(F, b[-1])
+    quo = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        if rem[i]:
+            q = quo[i - db] = ref_mul(F, rem[i], lead_inv)
+            for j, y in enumerate(b):
+                rem[i - db + j] ^= ref_mul(F, q, y)
+    return _trimmed(quo), _trimmed(rem[:db])
+
+
+def ref_poly_mul(F, a: list, b: list) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= ref_mul(F, x, y)
+    return _trimmed(out)
+
+
+def _trimmed(v: list) -> list:
+    while v and not v[-1]:
+        v.pop()
+    return v

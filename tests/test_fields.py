@@ -193,3 +193,12 @@ def test_ext_field_inverse_over_f2(k, data):
     assert inv == F.pow(a, F.order - 2)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+def test_ext_field_inverse_rejects_ints_outside_the_field():
+    F256, F9 = extension_field(2, 8), extension_field(3, 2)
+    # 283 encodes F_256's modulus X^8 + X^4 + X^3 + X + 1: its inverse used
+    # to loop forever, and the inverse of 9 over F_9 used to be 0
+    for F, a in ((F256, 283), (F256, 256), (F256, -1), (F9, 9), (F9, 10), (F9, -1)):
+        with pytest.raises(ValueError):
+            F.inv(a)

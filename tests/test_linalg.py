@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_invertible
-from rmsyndrome.fields import UniPoly, extension_field, prime_field
+from rmsyndrome.fields import ExtField, UniPoly, extension_field, prime_field
 from rmsyndrome.linalg import (FFMatrix, SingularMatrixError,
                                SpectrumNotSimpleError, char_poly,
                                eigen_decompose, full_rank_submatrix, inverse,
@@ -268,3 +268,36 @@ def test_inverse_errors():
     with pytest.raises(ValueError):
         inverse(FFMatrix.zeros(F2, 2, 3))
 
+
+def test_f2k_matrix_ops_make_no_element_products(monkeypatch, rng):
+    """Over F_{2^k} rref, inverse, @ and mat_vec work on packed rows:
+    no ExtField.mul call, and at most one inv per pivot."""
+    F = extension_field(2, 120)
+    M = _random_matrix(F, 8, 21, rng)
+    A = random_invertible(F, 8, rng)
+    v = [F.random_element(rng) for _ in range(21)]
+    calls = {"mul": 0, "inv": 0}
+
+    def counted(name):
+        method = getattr(ExtField, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(ExtField, "mul", counted("mul"))
+    monkeypatch.setattr(ExtField, "inv", counted("inv"))
+    _, rk, _ = rref(M)
+    assert calls["mul"] == 0 and calls["inv"] <= rk
+    inverse(A)
+    A @ M
+    M.mat_vec(v)
+    assert calls["mul"] == 0 and calls["inv"] <= rk + 8
+
+
+def test_f2k_mat_vec_rejects_entries_outside_the_field():
+    M = FFMatrix.identity(F16, 2)
+    for bad in (16, -1):
+        with pytest.raises(ValueError):
+            M.mat_vec([1, bad])
