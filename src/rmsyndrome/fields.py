@@ -8,6 +8,10 @@ representation, and multiplication runs on ints with carry-less arithmetic
 plus reduction by folding the high half down.  Zero and one are always
 encoded as 0 and 1, and elements of the prime field keep their encoding
 inside any extension.
+
+Univariate polynomials over every field divide by one routine,
+poly_divmod, and take gcds by one, poly_gcd, both on coefficient lists;
+UniPoly, the root finder and the Jennrich split all call these two.
 """
 
 from __future__ import annotations
@@ -569,31 +573,15 @@ class UniPoly:
         return hash((self.field, self.coeffs))
 
     def divmod_by(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        dl = other.degree
-        lead_inv = f.inv(other.coeffs[-1])
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - dl, 0)
-        for i in range(len(rem) - 1, dl - 1, -1):
-            c = rem[i]
-            if c:
-                q = f.mul(c, lead_inv)
-                quo[i - dl] = q
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        rem[i - dl + j] = f.sub(rem[i - dl + j], f.mul(q, b))
-        return UniPoly(f, quo), UniPoly(f, rem)
+        quo, rem = poly_divmod(self.coeffs, other.coeffs, self.field)
+        return UniPoly(self.field, quo), UniPoly(self.field, rem)
 
     def mod(self, other: "UniPoly") -> "UniPoly":
         return self.divmod_by(other)[1]
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.mod(b)
-        return a.monic()
+        """The monic gcd (zero when both are zero)."""
+        return UniPoly(self.field, poly_gcd(self.coeffs, other.coeffs, self.field))
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
         if e < 0:
@@ -749,63 +737,81 @@ def berlekamp_roots(f: UniPoly) -> dict[int, int]:
     return out
 
 
-# Char-2 fast path: polynomials as plain coefficient lists (lowest first,
-# trimmed), addition is elementwise xor, division packs them into ints.
+# Polynomials as plain coefficient lists (lowest first, trimmed): the one
+# division and gcd behind UniPoly and the Jennrich split.
 
 
-def _c2_trim(v: list) -> list:
+def _trim(v: list) -> list:
     while v and not v[-1]:
         v.pop()
     return v
 
 
-def _c2_divmod(a: list, b: list, field, binv) -> tuple[list, list]:
-    """Quotient and remainder of a by b over a field of order 2^k; binv is
-    the inverse of b's leading coefficient.
+def poly_divmod(a, b, field) -> tuple[list, list]:
+    """Quotient and remainder of a by b, coefficient sequences over the
+    field (lowest degree first, b trimmed), as trimmed lists; raises
+    ZeroDivisionError for b = 0.
 
-    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
-    Algebra, 8.4): coefficients sit in 2k-bit slots of one int, wide
-    enough for an unreduced carry-less product, so cancelling a leading
-    term is one 4-bit-windowed carry-less product of a field element with
-    the packed divisor (ExtField._clmul).  A slot is reduced into the
-    field (ExtField._fold) when it is read.
+    Over characteristic 2 this is Kronecker substitution (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 8.4): coefficients sit in 2k-bit
+    slots of one int, wide enough for an unreduced carry-less product, so
+    cancelling a leading term is one 4-bit-windowed carry-less product of
+    a field element with the packed divisor (ExtField._clmul), and a slot
+    is reduced into the field (ExtField._fold) when it is read.  Over odd
+    characteristic it is schoolbook long division.  b's leading inverse is
+    taken only when it is not 1.
     """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
     if len(a) <= db:
-        return [], _c2_trim(a[:])
-    if field.order == 2:  # the packed-vector helpers live on ExtField
-        field = extension_field(2, 1)
-    w = 2 * field.k
-    mask = (1 << w) - 1
-    fold, clmul = field._fold, field._clmul
-    A, tb = field._pack(a), field._window(field._pack(b))
+        return [], _trim(list(a))
+    lead_inv = field.inv(b[-1]) if b[-1] != 1 else 1
     quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = fold(A >> i * w & mask, field._mask)
-        if c:
-            qc = field.mul(c, binv) if binv != 1 else c
-            quo[i - db] = qc
-            A ^= clmul(qc, tb) << (i - db) * w
-    rem = field._unpack(fold(A, field._pack([field._mask] * db)), db)
-    return _c2_trim(quo), _c2_trim(list(rem))
+    if field.char == 2:
+        if field.order == 2:  # the packed-vector helpers live on ExtField
+            field = extension_field(2, 1)
+        w = 2 * field.k
+        mask = (1 << w) - 1
+        fold, clmul = field._fold, field._clmul
+        A, tb = field._pack(a), field._window(field._pack(b))
+        for i in range(len(a) - 1, db - 1, -1):
+            c = fold(A >> i * w & mask, field._mask)
+            if c:
+                qc = quo[i - db] = field.mul(c, lead_inv) if lead_inv != 1 else c
+                A ^= clmul(qc, tb) << (i - db) * w
+        rem = list(field._unpack(fold(A, field._pack([field._mask] * db)), db))
+    else:
+        mul, sub = field.mul, field.sub
+        rem = list(a)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = rem[i]
+            if c:
+                qc = quo[i - db] = mul(c, lead_inv) if lead_inv != 1 else c
+                for j, y in enumerate(b):
+                    if y:
+                        rem[i - db + j] = sub(rem[i - db + j], mul(qc, y))
+        del rem[db:]
+    return _trim(quo), _trim(rem)
 
 
-def _c2_gcd(a: list, b: list, field) -> list:
-    finv = field.inv
+def poly_gcd(a, b, field) -> list:
+    """The monic gcd of the trimmed coefficient lists a and b ([] when both
+    are zero), by Euclid's remainder sequence through poly_divmod."""
     while b:
-        a, b = b, _c2_divmod(a, b, field, finv(b[-1]))[1]
+        a, b = b, poly_divmod(a, b, field)[1]
     if a and a[-1] != 1:
-        inv = finv(a[-1])
+        inv = field.inv(a[-1])
         a = [field.mul(c, inv) if c else 0 for c in a]
     return a
 
 
-def _c2_sqmod(a: list, m: list, field, minv) -> list:
+def _c2_sqmod(a: list, m: list, field) -> list:
     out = [0] * (2 * len(a) - 1) if a else []
     for i, c in enumerate(a):
         if c:
             out[2 * i] = field.square(c)
-    return _c2_divmod(out, m, field, minv)[1]
+    return poly_divmod(out, m, field)[1]
 
 
 def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
@@ -815,7 +821,7 @@ def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
     splits g with trace polynomials Tr(uX) mod g.  Traces are computed
     once at the top and reduced down the splitting tree.
     """
-    fmul, finv, fsquare = field.mul, field.inv, field.square
+    fmul, fsquare = field.mul, field.square
     kappa = (field.order - 1).bit_length()  # q = 2^kappa
     m = list(fm.coeffs)
     if len(m) == 2:  # linear: root is the constant term in char 2
@@ -824,16 +830,16 @@ def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
     h = [0, 1]
     for _ in range(kappa):
         frob.append(h)
-        h = _c2_sqmod(h, m, field, 1)
+        h = _c2_sqmod(h, m, field)
     # h = X^q mod fm
     hx = h[:]
     if len(hx) < 2:
         hx += [0] * (2 - len(hx))
     hx[1] ^= 1
-    g = _c2_gcd(m, _c2_trim(hx), field)
+    g = poly_gcd(m, _trim(hx), field)
     if len(g) <= 1:
         return []
-    frob_g = [_c2_divmod(fb, g, field, 1)[1] for fb in frob]
+    frob_g = [poly_divmod(fb, g, field)[1] for fb in frob]
     traces: dict[int, list] = {}
 
     def trace_at_root(u: int) -> list:
@@ -844,15 +850,14 @@ def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
                 if c:
                     w[i] ^= fmul(uu, c) if uu != 1 else c
             uu = fsquare(uu)
-        return _c2_trim(w)
+        return _trim(w)
 
     roots: list[int] = []
     stack = [g]
     while stack:
         hcur = stack.pop()
-        if len(hcur) == 2:
-            c0, c1 = hcur
-            roots.append(c0 if c1 == 1 else fmul(c0, finv(c1)))
+        if len(hcur) == 2:  # monic, as gcds and their cofactors are
+            roots.append(hcur[0])
             continue
         # u walks the power basis z^j: the trace form is nondegenerate, so
         # some basis element separates any fixed pair of distinct roots
@@ -861,11 +866,11 @@ def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
             w = traces.get(u)
             if w is None:
                 w = traces[u] = trace_at_root(u)
-            wr = _c2_divmod(w, hcur, field, finv(hcur[-1]))[1]
-            d = _c2_gcd(hcur, wr, field)
+            wr = poly_divmod(w, hcur, field)[1]
+            d = poly_gcd(hcur, wr, field)
             if 1 < len(d) < len(hcur):
                 stack.append(d)
-                stack.append(_c2_divmod(hcur, d, field, finv(d[-1]))[0])
+                stack.append(poly_divmod(hcur, d, field)[0])
                 break
         else:
             raise RuntimeError("trace splitting failed on distinct roots")

@@ -48,8 +48,8 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
-from .fields import (UniPoly, _c2_divmod, _c2_gcd, extension_field,
-                     find_primitive_element)
+from .fields import (extension_field, find_primitive_element, poly_divmod,
+                     poly_gcd)
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
@@ -246,29 +246,18 @@ def _split_points(chi: list, gs: list[list], F) -> list[tuple]:
     A node is a monic factor h of chi whose roots share the coordinates
     found so far.  Variable v splits h into the gcd(h, g_v - c), c in F_p,
     which is the polynomial form of axis_decompose's idempotent split.
-    No root of chi is ever computed.  Raises _RetryableFailure when the
+    No root of chi is ever computed, and the division and gcd are
+    fields.poly_divmod and poly_gcd on the coefficient lists, the same
+    calls for every characteristic.  Raises _RetryableFailure when the
     factors of a node fall short of its degree (a coordinate outside the
     base field) or a final node is not linear (a repeated root, or one
     outside F).
     """
-    p = F.p
-    if p == 2:
-        def rem(g, h):
-            return _c2_divmod(g, h, F, 1)[1]
-
-        def gcd(h, g):
-            return _c2_gcd(h, g, F)
-    else:
-        def rem(g, h):
-            return list(UniPoly(F, g).mod(UniPoly(F, h)).coeffs)
-
-        def gcd(h, g):
-            return list(UniPoly(F, h).gcd(UniPoly(F, g)).coeffs)
     nodes = [(chi, ())]
     for g in gs:
         split = []
         for h, point in nodes:
-            r = rem(g, h)
+            r = poly_divmod(g, h, F)[1]
             if len(r) <= 1:  # every root of h gives g the value r
                 c = r[0] if r else 0
                 if not F.is_base(c):
@@ -276,8 +265,8 @@ def _split_points(chi: list, gs: list[list], F) -> list[tuple]:
                 split.append((h, point + (c,)))
                 continue
             parts = []
-            for c in range(p):
-                d = gcd(h, [F.sub(r[0], c)] + r[1:])
+            for c in range(F.p):
+                d = poly_gcd(h, [F.sub(r[0], c)] + r[1:], F)
                 if len(d) > 1:
                     parts.append((d, point + (c,)))
             if sum(len(d) - 1 for d, _ in parts) != len(h) - 1:

@@ -81,6 +81,8 @@ class FFMatrix:
     # Element access ----------------------------------------------------------
     def at(self, i, j) -> int:
         if self._packed:
+            if j >= self.ncols:
+                raise IndexError("column index out of range")
             return self._rows[i] >> j & 1
         return self._rows[i][j]
 
@@ -213,6 +215,8 @@ class FFMatrix:
     def submatrix(self, row_idx, col_idx) -> "FFMatrix":
         row_idx, col_idx = list(row_idx), list(col_idx)
         if self._packed:
+            if max(col_idx, default=-1) >= self.ncols:
+                raise IndexError("column index out of range")
             rows = []
             for i in row_idx:
                 r = self._rows[i]

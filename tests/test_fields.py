@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rmsyndrome.fields import (OrderFactorizationError, UniPoly,
+from rmsyndrome.fields import (ExtField, OrderFactorizationError, UniPoly,
                                berlekamp_roots, extension_field, factorize,
                                find_irreducible, find_primitive_element,
-                               is_irreducible, is_prime, prime_field)
+                               is_irreducible, is_prime, poly_divmod, poly_gcd,
+                               prime_field)
 
 F2 = prime_field(2)
+ODD_FIELDS = [prime_field(3), prime_field(5), extension_field(3, 2),
+              extension_field(3, 4), extension_field(5, 2)]
 
 
 def test_find_irreducible_degree_one():
@@ -182,6 +185,63 @@ def test_unipoly_divmod_gcd(rng):
     g = find_irreducible(F2, 5)
     h = find_irreducible(F2, 3)
     assert (g * h).gcd(g * g) == g
+
+
+def test_unipoly_division_over_f2k_makes_no_element_products(monkeypatch, rng):
+    """UniPoly over F_{2^k} divides on packed coefficients: a monic
+    divisor costs no ExtField.mul call."""
+    F = extension_field(2, 40)
+    a = UniPoly(F, [F.random_element(rng) for _ in range(50)] + [1])
+    b = UniPoly(F, [F.random_element(rng) for _ in range(9)] + [1])
+    calls = []
+    mul = ExtField.mul
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(ExtField, "mul", counted)
+    q, r = a.divmod_by(b)
+    monkeypatch.undo()
+    assert calls == []
+    assert q * b + r == a
+
+
+def _poly(F, data, max_degree, zero_ok=False):
+    """Coefficients of a polynomial of degree at most max_degree with a
+    nonzero leading coefficient, or [] when zero_ok and drawn."""
+    degree = data.draw(st.integers(-1 if zero_ok else 0, max_degree))
+    if degree < 0:
+        return []
+    return ([data.draw(st.integers(0, F.order - 1)) for _ in range(degree)]
+            + [data.draw(st.integers(1, F.order - 1))])
+
+
+def _divides_exactly(a, b, F):
+    """a = q b with q from poly_divmod, checked by UniPoly's product."""
+    q, r = poly_divmod(a, b, F)
+    return r == [] and UniPoly(F, q) * UniPoly(F, b) == UniPoly(F, a)
+
+
+@given(st.sampled_from(ODD_FIELDS), st.data())
+def test_poly_divmod_over_odd_fields(F, data):
+    a = _poly(F, data, 12, zero_ok=True)
+    b = _poly(F, data, 6)
+    q, r = poly_divmod(a, b, F)
+    assert UniPoly(F, q) * UniPoly(F, b) + UniPoly(F, r) == UniPoly(F, a)
+    assert len(r) < len(b)
+    assert q[-1:] != [0] and r[-1:] != [0]  # both trimmed
+
+
+@given(st.sampled_from(ODD_FIELDS), st.data())
+def test_poly_gcd_over_odd_fields(F, data):
+    common = UniPoly(F, _poly(F, data, 3))
+    x = list((UniPoly(F, _poly(F, data, 6, zero_ok=True)) * common).coeffs)
+    y = list((UniPoly(F, _poly(F, data, 6)) * common).coeffs)
+    g = poly_gcd(x, y, F)
+    assert g[-1] == 1
+    assert _divides_exactly(x, g, F) and _divides_exactly(y, g, F)
+    assert _divides_exactly(g, list(common.coeffs), F)
 
 
 @given(st.sampled_from([1, 2, 3, 8, 16, 40, 64, 120]), st.data())

@@ -296,6 +296,17 @@ def test_f2k_matrix_ops_make_no_element_products(monkeypatch, rng):
     assert calls["mul"] == 0 and calls["inv"] <= rk + 8
 
 
+@pytest.mark.parametrize("field", [F2, F5, F16])
+def test_column_index_past_the_end_raises(field):
+    # bit-packed F_2 rows used to read any column past the end as 0
+    M = FFMatrix.identity(field, 2)
+    for j in (M.ncols, M.ncols + 3):
+        with pytest.raises(IndexError):
+            M.at(0, j)
+        with pytest.raises(IndexError):
+            M.submatrix([0, 1], [0, j])
+
+
 def test_f2k_mat_vec_rejects_entries_outside_the_field():
     M = FFMatrix.identity(F16, 2)
     for bad in (16, -1):
