@@ -33,8 +33,8 @@ solve.  This is the eigenvalue method for zero-dimensional systems
 (Moeller & Stetter 1995), i.e. solution extraction from moment matrices
 (Henrion & Lasserre 2005).  It reads only T_0 in full and the other
 slices at [K, K], and forms no M_v, over any p: a vector is one int with
-one F_p entry per slot (a bit over F_2, a machine word reduced mod p
-after each combination over odd p), the stacked minor
+one F_p entry per slot of linalg.slot_layout (a bit over F_2, byte slots
+reduced mod p after each combination over odd p), the stacked minor
 [T_1; ...; T_m][K, K] is one int per column, and one product with it,
 after z = T_0[K,K]^{-1} y, gives M_v y for every v at once, so a split
 by M_v costs p - 1 products.
@@ -42,9 +42,6 @@ by M_v costs p - 1 products.
 
 from __future__ import annotations
 
-import sys
-from array import array
-from functools import lru_cache
 from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
@@ -53,7 +50,7 @@ from .fields import (extension_field, find_primitive_element, poly_divmod,
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
-                     pack_bits, rank, rref, xor_picked)
+                     rank, rref, slot_layout)
 from .polynomials import moment_positions, monomial_count, monomial_index
 
 
@@ -91,33 +88,25 @@ def _constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
 
 
 def _flatten(slices, F, weights) -> FFMatrix:
-    """The flattening sum_k weights[k] slices[k] over the field F."""
+    """The flattening sum_k weights[k] slices[k] over the field F; over
+    odd p row i combines the rows i of the slices (linalg.slot_layout)."""
     s = slices[0].nrows
-    p = F.p
+    if F.p != 2:
+        layout = slot_layout(F, len(slices))
+        w = layout.pack(weights)
+        return FFMatrix.from_rows(F, [layout.unpack(layout.dot(
+            layout.vectors([sl.row(i) for sl in slices]), w), s) for i in range(s)])
     rows = [[0] * s for _ in range(s)]
-    if p == 2:
-        for w, sl in zip(weights, slices):
-            if not w:
-                continue
-            for i in range(s):
-                rk = sl.packed_row(i)
-                row = rows[i]
-                while rk:
-                    lsb = rk & -rk
-                    row[lsb.bit_length() - 1] ^= w
-                    rk ^= lsb
-    else:
-        add, mul = F.add, F.mul
-        for w, sl in zip(weights, slices):
-            if not w:
-                continue
-            for i in range(s):
-                srow = sl._rows[i]
-                row = rows[i]
-                for j in range(s):
-                    c = srow[j]
-                    if c:
-                        row[j] = add(row[j], mul(w, c))
+    for w, sl in zip(weights, slices):
+        if not w:
+            continue
+        for i in range(s):
+            rk = sl.packed_row(i)
+            row = rows[i]
+            while rk:
+                lsb = rk & -rk
+                row[lsb.bit_length() - 1] ^= w
+                rk ^= lsb
     return FFMatrix.from_rows(F, rows)
 
 
@@ -333,7 +322,9 @@ _NOT_COMMON = "a split component is not a common eigenvector of the axis matrice
 
 def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
     """axis_decompose's split, on vectors packed one entry per slot of an
-    int (slot k is row K[k]; _slot_ops).
+    int (slot k is row K[k]) by linalg.slot_layout.  A combination sums
+    at most max(t, p) products: t columns of B or of the stacked minor,
+    or p powers of M_v y.
 
     Column l of the stacked minor holds T_{v+1}[K[k], K[l]] in slot
     v t + k, so B's columns combined by y (z = B y), then the stacked
@@ -353,17 +344,23 @@ def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
     anything else is not an eigenvector.
     """
     m, p, t = S.params.m, S.params.p, len(K)
-    bits, encode, decode, dot, multiples_of = _slot_ops(p, t)
+    layout = slot_layout(S.params.field, max(t, p))
+    bits, dot = layout.bits, layout.dot
     mask = (1 << bits * t) - 1
     shifts = range(t * bits, (m + 1) * t * bits, t * bits)
-    bcols = [B.packed_row(j) if p == 2 else decode(encode(B.row(j))) for j in range(t)]
-    stacked = _stacked_minor(S, K, encode, decode)
-    idempotents = _idempotents(p, t)
+    bcols = [B.packed_row(j) if p == 2 else layout.pack(B.row(j)) for j in range(t)]
+    stacked = _stacked_minor(S, K, layout.pack)
+    # the coefficients of P_c y in (y, M_v y, ..., M_v^{p-1} y), c in F_p
+    idempotents = [layout.pack([((k == 0) - pow(c, p - 1 - k, p)) % p for k in range(p)])
+                   for c in range(p)]
+
+    multiples_of = ((lambda y: (0, y)) if p == 2
+                    else (lambda y: tuple(dot((y,), c) for c in range(p))))
 
     def product(y: int) -> int:
         return dot(stacked, dot(bcols, y)) << t * bits | y
 
-    prod = product(decode(encode(_start_vector(T0, K))))
+    prod = product(layout.pack(_start_vector(T0, K)))
     leaves = [(prod, multiples_of(prod & mask))]
     for shift in shifts:
         if len(leaves) == t:
@@ -391,68 +388,17 @@ def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
         raise DecodingFailure(_NOT_COMMON) from None
 
 
-@lru_cache(maxsize=None)
-def _idempotents(p: int, t: int) -> tuple[int, ...]:
-    """The coefficients of P_c y = y - sum_k c^{p-1-k} M_v^k y in
-    (y, M_v y, ..., M_v^{p-1} y), c in F_p, each packed by _slot_ops."""
-    _, encode, decode, _, _ = _slot_ops(p, t)
-    return tuple(decode(encode([((k == 0) - pow(c, p - 1 - k, p)) % p for k in range(p)]))
-                 for c in range(p))
-
-
-@lru_cache(maxsize=None)
-def _slot_ops(p: int, t: int):
-    """(bits, encode, decode, dot, multiples) for F_p vectors packed one
-    entry per slot of an int: the slot width in bits, encode(values), the
-    bytes of the slots in order, decode(raw), the int they pack into,
-    dot(vectors, x), the packed vectors combined by the slots of x, and
-    multiples(y), the tuple of c y over c in F_p.
-
-    Over F_2 a slot is one bit and slots add by xor, so dot is
-    xor_picked; encode keeps one byte per bit, which decode parses as an
-    ASCII bit string, most significant bit first.  Over odd p a slot is
-    the smallest machine word that holds a sum of max(t, p) products of
-    two residues, the most any combination here adds up (t columns of B
-    or of the stacked minor, p powers of M_v y), so sums never carry;
-    dot reduces every slot mod p.
-    """
-    if p == 2:
-        return 1, bytes, pack_bits, xor_picked, lambda y: (0, y)
-    bound = max(t, p) * (p - 1) ** 2
-    code = next(c for c in "BHIQ" if bound < 1 << 8 * array(c).itemsize)
-    size = array(code).itemsize
-
-    def encode(values) -> bytes:
-        return array(code, values).tobytes()
-
-    def decode(raw) -> int:
-        return int.from_bytes(raw, sys.byteorder)
-
-    def slots(x: int):
-        return memoryview(x.to_bytes(-(-x.bit_length() // (8 * size)) * size,
-                                     sys.byteorder)).cast(code)
-
-    def dot(vectors, x: int) -> int:
-        acc = sum(c * v for c, v in zip(slots(x), vectors) if c)
-        return decode(encode([s % p for s in slots(acc)]))
-
-    def multiples(y: int) -> tuple:
-        return tuple(dot((y,), c) for c in range(p))
-
-    return 8 * size, encode, decode, dot, multiples
-
-
-def _stacked_minor(S: Syndrome, K, encode, decode) -> list[int]:
-    """The columns of [T_1; ...; T_m][K, K], packed by _slot_ops: slot
+def _stacked_minor(S: Syndrome, K, pack) -> list[int]:
+    """The columns of [T_1; ...; T_m][K, K], each packed by pack: slot
     v t + k of column l is T_{v+1}[K[k], K[l]].
 
     T_{v+1} is symmetric, so that entry is T_{v+1}[K[l], K[k]] =
     H[K[l], shift_{v+1}(K[k])] (code.moment_matrix): column l picks the
     m t shifted columns of row K[l] of moment_positions, and reads and
-    encodes their syndrome entries, by itemgetter at C speed."""
+    packs their syndrome entries, by itemgetter at C speed."""
     params = S.params
     table = moment_positions(params.m, params.r, params.p)
     cols = monomial_index(params.m, params.r + 1, params.p)
     pick = itemgetter(*[shift[k] for shift in map(cols.var_mul, range(params.m))
                         for k in K])
-    return [decode(encode(itemgetter(*pick(table[l]))(S.entries))) for l in K]
+    return [pack(itemgetter(*pick(table[l]))(S.entries)) for l in K]

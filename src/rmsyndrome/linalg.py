@@ -2,15 +2,20 @@
 
 FFMatrix stores F_2 matrices bit-packed (one Python int per row, bit j is
 column j) so row operations are single xors; matrices over any other field
-keep tuple-of-int rows.  Over F_{2^k}, k >= 2, rref, products and mat_vec
-pack each row (or column) into one int on entry, one entry per 2k-bit slot
-(ExtField's packed vectors), so a row operation is one windowed carry-less
-product and one fold; over odd p they go through the field's arithmetic
-methods.  Matrices are immutable from the caller's point of view: every
-operation returns fresh values.
+keep tuple-of-int rows, and rref, products and mat_vec pack each row (or
+column) into one int on entry, one entry per slot of the field's layout
+(slot_layout): over F_p, p odd, byte slots reduced mod p all at once, so a
+row operation is one big-int multiply-add; over F_{2^k} ExtField's 2k-bit
+slots, a row operation one windowed carry-less product and one fold; over
+F_{p^k}, p odd, k >= 2, one field call per entry.  Matrices are immutable
+from the caller's point of view: every operation returns fresh values.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from functools import lru_cache
 
 from .fields import UniPoly, berlekamp_roots
 
@@ -45,12 +50,9 @@ class FFMatrix:
         if field.order == 2:
             return cls(field, nrows, ncols, list(map(pack_bits, rows)), True)
         order = field.order
-        out = []
-        for r in rows:
-            if any(not (0 <= v < order) for v in r):
-                raise ValueError("entry out of field range")
-            out.append(tuple(r))
-        return cls(field, nrows, ncols, out, False)
+        if any(not 0 <= v < order for r in rows for v in r):
+            raise ValueError("entry out of field range")
+        return cls(field, nrows, ncols, list(map(tuple, rows)), False)
 
     @classmethod
     def from_packed_rows(cls, field, rows, ncols) -> "FFMatrix":
@@ -81,9 +83,8 @@ class FFMatrix:
     # Element access ----------------------------------------------------------
     def at(self, i, j) -> int:
         if self._packed:
-            if j >= self.ncols:
-                raise IndexError("column index out of range")
-            return self._rows[i] >> j & 1
+            # range() reads a negative j from the end and raises IndexError
+            return self._rows[i] >> (j if 0 <= j < self.ncols else range(self.ncols)[j]) & 1
         return self._rows[i][j]
 
     def row(self, i) -> tuple:
@@ -131,32 +132,23 @@ class FFMatrix:
                     cols[lsb.bit_length() - 1] |= 1 << i
                     r ^= lsb
             return FFMatrix(self.field, self.ncols, self.nrows, cols, True)
-        rows = [tuple(self._rows[i][j] for i in range(self.nrows))
-                for j in range(self.ncols)]
+        rows = list(zip(*self._rows)) or [()] * self.ncols
         return FFMatrix(self.field, self.ncols, self.nrows, rows, False)
 
     def __add__(self, other: "FFMatrix") -> "FFMatrix":
-        self._check_same_shape(other)
-        if self._packed:
-            return FFMatrix(self.field, self.nrows, self.ncols,
-                            [a ^ b for a, b in zip(self._rows, other._rows)], True)
-        f = self.field
-        rows = [tuple(f.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self._rows, other._rows)]
-        return FFMatrix(f, self.nrows, self.ncols, rows, False)
+        return self._entrywise(other, self.field.add)
 
     def __sub__(self, other: "FFMatrix") -> "FFMatrix":
-        self._check_same_shape(other)
-        if self._packed:
-            return self + other
-        f = self.field
-        rows = [tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self._rows, other._rows)]
-        return FFMatrix(f, self.nrows, self.ncols, rows, False)
+        return self._entrywise(other, self.field.sub)
 
-    def _check_same_shape(self, other):
+    def _entrywise(self, other: "FFMatrix", op) -> "FFMatrix":
         if self.field != other.field or self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape or field mismatch")
+        pairs = zip(self._rows, other._rows)
+        # over F_2 both add and sub are the xor of the packed rows
+        rows = ([a ^ b for a, b in pairs] if self._packed
+                else [tuple(map(op, a, b)) for a, b in pairs])
+        return FFMatrix(self.field, self.nrows, self.ncols, rows, self._packed)
 
     def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
         if self.field != other.field or self.ncols != other.nrows:
@@ -165,33 +157,11 @@ class FFMatrix:
         if self._packed:
             out = [xor_picked(other._rows, r) for r in self._rows]
             return FFMatrix(f, self.nrows, other.ncols, out, True)
-        bcols = other.ncols
-        brows = other._rows
-        if f.char == 2:  # F_{2^k}: row i combines the packed rows of other
-            tables = [f._window(f._pack(rb)) for rb in brows]
-            lows = f._pack([f._mask] * bcols)
-            clmul = f._clmul
-            out = []
-            for ra in self._rows:
-                acc = 0
-                for c, tb in zip(ra, tables):
-                    if c:
-                        acc ^= clmul(c, tb)
-                out.append(f._unpack(f._fold(acc, lows), bcols))
-            return FFMatrix(f, self.nrows, bcols, out, False)
-        mul, add = f.mul, f.add
-        out = []
-        for ra in self._rows:
-            acc = [0] * bcols
-            for k, a in enumerate(ra):
-                if a:
-                    rb = brows[k]
-                    for j in range(bcols):
-                        b = rb[j]
-                        if b:
-                            acc[j] = add(acc[j], mul(a, b))
-            out.append(tuple(acc))
-        return FFMatrix(f, self.nrows, bcols, out, False)
+        layout = slot_layout(f, self.ncols)
+        vectors = layout.vectors(other._rows)
+        out = [layout.unpack(layout.dot(vectors, layout.pack(ra)), other.ncols)
+               for ra in self._rows]
+        return FFMatrix(f, self.nrows, other.ncols, out, False)
 
     def mat_vec(self, v) -> tuple:
         if len(v) != self.ncols:
@@ -200,27 +170,16 @@ class FFMatrix:
         if self._packed:
             vmask = pack_bits(v)
             return tuple([_parity(r & vmask) for r in self._rows])
-        if f.char == 2:  # F_{2^k}: the columns combined by the entries of v
-            return (FFMatrix.from_rows(f, [v]) @ self.transpose()).row(0)
-        mul, add = f.mul, f.add
-        out = []
-        for r in self._rows:
-            acc = 0
-            for a, x in zip(r, v):
-                if a and x:
-                    acc = add(acc, mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        # the columns of self combined by the entries of v
+        return (FFMatrix.from_rows(f, [v]) @ self.transpose()).row(0)
 
     def submatrix(self, row_idx, col_idx) -> "FFMatrix":
         row_idx, col_idx = list(row_idx), list(col_idx)
         if self._packed:
-            if max(col_idx, default=-1) >= self.ncols:
-                raise IndexError("column index out of range")
-            rows = []
-            for i in row_idx:
-                r = self._rows[i]
-                rows.append(sum((1 << jj) for jj, j in enumerate(col_idx) if r >> j & 1))
+            n = self.ncols
+            cols = [j if 0 <= j < n else range(n)[j] for j in col_idx]  # as in at()
+            rows = [pack_bits([r >> j & 1 for j in cols])
+                    for r in map(self._rows.__getitem__, row_idx)]
             return FFMatrix(self.field, len(row_idx), len(col_idx), rows, True)
         rows = [tuple(self._rows[i][j] for j in col_idx) for i in row_idx]
         return FFMatrix(self.field, len(row_idx), len(col_idx), rows, False)
@@ -268,6 +227,153 @@ def _parity(x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Packed row layouts.
+
+
+@lru_cache(maxsize=None)
+def slot_layout(field, terms: int):
+    """The packed row layout over the field for rows whose slots add up
+    to `terms` products of two elements before they are reduced: entry j
+    in bits [j bits, (j + 1) bits) of one int (Kronecker substitution; von
+    zur Gathen & Gerhard, Modern Computer Algebra, 8.4).  Over F_p, p odd,
+    a slot is the fewest bytes out of 1, 2, 4, 8, 16, ... that hold
+    terms (p - 1)^2.  A layout packs and unpacks (reduced), combines
+    vectors(rows) by the entries of a packed x (dot), and pivots: x
+    reduced and scaled to 1 at col, with the row operation y - c x.  The
+    F_2 layout, one bit per slot, has only bits, pack and dot."""
+    if field.order == 2:
+        return _BitSlots
+    if field.char == 2:
+        return _CarrylessSlots(field)
+    if field.order > field.char:
+        return _EntrySlots(field)
+    need = max(terms * (field.p - 1) ** 2, 1).bit_length()
+    return _PrimeSlots(field, 1 << ((need - 1) // 8).bit_length())
+
+
+class _BitSlots:
+    bits, pack, dot = 1, staticmethod(pack_bits), staticmethod(xor_picked)
+
+
+class _EntrySlots:
+    """F_{p^k}, p odd, k >= 2: slots that hold one element each; a row
+    operation calls the field's add and mul entry by entry.  The other
+    layouts reuse its generic pack, unpack and dot."""
+
+    def __init__(self, field):
+        self.field, self.bits = field, field.order.bit_length()
+        self.mask = (1 << self.bits) - 1
+
+    def pack(self, entries) -> int:
+        return sum(e << j * self.bits for j, e in enumerate(entries))
+
+    def unpack(self, x: int, n: int) -> tuple:
+        return tuple([x >> j * self.bits & self.mask for j in range(n)])
+
+    def reduce(self, x: int) -> int:
+        return x
+
+    def vectors(self, rows) -> list:
+        return [self.pack(r) for r in rows]
+
+    def dot(self, vectors, x: int) -> int:
+        acc = 0
+        for c, v in zip(self.unpack(x, len(vectors)), vectors):
+            acc = self._axpy(acc, c, v) if c else acc
+        return self.reduce(acc)
+
+    def _axpy(self, y: int, c: int, x: int) -> int:
+        f, n = self.field, -(-max(x, y).bit_length() // self.bits)
+        return self.pack([f.add(a, f.mul(c, b)) if b else a
+                          for a, b in zip(self.unpack(y, n), self.unpack(x, n))])
+
+    def pivot(self, x: int, col: int):
+        c = x >> col * self.bits & self.mask
+        if c != 1:
+            x = self._axpy(0, self.field.inv(c), x)
+        return x, lambda y, c, neg=self.field.neg: self._axpy(y, neg(c), x)
+
+
+class _PrimeSlots(_EntrySlots):
+    """F_p, p odd: slots of `size` bytes that add as plain integers, so a
+    row operation y - c x is one multiply-add y + (p - c) x.  All slots are
+    reduced mod p at once, by one bytes.translate for byte slots, else via
+    an array of machine words where the host's byte order allows."""
+
+    def __init__(self, field, size: int):
+        self.field, self.p, self.size, self.bits = field, field.p, size, 8 * size
+        self.mask = (1 << self.bits) - 1
+        self._table = bytes(b % field.p for b in range(256))
+        self._code = next((c for c in "BHILQ" if array(c).itemsize == size
+                           and sys.byteorder == "little"), None)
+
+    def pack(self, entries) -> int:
+        if not self._code:
+            return super().pack(entries)
+        return int.from_bytes(bytes(entries) if self.size == 1
+                              else array(self._code, entries).tobytes(), "little")
+
+    def _slots(self, x: int, n: int | None = None):
+        """The first n slots of x as they stand (n defaults to them all)."""
+        n = -(-x.bit_length() // self.bits) if n is None else n
+        return (array(self._code, x.to_bytes(n * self.size, "little")) if self._code
+                else super().unpack(x, n))
+
+    def unpack(self, x: int, n: int) -> tuple:
+        if self.size == 1:
+            return tuple(x.to_bytes(n, "little").translate(self._table))
+        p = self.p
+        return tuple([s % p for s in self._slots(x, n)])
+
+    def reduce(self, x: int) -> int:
+        n = -(-x.bit_length() // self.bits)
+        if self.size == 1:
+            return int.from_bytes(x.to_bytes(n, "little").translate(self._table), "little")
+        return self.pack(self.unpack(x, n))
+
+    def dot(self, vectors, x: int) -> int:
+        return self.reduce(sum([c * v for c, v in zip(self._slots(x), vectors) if c]))
+
+    def pivot(self, x: int, col: int):
+        x = self.reduce(x)
+        c = x >> col * self.bits & self.mask
+        if c != 1:
+            x = self.reduce(x * self.field.inv(c))
+        return x, lambda y, c, p=self.p: y + (p - c) * x
+
+
+class _CarrylessSlots(_EntrySlots):
+    """F_{2^k}, k >= 2: ExtField's packed vectors, 2k-bit slots.  A row
+    operation is one windowed carry-less product of an element with the
+    row from the pivot column on, and one fold; dot folds once at the end,
+    and its vectors are window tables (ExtField._window)."""
+
+    def __init__(self, field):
+        self.field, self.bits, self.mask = field, 2 * field.k, field._mask
+        self.pack, self.unpack = field._pack, field._unpack
+        # the low halves of n slots, under which ExtField._fold reduces
+        self._lows = lru_cache(maxsize=None)(lambda n: self.pack([self.mask] * n))
+
+    def vectors(self, rows) -> list:
+        return [self.field._window(self.pack(r)) for r in rows]
+
+    def _axpy(self, acc: int, c: int, tb: tuple) -> int:
+        return acc ^ self.field._clmul(c, tb)
+
+    def reduce(self, x: int) -> int:
+        return self.field._fold(x, self._lows(-(-x.bit_length() // self.bits)))
+
+    def pivot(self, x: int, col: int):
+        f, fold = self.field, self.reduce
+        sh = col * self.bits
+        x >>= sh  # the slots before col are 0
+        if x & self.mask != 1:
+            x = fold(f._clmul(f.inv(x & self.mask), f._window(x)))
+        clmul, tb = f._clmul, f._window(x)
+        return x << sh, lambda y, c: y ^ fold(clmul(c, tb)) << sh
+
+
+# ---------------------------------------------------------------------------
 # Elimination.
 
 
@@ -300,79 +406,31 @@ def rref(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
             if prow == M.nrows:
                 break
         return FFMatrix(M.field, M.nrows, M.ncols, rows, True), len(pivots), tuple(pivots)
-    f = M.field
-    if f.char == 2:
-        return _rref_c2(M)
-    mul, sub, inv = f.mul, f.sub, f.inv
-    rows = [list(r) for r in M._rows]
-    pivots = []
-    prow = 0
-    for col in range(M.ncols):
-        piv = None
-        for i in range(prow, M.nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[prow], rows[piv] = rows[piv], rows[prow]
-        pr = rows[prow]
-        pinv = inv(pr[col])
-        if pinv != 1:
-            for j in range(col, M.ncols):
-                if pr[j]:
-                    pr[j] = mul(pr[j], pinv)
-        for i in range(M.nrows):
-            if i != prow:
-                c = rows[i][col]
-                if c:
-                    ri = rows[i]
-                    for j in range(col, M.ncols):
-                        if pr[j]:
-                            ri[j] = sub(ri[j], mul(c, pr[j]))
-        pivots.append(col)
-        prow += 1
-        if prow == M.nrows:
-            break
-    out = FFMatrix(f, M.nrows, M.ncols, [tuple(r) for r in rows], False)
-    return out, len(pivots), tuple(pivots)
-
-
-def _rref_c2(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
-    """rref over F_{2^k}, k >= 2, on packed rows.  Scaling the pivot row
-    and clearing its column from another row are each one windowed
-    carry-less product with the pivot row from that column on (its window
-    table built once per pivot) and one fold of the product."""
-    f = M.field
-    n, ncols = M.nrows, M.ncols
-    w = 2 * f.k
-    lo = f._mask
-    lows = f._pack([lo] * ncols)
-    window, clmul, fold = f._window, f._clmul, f._fold
-    rows = [f._pack(r) for r in M._rows]
-    pivots = []
-    prow = 0
+    f, n, ncols = M.field, M.nrows, M.ncols
+    # a slot gains at most one product per pivot before it is reduced
+    layout = slot_layout(f, min(n, ncols) + 1)
+    w, mask, order = layout.bits, layout.mask, f.order
+    rows = [layout.pack(r) for r in M._rows]
+    pivots, prow = [], 0
     for col in range(ncols):
         sh = col * w
-        piv = next((i for i in range(prow, n) if rows[i] >> sh & lo), None)
-        if piv is None:
+        for piv in range(prow, n):
+            if (rows[piv] >> sh & mask) % order:
+                break
+        else:
             continue
         rows[prow], rows[piv] = rows[piv], rows[prow]
-        pr = rows[prow] >> sh  # the slots before col are 0
-        if pr & lo != 1:
-            pr = fold(clmul(f.inv(pr & lo), window(pr)), lows)
-            rows[prow] = pr << sh
-        tb = window(pr)
+        rows[prow], op = layout.pivot(rows[prow], col)
         for i in range(n):
             if i != prow:
-                c = rows[i] >> sh & lo
+                c = (rows[i] >> sh & mask) % order
                 if c:
-                    rows[i] ^= fold(clmul(c, tb), lows) << sh
+                    rows[i] = op(rows[i], c)
         pivots.append(col)
         prow += 1
         if prow == n:
             break
-    out = FFMatrix(f, n, ncols, [f._unpack(r, ncols) for r in rows], False)
+    out = FFMatrix(f, n, ncols, [layout.unpack(r, ncols) for r in rows], False)
     return out, len(pivots), tuple(pivots)
 
 
@@ -535,10 +593,5 @@ def eigen_decompose(M: FFMatrix) -> list[tuple[int, tuple]]:
         ns = nullspace_basis(shifted)
         if ns.nrows != 1:
             raise SpectrumNotSimpleError("eigenspace dimension != 1")
-        v = list(ns.row(0))
-        lead = next(x for x in v if x)
-        if lead != 1:
-            li = f.inv(lead)
-            v = [f.mul(li, x) for x in v]
-        pairs.append((lam, tuple(v)))
+        pairs.append((lam, rref(ns)[0].row(0)))  # scaled to a leading 1
     return pairs

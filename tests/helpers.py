@@ -324,3 +324,71 @@ def _trimmed(v: list) -> list:
     while v and not v[-1]:
         v.pop()
     return v
+
+
+# Schoolbook linear algebra over any field, one field call per entry: the
+# reference for linalg's packed row layouts.
+
+def schoolbook_rref(f, rows, ncols):
+    """Gauss-Jordan with linalg.rref's pivot rule, entry by entry through
+    the field's mul, sub and inv (the loop rref ran on tuple rows before
+    rows were packed): (reduced rows as tuples, rank, pivot columns)."""
+    mul, sub, inv = f.mul, f.sub, f.inv
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        piv = next((i for i in range(prow, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[prow], rows[piv] = rows[piv], rows[prow]
+        pr = rows[prow]
+        pinv = inv(pr[col])
+        if pinv != 1:
+            for j in range(col, ncols):
+                if pr[j]:
+                    pr[j] = mul(pr[j], pinv)
+        for i in range(n):
+            if i != prow:
+                c = rows[i][col]
+                if c:
+                    ri = rows[i]
+                    for j in range(col, ncols):
+                        if pr[j]:
+                            ri[j] = sub(ri[j], mul(c, pr[j]))
+        pivots.append(col)
+        prow += 1
+        if prow == n:
+            break
+    return [tuple(r) for r in rows], len(pivots), tuple(pivots)
+
+
+def schoolbook_nullspace(f, rows, ncols):
+    """linalg.nullspace_basis's rows, read off schoolbook_rref."""
+    R, _, pivots = schoolbook_rref(f, rows, ncols)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[j] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(R[r][j])
+        basis.append(tuple(v))
+    return basis
+
+
+def schoolbook_inverse(f, rows):
+    """The inverse's rows, or None for a singular matrix."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    R, _, pivots = schoolbook_rref(f, aug, 2 * n)
+    return [r[n:] for r in R] if pivots[:n] == tuple(range(n)) else None
+
+
+def schoolbook_dot(f, a, b) -> int:
+    return reduce(f.add, map(f.mul, a, b), 0)
+
+
+def schoolbook_matmul(f, A, B, ncols):
+    cols = [[row[j] for row in B] for j in range(ncols)]
+    return [tuple(schoolbook_dot(f, ra, col) for col in cols) for ra in A]

@@ -15,12 +15,14 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
 from rmsyndrome import jennrich
-from rmsyndrome.fields import UniPoly, extension_field, find_primitive_element
+from rmsyndrome.fields import (UniPoly, extension_field, find_primitive_element,
+                               prime_field)
 from rmsyndrome.jennrich import (_flatten, _krylov_readout, _RetryableFailure,
                                  _split_points, axis_decompose, decompose,
                                  derandomized_flattening_vectors,
                                  tensor_from_syndrome)
-from rmsyndrome.linalg import FFMatrix, full_rank_submatrix, inverse, rank, rref
+from rmsyndrome.linalg import (FFMatrix, full_rank_submatrix, inverse, rank, rref,
+                               slot_layout)
 from rmsyndrome.polynomials import (MultilinearPoly, monomial_index,
                                     reduce_exponent)
 from rmsyndrome.polyspace import det_find_roots, locate_and_correct, space_roots
@@ -474,7 +476,7 @@ def test_axis_decode_exact_at_wide_slots_and_large_odd_t(m, r, p, t, slot_bits):
     # a slot holds t (p - 1)^2: 448 over F_5 at t = 28 needs two bytes,
     # 240 over F_3 at t = 60 fits one
     params = CodeParams(m, r, p)
-    assert jennrich._slot_ops(p, t)[0] == slot_bits
+    assert slot_layout(prime_field(p), t).bits == slot_bits
     for seed in range(2):
         rng = random.Random(seed)
         E = sample_error_set(params, t, rng)

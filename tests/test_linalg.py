@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_invertible
-from rmsyndrome.fields import ExtField, UniPoly, extension_field, prime_field
+from rmsyndrome.fields import (ExtField, PrimeField, UniPoly, extension_field,
+                               prime_field)
 from rmsyndrome.linalg import (FFMatrix, SingularMatrixError,
                                SpectrumNotSimpleError, char_poly,
                                eigen_decompose, full_rank_submatrix, inverse,
@@ -296,15 +297,45 @@ def test_f2k_matrix_ops_make_no_element_products(monkeypatch, rng):
     assert calls["mul"] == 0 and calls["inv"] <= rk + 8
 
 
+def test_fp_matrix_ops_make_no_per_entry_field_calls(monkeypatch, rng):
+    """Over F_5 rref, inverse, @ and mat_vec work on packed rows: no
+    PrimeField.mul, sub or add call, and at most one inv per pivot."""
+    M = _random_matrix(F5, 8, 21, rng)
+    A = random_invertible(F5, 8, rng)
+    v = [F5.random_element(rng) for _ in range(21)]
+    calls = {"mul": 0, "sub": 0, "add": 0, "inv": 0}
+
+    def counted(name):
+        method = getattr(PrimeField, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(PrimeField, name, counted(name))
+    _, rk, _ = rref(M)
+    assert calls["inv"] <= rk
+    inverse(A)
+    A @ M
+    M.mat_vec(v)
+    assert calls["mul"] == calls["sub"] == calls["add"] == 0 and calls["inv"] <= rk + 8
+
+
 @pytest.mark.parametrize("field", [F2, F5, F16])
 def test_column_index_past_the_end_raises(field):
-    # bit-packed F_2 rows used to read any column past the end as 0
+    # bit-packed F_2 rows used to read any column past the end as 0, and
+    # to raise ValueError for a negative one
     M = FFMatrix.identity(field, 2)
-    for j in (M.ncols, M.ncols + 3):
+    for j in (M.ncols, M.ncols + 3, -M.ncols - 1):
         with pytest.raises(IndexError):
             M.at(0, j)
         with pytest.raises(IndexError):
             M.submatrix([0, 1], [0, j])
+    # j = -1 is the last column, as for a tuple
+    assert (M.at(0, -1), M.at(1, -1)) == (0, 1)
+    assert M.submatrix([0, 1], [0, -1]) == M
 
 
 def test_f2k_mat_vec_rejects_entries_outside_the_field():
