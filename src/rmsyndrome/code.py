@@ -32,7 +32,7 @@ from operator import and_, mul, xor
 from pathlib import Path
 
 from .fields import is_prime, prime_field
-from .linalg import FFMatrix, nullspace_basis, pack_bits, rank, rref
+from .linalg import FFMatrix, nullspace_basis, pack_bits, rank, rref, slot_layout
 from .polynomials import (MultilinearPoly, PolySpace, int_to_point,
                           moment_positions, monomial_count, monomial_index,
                           point_to_int)
@@ -257,9 +257,9 @@ def tensor_power_matrix(points, t: int, p: int = 2, m: int | None = None) -> FFM
     if not points:
         return FFMatrix.zeros(f, 0, monomial_count(m, t, p))
     cols = _point_columns(points, [1] * len(points), monomial_index(m, t, p))
-    if p == 2:
-        return FFMatrix.from_packed_rows(f, cols, len(points)).transpose()
-    return FFMatrix.from_rows(f, [[v % p for v in row] for row in zip(*cols)])
+    if p != 2:  # unreduced per-point tuples; F_2 columns come packed
+        cols = [slot_layout(f).pack([v % p for v in col]) for col in cols]
+    return FFMatrix.from_packed_rows(f, cols, len(points)).transpose()
 
 
 def has_property_ur(E: ErrorSet, r: int) -> bool:

@@ -423,8 +423,14 @@ class ExtField:
                 r0 ^= r1 << sh
                 s0 ^= s1 << sh
             return s0
-        # generic: Fermat
-        return self.pow(a, self.order - 2)
+        # extended Euclid over F_p[X]: a s_i = r_i mod the modulus, which
+        # is irreducible, so r1 ends a nonzero constant
+        r0, r1 = self.modulus, UniPoly(self.base, self._digits(a))
+        s0, s1 = UniPoly.zero(self.base), UniPoly.one(self.base)
+        while r1.degree > 0:
+            q, r = r0.divmod_by(r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        return self._undigits(s1.scale(self.base.inv(r1.coeffs[0])).coeffs)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -32,9 +32,9 @@ points with no extension field, characteristic polynomial or eigenvector
 solve.  This is the eigenvalue method for zero-dimensional systems
 (Moeller & Stetter 1995), i.e. solution extraction from moment matrices
 (Henrion & Lasserre 2005).  It reads only T_0 in full and the other
-slices at [K, K], and forms no M_v, over any p: a vector is one int with
-one F_p entry per slot of linalg.slot_layout (a bit over F_2, byte slots
-reduced mod p after each combination over odd p), the stacked minor
+slices at [K, K], and forms no M_v, over any p: a vector is one int in
+the F_p row layout that every FFMatrix row uses (linalg.slot_layout: a
+bit per entry over F_2, a byte over F_3, ..., F_11), the stacked minor
 [T_1; ...; T_m][K, K] is one int per column, and one product with it,
 after z = T_0[K,K]^{-1} y, gives M_v y for every v at once, so a split
 by M_v costs p - 1 products.
@@ -88,14 +88,14 @@ def _constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
 
 
 def _flatten(slices, F, weights) -> FFMatrix:
-    """The flattening sum_k weights[k] slices[k] over the field F; over
-    odd p row i combines the rows i of the slices (linalg.slot_layout)."""
+    """The flattening sum_k weights[k] slices[k] over the field F, packed
+    as it is built; over odd p row i combines the rows i of the slices."""
     s = slices[0].nrows
     if F.p != 2:
-        layout = slot_layout(F, len(slices))
+        layout = slot_layout(F)
         w = layout.pack(weights)
-        return FFMatrix.from_rows(F, [layout.unpack(layout.dot(
-            layout.vectors([sl.row(i) for sl in slices]), w), s) for i in range(s)])
+        return FFMatrix.from_packed_rows(F, [layout.dot(layout.vectors(
+            [layout.pack(sl.row(i)) for sl in slices]), w) for i in range(s)], s)
     rows = [[0] * s for _ in range(s)]
     for w, sl in zip(weights, slices):
         if not w:
@@ -214,13 +214,13 @@ def _krylov_readout(M: FFMatrix, y: tuple, cols) -> tuple[list, list[list]]:
     and a column A diag(w) u solves to the g with g(lambda_e) = u_e: the
     rational univariate representation (Rouillier 1999).
     """
-    F = M.field
-    t = M.nrows
-    krylov = [tuple(y)]
+    F, t, layout = M.field, M.nrows, M.layout
+    mcols = layout.vectors(M.transpose().packed_rows())  # once: a step is one dot
+    krylov = [layout.pack(y)]
     for _ in range(t):
-        krylov.append(M.mat_vec(krylov[-1]))
-    krylov.extend(cols)
-    R, _, pivots = rref(FFMatrix.from_rows(F, zip(*krylov)))
+        krylov.append(layout.dot(mcols, krylov[-1]))
+    krylov.extend(map(layout.pack, cols))
+    R, _, pivots = rref(FFMatrix.from_packed_rows(F, krylov, t).transpose())
     if pivots[:t] != tuple(range(t)):
         raise _RetryableFailure("the start vector is not cyclic: spectrum not simple")
     solved = R.transpose().rows()
@@ -322,9 +322,9 @@ _NOT_COMMON = "a split component is not a common eigenvector of the axis matrice
 
 def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
     """axis_decompose's split, on vectors packed one entry per slot of an
-    int (slot k is row K[k]) by linalg.slot_layout.  A combination sums
-    at most max(t, p) products: t columns of B or of the stacked minor,
-    or p powers of M_v y.
+    int (slot k is row K[k]) in the field's row layout, the one format of
+    FFMatrix rows (linalg.slot_layout), so B's rows serve as they are
+    stored; the layout's dot reduces its sums as often as its slots need.
 
     Column l of the stacked minor holds T_{v+1}[K[k], K[l]] in slot
     v t + k, so B's columns combined by y (z = B y), then the stacked
@@ -344,11 +344,11 @@ def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
     anything else is not an eigenvector.
     """
     m, p, t = S.params.m, S.params.p, len(K)
-    layout = slot_layout(S.params.field, max(t, p))
+    layout = B.layout
     bits, dot = layout.bits, layout.dot
     mask = (1 << bits * t) - 1
     shifts = range(t * bits, (m + 1) * t * bits, t * bits)
-    bcols = [B.packed_row(j) if p == 2 else layout.pack(B.row(j)) for j in range(t)]
+    bcols = [B.packed_row(j) for j in range(t)]
     stacked = _stacked_minor(S, K, layout.pack)
     # the coefficients of P_c y in (y, M_v y, ..., M_v^{p-1} y), c in F_p
     idempotents = [layout.pack([((k == 0) - pow(c, p - 1 - k, p)) % p for k in range(p)])

@@ -1,14 +1,14 @@
 """Dense linear algebra over finite fields.
 
-FFMatrix stores F_2 matrices bit-packed (one Python int per row, bit j is
-column j) so row operations are single xors; matrices over any other field
-keep tuple-of-int rows, and rref, products and mat_vec pack each row (or
-column) into one int on entry, one entry per slot of the field's layout
-(slot_layout): over F_p, p odd, byte slots reduced mod p all at once, so a
-row operation is one big-int multiply-add; over F_{2^k} ExtField's 2k-bit
-slots, a row operation one windowed carry-less product and one fold; over
-F_{p^k}, p odd, k >= 2, one field call per entry.  Matrices are immutable
-from the caller's point of view: every operation returns fresh values.
+Every FFMatrix row is one int in its field's packed row layout
+(slot_layout), one reduced entry per slot, so packed rows are canonical
+and rref, products and mat_vec run on the stored rows.  Over F_2 a slot
+is one bit and rows add by xor; over F_p, p odd, a row operation is one
+big-int multiply-add, reduced mod p in all slots at once only when a slot
+may overflow; over F_{2^k} it is one windowed carry-less product and one
+fold; over F_{p^k}, p odd, k >= 2, one field call per entry.  Matrices
+are immutable from the caller's point of view: every operation returns
+fresh values.
 """
 
 from __future__ import annotations
@@ -30,48 +30,47 @@ class SpectrumNotSimpleError(Exception):
 
 
 class FFMatrix:
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_packed")
+    """A matrix over a finite field, built by the class methods: one int
+    per row (packed_row), in the field's slot_layout (layout)."""
 
-    def __init__(self, field, nrows, ncols, rows, packed):
-        self.field = field
+    __slots__ = ("layout", "field", "nrows", "ncols", "_rows")
+
+    def __init__(self, layout, nrows, ncols, rows):
+        self.layout = layout
+        self.field = layout.field
         self.nrows = nrows
         self.ncols = ncols
         self._rows = rows
-        self._packed = packed
 
     # Constructors -----------------------------------------------------------
     @classmethod
     def from_rows(cls, field, rows) -> "FFMatrix":
         rows = [list(r) for r in rows]
-        nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        if field.order == 2:
-            return cls(field, nrows, ncols, list(map(pack_bits, rows)), True)
-        order = field.order
-        if any(not 0 <= v < order for r in rows for v in r):
+        order = field.order  # pack_bits checks F_2 rows itself
+        values = set().union(*rows) if order != 2 else ()
+        if values and (min(values) < 0 or max(values) >= order):
             raise ValueError("entry out of field range")
-        return cls(field, nrows, ncols, list(map(tuple, rows)), False)
+        layout = slot_layout(field)
+        return cls(layout, len(rows), ncols, list(map(layout.pack, rows)))
 
     @classmethod
     def from_packed_rows(cls, field, rows, ncols) -> "FFMatrix":
-        if field.order != 2:
-            raise ValueError("packed rows require F_2")
-        return cls(field, len(rows), ncols, list(rows), True)
+        """The matrix with the given rows, each packed in slot_layout(field)
+        with its entries reduced, as packed_row returns them."""
+        rows = list(rows)
+        return cls(slot_layout(field), len(rows), ncols, rows)
 
     @classmethod
     def zeros(cls, field, nrows, ncols) -> "FFMatrix":
-        if field.order == 2:
-            return cls(field, nrows, ncols, [0] * nrows, True)
-        return cls(field, nrows, ncols, [(0,) * ncols] * nrows, False)
+        return cls(slot_layout(field), nrows, ncols, [0] * nrows)
 
     @classmethod
     def identity(cls, field, n) -> "FFMatrix":
-        if field.order == 2:
-            return cls(field, n, n, [1 << i for i in range(n)], True)
-        rows = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-        return cls(field, n, n, rows, False)
+        layout = slot_layout(field)
+        return cls(layout, n, n, [1 << i * layout.bits for i in range(n)])
 
     @classmethod
     def diagonal(cls, field, entries) -> "FFMatrix":
@@ -82,58 +81,43 @@ class FFMatrix:
 
     # Element access ----------------------------------------------------------
     def at(self, i, j) -> int:
-        if self._packed:
-            # range() reads a negative j from the end and raises IndexError
-            return self._rows[i] >> (j if 0 <= j < self.ncols else range(self.ncols)[j]) & 1
-        return self._rows[i][j]
+        return self.row(i)[j]
 
     def row(self, i) -> tuple:
-        if self._packed:
-            r = self._rows[i]
-            return tuple(r >> j & 1 for j in range(self.ncols))
-        return tuple(self._rows[i])
+        return self.layout.unpack(self._rows[i], self.ncols)
 
     def packed_row(self, i) -> int:
-        if not self._packed:
-            raise ValueError("matrix is not bit-packed")
         return self._rows[i]
 
+    def packed_rows(self) -> list[int]:
+        return list(self._rows)
+
     def rows(self) -> list[tuple]:
-        return [self.row(i) for i in range(self.nrows)]
+        unpack, n = self.layout.unpack, self.ncols
+        return [unpack(r, n) for r in self._rows]
 
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.nrows)]
+        return [list(r) for r in self.rows()]
 
     def is_zero(self) -> bool:
-        if self._packed:
-            return all(r == 0 for r in self._rows)
-        return all(all(v == 0 for v in r) for r in self._rows)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FFMatrix):
             return NotImplemented
         return (self.field == other.field and self.nrows == other.nrows
-                and self.ncols == other.ncols
-                and self.rows() == other.rows())
+                and self.ncols == other.ncols and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, tuple(self.rows())))
+        return hash((self.field, self.nrows, self.ncols, tuple(self._rows)))
 
     def __repr__(self) -> str:
         return f"FFMatrix({self.nrows}x{self.ncols} over {self.field!r})"
 
     # Arithmetic ---------------------------------------------------------------
     def transpose(self) -> "FFMatrix":
-        if self._packed:
-            cols = [0] * self.ncols
-            for i, r in enumerate(self._rows):
-                while r:
-                    lsb = r & -r
-                    cols[lsb.bit_length() - 1] |= 1 << i
-                    r ^= lsb
-            return FFMatrix(self.field, self.ncols, self.nrows, cols, True)
-        rows = list(zip(*self._rows)) or [()] * self.ncols
-        return FFMatrix(self.field, self.ncols, self.nrows, rows, False)
+        return FFMatrix(self.layout, self.ncols, self.nrows,
+                        self.layout.transpose(self._rows, self.ncols))
 
     def __add__(self, other: "FFMatrix") -> "FFMatrix":
         return self._entrywise(other, self.field.add)
@@ -144,60 +128,41 @@ class FFMatrix:
     def _entrywise(self, other: "FFMatrix", op) -> "FFMatrix":
         if self.field != other.field or self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape or field mismatch")
-        pairs = zip(self._rows, other._rows)
-        # over F_2 both add and sub are the xor of the packed rows
-        rows = ([a ^ b for a, b in pairs] if self._packed
-                else [tuple(map(op, a, b)) for a, b in pairs])
-        return FFMatrix(self.field, self.nrows, self.ncols, rows, self._packed)
+        layout, n = self.layout, self.ncols
+        rows = [layout.pack(list(map(op, layout.unpack(a, n), layout.unpack(b, n))))
+                for a, b in zip(self._rows, other._rows)]
+        return FFMatrix(layout, self.nrows, self.ncols, rows)
 
     def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
         if self.field != other.field or self.ncols != other.nrows:
             raise ValueError("shape or field mismatch")
-        f = self.field
-        if self._packed:
-            out = [xor_picked(other._rows, r) for r in self._rows]
-            return FFMatrix(f, self.nrows, other.ncols, out, True)
-        layout = slot_layout(f, self.ncols)
-        vectors = layout.vectors(other._rows)
-        out = [layout.unpack(layout.dot(vectors, layout.pack(ra)), other.ncols)
-               for ra in self._rows]
-        return FFMatrix(f, self.nrows, other.ncols, out, False)
+        layout = self.layout
+        vectors, dot = layout.vectors(other._rows), layout.dot
+        return FFMatrix(layout, self.nrows, other.ncols, [dot(vectors, r) for r in self._rows])
 
     def mat_vec(self, v) -> tuple:
         if len(v) != self.ncols:
             raise ValueError("length mismatch")
-        f = self.field
-        if self._packed:
-            vmask = pack_bits(v)
-            return tuple([_parity(r & vmask) for r in self._rows])
-        # the columns of self combined by the entries of v
-        return (FFMatrix.from_rows(f, [v]) @ self.transpose()).row(0)
+        x = FFMatrix.from_rows(self.field, [v])._rows[0]
+        return self.layout.mat_vec(self._rows, self.ncols, x)
 
     def submatrix(self, row_idx, col_idx) -> "FFMatrix":
-        row_idx, col_idx = list(row_idx), list(col_idx)
-        if self._packed:
-            n = self.ncols
-            cols = [j if 0 <= j < n else range(n)[j] for j in col_idx]  # as in at()
-            rows = [pack_bits([r >> j & 1 for j in cols])
-                    for r in map(self._rows.__getitem__, row_idx)]
-            return FFMatrix(self.field, len(row_idx), len(col_idx), rows, True)
-        rows = [tuple(self._rows[i][j] for j in col_idx) for i in row_idx]
-        return FFMatrix(self.field, len(row_idx), len(col_idx), rows, False)
+        col_idx = list(col_idx)
+        rows = [self.layout.pack([r[j] for j in col_idx]) for r in map(self.row, row_idx)]
+        return FFMatrix(self.layout, len(rows), len(col_idx), rows)
 
     def hstack(self, other: "FFMatrix") -> "FFMatrix":
         if self.field != other.field or self.nrows != other.nrows:
             raise ValueError("shape or field mismatch")
-        if self._packed:
-            rows = [a | (b << self.ncols) for a, b in zip(self._rows, other._rows)]
-            return FFMatrix(self.field, self.nrows, self.ncols + other.ncols, rows, True)
-        rows = [ra + rb for ra, rb in zip(self._rows, other._rows)]
-        return FFMatrix(self.field, self.nrows, self.ncols + other.ncols, rows, False)
+        shift = self.ncols * self.layout.bits
+        rows = [a | b << shift for a, b in zip(self._rows, other._rows)]
+        return FFMatrix(self.layout, self.nrows, self.ncols + other.ncols, rows)
 
     def vstack(self, other: "FFMatrix") -> "FFMatrix":
         if self.field != other.field or self.ncols != other.ncols:
             raise ValueError("shape or field mismatch")
-        return FFMatrix(self.field, self.nrows + other.nrows, self.ncols,
-                        list(self._rows) + list(other._rows), self._packed)
+        return FFMatrix(self.layout, self.nrows + other.nrows, self.ncols,
+                        self._rows + other._rows)
 
 
 def xor_picked(vectors: list[int], x: int) -> int:
@@ -213,6 +178,8 @@ def xor_picked(vectors: list[int], x: int) -> int:
 
 # bytes 0 and 1 to ASCII digits; every other byte to one int() rejects
 _ASCII_BITS = b"01" + b"x" * 254
+# and back
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def pack_bits(bits) -> int:
@@ -222,46 +189,36 @@ def pack_bits(bits) -> int:
     return int(bytes(bits)[::-1].translate(_ASCII_BITS) or b"0", 2)
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 # ---------------------------------------------------------------------------
 # Packed row layouts.
 
 
 @lru_cache(maxsize=None)
-def slot_layout(field, terms: int):
-    """The packed row layout over the field for rows whose slots add up
-    to `terms` products of two elements before they are reduced: entry j
-    in bits [j bits, (j + 1) bits) of one int (Kronecker substitution; von
-    zur Gathen & Gerhard, Modern Computer Algebra, 8.4).  Over F_p, p odd,
-    a slot is the fewest bytes out of 1, 2, 4, 8, 16, ... that hold
-    terms (p - 1)^2.  A layout packs and unpacks (reduced), combines
-    vectors(rows) by the entries of a packed x (dot), and pivots: x
-    reduced and scaled to 1 at col, with the row operation y - c x.  The
-    F_2 layout, one bit per slot, has only bits, pack and dot."""
+def slot_layout(field):
+    """The packed row layout of the field, the one format of FFMatrix
+    rows: entry j in bits [j bits, (j + 1) bits) of one int, reduced
+    (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4), with slots as wide as the field alone requires.  A
+    layout packs and unpacks, combines vectors(rows) by the entries of a
+    packed x (dot), adds c x to y (axpy), transposes, multiplies by a
+    vector (mat_vec), and pivots for rref: x reduced and scaled to 1 at
+    col, with the row operation y - c x, made canonical by reduce."""
     if field.order == 2:
-        return _BitSlots
+        return _BitSlots(field)
     if field.char == 2:
         return _CarrylessSlots(field)
     if field.order > field.char:
         return _EntrySlots(field)
-    need = max(terms * (field.p - 1) ** 2, 1).bit_length()
-    return _PrimeSlots(field, 1 << ((need - 1) // 8).bit_length())
-
-
-class _BitSlots:
-    bits, pack, dot = 1, staticmethod(pack_bits), staticmethod(xor_picked)
+    return _PrimeSlots(field)
 
 
 class _EntrySlots:
     """F_{p^k}, p odd, k >= 2: slots that hold one element each; a row
     operation calls the field's add and mul entry by entry.  The other
-    layouts reuse its generic pack, unpack and dot."""
+    layouts reuse its generic methods."""
 
     def __init__(self, field):
-        self.field, self.bits = field, field.order.bit_length()
+        self.field, self.bits = field, (field.order - 1).bit_length()
         self.mask = (1 << self.bits) - 1
 
     def pack(self, entries) -> int:
@@ -274,7 +231,7 @@ class _EntrySlots:
         return x
 
     def vectors(self, rows) -> list:
-        return [self.pack(r) for r in rows]
+        return rows
 
     def dot(self, vectors, x: int) -> int:
         acc = 0
@@ -287,23 +244,73 @@ class _EntrySlots:
         return self.pack([f.add(a, f.mul(c, b)) if b else a
                           for a, b in zip(self.unpack(y, n), self.unpack(x, n))])
 
+    def axpy(self, y: int, c: int, x: int) -> int:
+        return self.dot(self.vectors([y, x]), self.pack([1, c]))
+
     def pivot(self, x: int, col: int):
         c = x >> col * self.bits & self.mask
         if c != 1:
             x = self._axpy(0, self.field.inv(c), x)
         return x, lambda y, c, neg=self.field.neg: self._axpy(y, neg(c), x)
 
+    def transpose(self, rows, ncols: int) -> list[int]:
+        cols = zip(*[self.unpack(r, ncols) for r in rows])
+        return [self.pack(c) for c in cols] if rows else [0] * ncols
+
+    def mat_vec(self, rows, ncols: int, x: int) -> tuple:
+        """The matrix with these rows times x: its columns combined by x."""
+        return self.unpack(self.dot(self.vectors(self.transpose(rows, ncols)), x), len(rows))
+
+
+class _BitSlots(_EntrySlots):
+    """F_2: one bit per slot, so rows add by xor, a row reads back as its
+    binary digits, a transpose moves set bits one at a time, and entry i
+    of a product with x is the parity of row i masked by x."""
+
+    pack, dot = staticmethod(pack_bits), staticmethod(xor_picked)
+    axpy = staticmethod(lambda y, c, x: y ^ x if c else y)
+
+    @staticmethod
+    def unpack(x: int, n: int) -> tuple:
+        return tuple(bin(x)[:1:-1].ljust(n, "0")[:n].encode().translate(_BIT_VALUES))
+
+    @staticmethod
+    def transpose(rows, ncols: int) -> list[int]:
+        cols = [0] * ncols
+        for i, r in enumerate(rows):
+            while r:
+                lsb = r & -r
+                cols[lsb.bit_length() - 1] |= 1 << i
+                r ^= lsb
+        return cols
+
+    @staticmethod
+    def mat_vec(rows, ncols: int, x: int) -> tuple:
+        return tuple([(r & x).bit_count() & 1 for r in rows])
+
 
 class _PrimeSlots(_EntrySlots):
-    """F_p, p odd: slots of `size` bytes that add as plain integers, so a
-    row operation y - c x is one multiply-add y + (p - c) x.  All slots are
-    reduced mod p at once, by one bytes.translate for byte slots, else via
-    an array of machine words where the host's byte order allows."""
+    """F_p, p odd: slots of the fewest bytes out of 1, 2, 4, 8, ... whose
+    top bit alone holds (p - 1)^2, added as plain integers.  A row
+    operation y - c x is one multiply-add y + (p - c) x, which reduces y
+    only once the top bit of some slot is set, as a product added to a
+    slot below it never carries out; dot reduces after every `capacity`
+    products.  All slots are reduced mod p at once, by one bytes.translate
+    for byte slots, else via an array of machine words where the host's
+    byte order allows."""
 
-    def __init__(self, field, size: int):
-        self.field, self.p, self.size, self.bits = field, field.p, size, 8 * size
+    def __init__(self, field):
+        p = field.p
+        need = ((p - 1) ** 2 - 1).bit_length() + 1
+        size = 1 << ((need - 1) // 8).bit_length()
+        self.field, self.p, self.size, self.bits = field, p, size, 8 * size
         self.mask = (1 << self.bits) - 1
-        self._table = bytes(b % field.p for b in range(256))
+        # products a reduced slot can add before it might carry
+        self.capacity = (self.mask - (p - 1)) // (p - 1) ** 2
+        # the top bits of n slots
+        top = (1 << self.bits - 1).to_bytes(size, "little")
+        self._tops = lru_cache(maxsize=None)(lambda n: int.from_bytes(top * n, "little"))
+        self._table = bytes(b % p for b in range(256))
         self._code = next((c for c in "BHILQ" if array(c).itemsize == size
                            and sys.byteorder == "little"), None)
 
@@ -320,26 +327,35 @@ class _PrimeSlots(_EntrySlots):
                 else super().unpack(x, n))
 
     def unpack(self, x: int, n: int) -> tuple:
-        if self.size == 1:
-            return tuple(x.to_bytes(n, "little").translate(self._table))
-        p = self.p
-        return tuple([s % p for s in self._slots(x, n)])
+        return tuple(self._slots(x, n))
 
     def reduce(self, x: int) -> int:
         n = -(-x.bit_length() // self.bits)
         if self.size == 1:
             return int.from_bytes(x.to_bytes(n, "little").translate(self._table), "little")
-        return self.pack(self.unpack(x, n))
+        p = self.p
+        return self.pack([s % p for s in self._slots(x, n)])
 
     def dot(self, vectors, x: int) -> int:
-        return self.reduce(sum([c * v for c, v in zip(self._slots(x), vectors) if c]))
+        terms = [c * v for c, v in zip(self._slots(x), vectors) if c]
+        acc, cap = 0, self.capacity
+        while len(terms) > cap:
+            acc = self.reduce(acc + sum(terms[-cap:]))
+            del terms[-cap:]
+        return self.reduce(acc + sum(terms))
 
     def pivot(self, x: int, col: int):
         x = self.reduce(x)
         c = x >> col * self.bits & self.mask
         if c != 1:
             x = self.reduce(x * self.field.inv(c))
-        return x, lambda y, c, p=self.p: y + (p - c) * x
+        p, reduce = self.p, self.reduce
+        top = self._tops(-(-x.bit_length() // self.bits))
+
+        def op(y: int, c: int) -> int:
+            y += (p - c) * x
+            return reduce(y) if y & top else y
+        return x, op
 
 
 class _CarrylessSlots(_EntrySlots):
@@ -355,7 +371,7 @@ class _CarrylessSlots(_EntrySlots):
         self._lows = lru_cache(maxsize=None)(lambda n: self.pack([self.mask] * n))
 
     def vectors(self, rows) -> list:
-        return [self.field._window(self.pack(r)) for r in rows]
+        return [self.field._window(r) for r in rows]
 
     def _axpy(self, acc: int, c: int, tb: tuple) -> int:
         return acc ^ self.field._clmul(c, tb)
@@ -383,35 +399,28 @@ def rref(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
     Pivot rule: scan columns left to right, take the lowest-index unused
     row with a nonzero entry, so the output is deterministic.
     """
-    if M._packed:
-        rows = list(M._rows)
-        pivots = []
-        prow = 0
-        for col in range(M.ncols):
-            piv = None
+    f, n, ncols = M.field, M.nrows, M.ncols
+    rows, pivots, prow = list(M._rows), [], 0
+    if f.order == 2:
+        for col in range(ncols):
             bit = 1 << col
-            for i in range(prow, M.nrows):
-                if rows[i] & bit:
-                    piv = i
+            for piv in range(prow, n):
+                if rows[piv] & bit:
                     break
-            if piv is None:
+            else:
                 continue
             rows[prow], rows[piv] = rows[piv], rows[prow]
             pr = rows[prow]
-            for i in range(M.nrows):
+            for i in range(n):
                 if i != prow and rows[i] & bit:
                     rows[i] ^= pr
             pivots.append(col)
             prow += 1
-            if prow == M.nrows:
+            if prow == n:
                 break
-        return FFMatrix(M.field, M.nrows, M.ncols, rows, True), len(pivots), tuple(pivots)
-    f, n, ncols = M.field, M.nrows, M.ncols
-    # a slot gains at most one product per pivot before it is reduced
-    layout = slot_layout(f, min(n, ncols) + 1)
+        return FFMatrix(M.layout, n, ncols, rows), len(pivots), tuple(pivots)
+    layout = M.layout
     w, mask, order = layout.bits, layout.mask, f.order
-    rows = [layout.pack(r) for r in M._rows]
-    pivots, prow = [], 0
     for col in range(ncols):
         sh = col * w
         for piv in range(prow, n):
@@ -430,8 +439,8 @@ def rref(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
         prow += 1
         if prow == n:
             break
-    out = FFMatrix(f, n, ncols, [layout.unpack(r, ncols) for r in rows], False)
-    return out, len(pivots), tuple(pivots)
+    rows = list(map(layout.reduce, rows))
+    return FFMatrix(layout, n, ncols, rows), len(pivots), tuple(pivots)
 
 
 def rank(M: FFMatrix) -> int:
@@ -448,28 +457,21 @@ def nullspace_basis(M: FFMatrix) -> FFMatrix:
     (rank-nullity).
     """
     R, _, pivots = rref(M)
-    f = M.field
-    n = M.ncols
+    layout, n, minus_one = M.layout, M.ncols, M.field.neg(1)
+    w, mask = layout.bits, layout.mask
     pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    if M._packed:
-        rows = []
-        for j in free_cols:
-            v = 1 << j
-            for r, pc in enumerate(pivots):
-                if R._rows[r] >> j & 1:
-                    v |= 1 << pc
-            rows.append(v)
-        return FFMatrix(f, len(rows), n, rows, True)
-    neg = f.neg
     rows = []
-    for j in free_cols:
-        v = [0] * n
-        v[j] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = neg(R._rows[r][j])
-        rows.append(tuple(v))
-    return FFMatrix(f, len(rows), n, rows, False)
+    for j in range(n):
+        if j in pivot_set:
+            continue
+        sh = j * w
+        col = 0  # column j of R, moved to the pivot columns
+        for r, pc in zip(R._rows, pivots):
+            c = r >> sh & mask
+            if c:
+                col |= c << pc * w
+        rows.append(layout.axpy(1 << sh, minus_one, col))
+    return FFMatrix(layout, len(rows), n, rows)
 
 
 def solve(A: FFMatrix, b) -> tuple | None:
@@ -500,7 +502,9 @@ def inverse(M: FFMatrix) -> FFMatrix:
     R, rk, pivots = rref(aug)
     if rk < n or any(pc != i for i, pc in enumerate(pivots[:n])):
         raise SingularMatrixError("matrix is singular")
-    return R.submatrix(range(n), range(n, 2 * n))
+    # R = [I | M^{-1}]: each row's right half
+    shift = n * M.layout.bits
+    return FFMatrix(M.layout, n, n, [r >> shift for r in R._rows])
 
 
 def full_rank_submatrix(M: FFMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -22,7 +22,7 @@ from math import comb
 from operator import mul
 
 from .fields import prime_field
-from .linalg import FFMatrix, rank, rref
+from .linalg import FFMatrix, rank, rref, slot_layout
 
 
 def point_to_int(point, p: int) -> int:
@@ -262,13 +262,13 @@ class MultilinearPoly:
         return hash((self.index, self.coeffs))
 
     def packed(self) -> int:
-        if self.index.p != 2:
-            raise ValueError("packed form requires p = 2")
-        return sum(1 << i for i, c in enumerate(self.coeffs) if c)
+        """The coefficient vector packed in the field's row layout
+        (linalg.slot_layout), as a row of a PolySpace basis."""
+        return slot_layout(self.field).pack(self.coeffs)
 
     @classmethod
     def from_packed(cls, index, packed: int) -> "MultilinearPoly":
-        return cls(index, ((packed >> i) & 1 for i in range(index.size)))
+        return cls(index, slot_layout(prime_field(index.p)).unpack(packed, index.size))
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         return [(self.index.monomials[i], c)
@@ -383,14 +383,15 @@ class PolySpace:
     @classmethod
     def from_matrix(cls, index, mat: FFMatrix) -> "PolySpace":
         R, rk, pivots = rref(mat)
-        rows = R._rows[:rk]
-        return cls(index, FFMatrix(mat.field, rk, mat.ncols, rows, R._packed), pivots)
+        rows = R.packed_rows()[:rk]
+        return cls(index, FFMatrix.from_packed_rows(mat.field, rows, mat.ncols), pivots)
 
     @classmethod
     def from_polys(cls, index, polys) -> "PolySpace":
-        field = prime_field(index.p)
-        mat = FFMatrix.from_rows(field, [list(P.coeffs) for P in polys])
-        return cls.from_matrix(index, mat)
+        rows = [P.coeffs for P in polys]
+        if not rows:
+            return cls.empty(index)
+        return cls.from_matrix(index, FFMatrix.from_rows(prime_field(index.p), rows))
 
     @classmethod
     def full(cls, index) -> "PolySpace":
@@ -415,37 +416,24 @@ class PolySpace:
         return [MultilinearPoly(self.index, self.basis.row(i))
                 for i in range(self.basis.nrows)]
 
-    def reduce_vector(self, vec):
-        """Remainder of a coefficient vector modulo the space (rref basis).
-
-        Accepts and returns a packed int for p = 2, else a tuple.
-        """
-        if self.index.p == 2:
-            v = vec
-            rows = self.basis._rows
-            for r, pc in enumerate(self.pivots):
-                if v >> pc & 1:
-                    v ^= rows[r]
-            return v
-        f = prime_field(self.index.p)
-        v = list(vec)
+    def reduce_vector(self, vec: int) -> int:
+        """The remainder of a packed coefficient vector (MultilinearPoly.packed)
+        modulo the space: one row operation of the layout per nonzero entry
+        of vec at a pivot, which the other rref basis rows leave alone."""
+        p, layout, v = self.index.p, self.basis.layout, vec
+        entries = layout.unpack(vec, self.index.size)
         for r, pc in enumerate(self.pivots):
-            c = v[pc]
-            if c:
-                row = self.basis._rows[r]
-                for j in range(pc, self.index.size):
-                    if row[j]:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return tuple(v)
+            if entries[pc]:
+                v = layout.axpy(v, p - entries[pc], self.basis.packed_row(r))
+        return v
 
-    def contains_vec(self, vec) -> bool:
-        red = self.reduce_vector(vec)
-        return red == 0 if self.index.p == 2 else all(c == 0 for c in red)
+    def contains_vec(self, vec: int) -> bool:
+        return not self.reduce_vector(vec)
 
     def contains(self, P: MultilinearPoly) -> bool:
         if P.index != self.index:
             raise ValueError("index mismatch")
-        return self.contains_vec(P.packed() if self.index.p == 2 else P.coeffs)
+        return self.contains_vec(P.packed())
 
     def affine_image(self, mat, b) -> "PolySpace":
         """The space {reduce(P(Ay + b)) : P in this space} over k

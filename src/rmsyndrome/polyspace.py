@@ -63,18 +63,13 @@ def find_unique_root(V: PolySpace) -> tuple | None:
     point."""
     idx = V.index
     p = idx.p
+    bits = V.basis.layout.bits
     point = []
     for j in range(idx.m):
         var_pos = idx.position[p ** j]
         hit = None
         for a in range(p):
-            if p == 2:
-                vec = (1 << var_pos) | (a & 1)
-            else:
-                lst = [0] * idx.size
-                lst[var_pos] = 1
-                lst[0] = (-a) % p
-                vec = tuple(lst)
+            vec = 1 << var_pos * bits | -a % p  # X_j - a, packed
             if V.contains_vec(vec):
                 if hit is not None:
                     return None

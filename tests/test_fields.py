@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rmsyndrome.fields import (ExtField, OrderFactorizationError, UniPoly,
                                berlekamp_roots, extension_field, factorize,
@@ -247,6 +247,20 @@ def test_poly_gcd_over_odd_fields(F, data):
 @given(st.sampled_from([1, 2, 3, 8, 16, 40, 64, 120]), st.data())
 def test_ext_field_inverse_over_f2(k, data):
     F = extension_field(2, k)
+    a = data.draw(st.integers(1, F.order - 1))
+    inv = F.inv(a)
+    assert F.mul(a, inv) == 1
+    assert inv == F.pow(a, F.order - 2)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 3), (3, 80)])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_ext_field_inverse_over_odd_p(p, k, data):
+    # the extended Euclid over F_p[X] agrees with Fermat's a^(q-2)
+    F = extension_field(p, k)
     a = data.draw(st.integers(1, F.order - 1))
     inv = F.inv(a)
     assert F.mul(a, inv) == 1

@@ -2,10 +2,12 @@
 the schoolbook reference in helpers, which makes one field call per entry.
 
 The fields cover every row layout of linalg.slot_layout: byte slots over
-F_3, F_5 and F_7 (one byte up to some rank, two beyond), 16-byte slots
-over F_{2^31 - 1}, entry-by-entry slots over F_{3^2} and carry-less 2k-bit
-slots over F_{2^8}.  Over the extension fields, whose reference arithmetic
-is slow, large shapes get low rank."""
+F_3, F_5 and F_7 (at any rank), 2-byte slots over F_13, 8-byte slots over
+F_{2^31 - 1}, 16-byte slots (no machine word) over F_{2^61 - 1},
+entry-by-entry slots over F_{3^2} and carry-less 2k-bit slots over
+F_{2^8}; the round trip adds F_2's bit rows.  Over the
+extension fields, whose reference arithmetic is slow, large shapes get
+low rank."""
 
 import random
 
@@ -18,9 +20,9 @@ from rmsyndrome.fields import extension_field, prime_field
 from rmsyndrome.linalg import (FFMatrix, SingularMatrixError, inverse,
                                nullspace_basis, rref, slot_layout)
 
-FIELDS = [prime_field(3), prime_field(5), prime_field(7), extension_field(3, 2),
-          extension_field(2, 8), prime_field(2 ** 31 - 1)]
-# 62 x 62 of full rank over F_3 still fits byte slots; 63 does not
+FIELDS = [prime_field(3), prime_field(5), prime_field(7), prime_field(13),
+          extension_field(3, 2), extension_field(2, 8), prime_field(2 ** 31 - 1),
+          prime_field(2 ** 61 - 1)]
 ROWS = (0, 1, 2, 3, 5, 8, 13, 36, 62, 63, 91)
 COLS = (0, 1, 2, 4, 7, 12, 36, 62, 91, 120)
 
@@ -117,20 +119,51 @@ def test_matmul_and_mat_vec_match_schoolbook(F, data):
     assert A.mat_vec(v) == tuple(schoolbook_dot(F, r, v) for r in arows)
 
 
+@settings(max_examples=80)
+@given(st.sampled_from(FIELDS + [prime_field(2)]), st.data())
+def test_packed_rows_round_trip_and_match_tuple_rows(F, data):
+    # every field stores one packed int per row: it reads back as the
+    # rows it was built from, and indexing, slicing, stacking, transposing
+    # and adding agree with the same operations on tuple rows
+    rows, ncols = _rows(F, data)
+    other, _ = _rows(F, data, len(rows), ncols)
+    wide, wcols = _rows(F, data, len(rows))
+    M, N, W = _matrix(F, rows, ncols), _matrix(F, other, ncols), _matrix(F, wide, wcols)
+    layout, rng = slot_layout(F), random.Random(data.draw(st.integers(0, 2 ** 32)))
+    assert M.rows() == [tuple(r) for r in rows]
+    assert [M.packed_row(i) for i in range(M.nrows)] == [layout.pack(r) for r in rows]
+    if rows and ncols:
+        i, j = rng.randrange(len(rows)), rng.randrange(-ncols, ncols)
+        assert M.at(i, j) == rows[i][j]
+        with pytest.raises(IndexError):
+            M.at(i, -ncols - 1)
+    ri = [rng.randrange(len(rows)) for _ in range(rng.randrange(4))] if rows else []
+    ci = [rng.randrange(-ncols, ncols) for _ in range(rng.randrange(6))] if ncols else []
+    assert M.submatrix(ri, ci).rows() == [tuple(rows[i][j] for j in ci) for i in ri]
+    assert M.hstack(W).rows() == [tuple(a) + tuple(b) for a, b in zip(rows, wide)]
+    assert M.vstack(N).rows() == [tuple(r) for r in rows + other]
+    assert M.transpose().rows() == [tuple(r[j] for r in rows) for j in range(ncols)]
+    assert (M + N).rows() == [tuple(map(F.add, a, b)) for a, b in zip(rows, other)]
+    assert (M - N).rows() == [tuple(map(F.sub, a, b)) for a, b in zip(rows, other)]
+
+
 def test_slot_widths():
-    # a slot holds terms (p - 1)^2 in the fewest bytes out of 1, 2, 4, 8, 16, ...
-    assert slot_layout(prime_field(3), 63).bits == 8
-    assert slot_layout(prime_field(3), 64).bits == 16
-    assert slot_layout(prime_field(7), 0).bits == 8
-    assert slot_layout(prime_field(2 ** 31 - 1), 4).bits == 64
-    assert slot_layout(prime_field(2 ** 31 - 1), 5).bits == 128
+    # the width of a slot depends on the field alone; over odd p it is the
+    # fewest bytes out of 1, 2, 4, 8, ... whose top bit holds (p - 1)^2
+    assert slot_layout(prime_field(2)).bits == 1
+    assert all(slot_layout(prime_field(p)).bits == 8 for p in (3, 5, 7, 11))
+    assert slot_layout(prime_field(13)).bits == 16
+    assert slot_layout(prime_field(2 ** 31 - 1)).bits == 64
+    assert slot_layout(prime_field(2 ** 61 - 1)).bits == 128
+    assert slot_layout(extension_field(2, 8)).bits == 16
+    assert slot_layout(extension_field(3, 2)).bits == 4
 
 
 @pytest.mark.parametrize("p,n,ncols", [(3, 62, 62), (3, 63, 63), (3, 91, 120), (5, 60, 91),
                                        (2 ** 31 - 1, 20, 30)])
 def test_full_rank_rref_matches_schoolbook(p, n, ncols):
-    # dense rows, mostly p - 1, so that slots fill fastest; 62 x 62 over
-    # F_3 is the last shape of byte slots
+    # dense rows, mostly p - 1, so that slots fill fastest; F_3 runs on
+    # byte slots at every rank
     F, rng = prime_field(p), random.Random(p * n)
     rows = [[p - 1 if rng.random() < 0.7 else rng.randrange(p) for _ in range(ncols)]
             for _ in range(n)]
@@ -139,11 +172,14 @@ def test_full_rank_rref_matches_schoolbook(p, n, ncols):
     assert rk > n - 3
 
 
-@pytest.mark.parametrize("p,R", [(3, 61), (3, 64), (5, 16), (7, 8)])
+@pytest.mark.parametrize("p,R", [(3, 61), (3, 64), (3, 200), (5, 16), (5, 64), (7, 8),
+                                 (7, 40)])
 def test_rref_slots_hold_the_worst_case_sums(p, R):
     # rows e_i + (p - 1) e_R for i < R, then a row of R ones: the last row
-    # gets c = 1 at every pivot, so its slot R sums R products (p - 1)^2
-    # before any reduction, one byte's worth and more
+    # gets c = 1 at every pivot, so its slot R adds R products (p - 1)^2,
+    # many bytes' worth, on byte slots that are reduced only when a top
+    # bit is set
+    assert slot_layout(prime_field(3)).bits == 8
     F = prime_field(p)
     rows = [[int(j == i) for j in range(R)] + [p - 1, 0] for i in range(R)]
     rows.append([1] * R + [0, 0])

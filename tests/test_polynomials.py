@@ -299,6 +299,25 @@ def test_space_membership_and_canonical_equality(rng):
     assert W == V  # rref canonical form is order independent
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_space_of_no_polys_is_empty(p):
+    idx = monomial_index(3, 2, p)
+    assert PolySpace.from_polys(idx, []) == PolySpace.empty(idx)
+
+
+def test_packed_polys_over_f3_round_trip_and_test_membership():
+    pts = [(1, 2, 0), (0, 1, 1)]
+    V = vanishing_space(pts, 2, 3, 3)
+    for P in V.polys():
+        assert MultilinearPoly.from_packed(V.index, P.packed()) == P
+        assert V.contains(P)
+    outside = MultilinearPoly.constant(V.index, 1)
+    assert not V.contains(outside)
+    rem = V.reduce_vector(outside.packed())
+    assert V.reduce_vector(rem) == rem
+    assert V.contains(outside - MultilinearPoly.from_packed(V.index, rem))
+
+
 def test_poly_from_obj_adds_repeated_exponent_vectors():
     idx = monomial_index(4, 3, 3)
     x1 = [1, 0, 0, 0]
