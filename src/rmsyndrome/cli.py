@@ -22,6 +22,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from .code import (CodeParams, DecodingFailure, LengthMismatchError,
@@ -303,18 +304,13 @@ def _cmd_experiment(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         try:
-            if workers == 1:
-                for job in jobs:
-                    row = _trial_worker(job)
+            # rows come back in job order, one process or a pool alike
+            with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+                  else nullcontext()) as pool:
+                for row in (map if pool is None else pool.map)(_trial_worker, jobs):
                     rows_by_t[row["t"]].append(row)
                     writer.writerow(row)
                     fh.flush()
-            else:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for row in pool.map(_trial_worker, jobs):
-                        rows_by_t[row["t"]].append(row)
-                        writer.writerow(row)
-                        fh.flush()
         except KeyboardInterrupt:
             _write_summaries(writer, rows_by_t, args)
             fh.flush()

@@ -45,8 +45,8 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
-from .fields import (extension_field, find_primitive_element, poly_divmod,
-                     poly_gcd)
+from .fields import (OrderFactorizationError, extension_field,
+                     find_primitive_element, poly_divmod, poly_gcd)
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
@@ -145,7 +145,9 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     The recovered set is checked against the syndrome before it is
     returned.  A set that fails the check raises DecodingFailure; on a
     valid syndrome that means an error set whose tensor powers are not
-    independent.
+    independent.  So does a derandomized call whose 2^D - 1 cannot be
+    factored in budget (find_primitive_element), as for the default
+    D = 170 at m = 17.
     """
     params = S.params
     if mode not in ("randomized", "derandomized"):
@@ -173,7 +175,12 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
                 last = str(exc)
         raise DecodingFailure(
             f"decomposition failed after {MAX_DRAWS} flattening draws: {last}")
-    alpha = find_primitive_element(F)
+    try:
+        alpha = find_primitive_element(F)
+    except OrderFactorizationError as exc:
+        raise DecodingFailure(
+            f"no primitive element of F_2^{D} for the derandomized vectors: "
+            f"{exc}; choose another extension degree (--ext-degree)") from exc
     a, b = derandomized_flattening_vectors(F, alpha, m)
     try:
         return _attempt(S, minors, cols, F, a, b)

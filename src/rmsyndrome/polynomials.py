@@ -303,52 +303,45 @@ def substitution_matrix(index: MonomialIndex, mat_rows, b) -> FFMatrix:
     over monomial_index(k, index.t, index.p), where A is the m x k matrix
     with the given rows, of full column rank (k = m: a change of
     coordinates; k < m: a parametrization of an affine subspace).  The
-    substitution acts on coefficient vectors as v -> v @ S."""
+    substitution acts on coefficient vectors as v -> v @ S.
+
+    The rows are one walk down the index (MonomialIndex.values) over
+    packed rows (linalg.slot_layout), the same for every p: row i is its
+    parent's row, of degree < t, times the linear form l_v = b_v + A_v y,
+    and the product with l_v is the linear map whose column s is
+    b_v e_s + sum_u A_vu e_{reduce(y^s y_u)} (_product_units), which the
+    parent's row combines by its entries (layout.dot)."""
     p = index.p
-    field = prime_field(p)
-    k = len(mat_rows[0]) if mat_rows else 0
-    target = monomial_index(k, index.t, p)
-    parents = index.parents()
-    var_maps = [target.var_mul(u) for u in range(k)]
-    if p == 2:
-        rows = [0] * index.size
-        rows[0] = 1  # constant monomial -> 1
-        for i in range(1, index.size):
-            pp, v = parents[i]
-            src = rows[pp]
-            acc = src if b[v] & 1 else 0
-            mrow = mat_rows[v]
-            for u in range(k):
-                if mrow[u] & 1:
-                    vm = var_maps[u]
-                    s = src
-                    while s:
-                        lsb = s & -s
-                        acc ^= 1 << vm[lsb.bit_length() - 1]
-                        s ^= lsb
-            rows[i] = acc
-        return FFMatrix.from_packed_rows(field, rows, target.size)
-    add, mul = field.add, field.mul
-    rows = [None] * index.size
-    first = [0] * target.size
-    first[0] = 1
-    rows[0] = first
-    for i in range(1, index.size):
-        pp, v = parents[i]
-        src = rows[pp]
-        bv = b[v] % p
-        acc = [mul(bv, c) if c else 0 for c in src] if bv else [0] * target.size
-        mrow = mat_rows[v]
-        for u in range(k):
-            cu = mrow[u] % p
-            if cu:
-                vm = var_maps[u]
-                for s_pos, c in enumerate(src):
-                    if c:
-                        tgt = vm[s_pos]
-                        acc[tgt] = add(acc[tgt], mul(cu, c))
-        rows[i] = acc
-    return FFMatrix.from_rows(field, rows)
+    layout = slot_layout(prime_field(p))
+    target = monomial_index(len(mat_rows[0]) if mat_rows else 0, index.t, p)
+    units, low = _product_units(target)
+    width = target.size * layout.bits
+    mask, dot = (1 << width) - 1, layout.dot
+    forms = []
+    for bv, row in zip(b, mat_rows):
+        # the columns of the product with l_v, column s in block s
+        cols = dot(units, layout.pack([c % p for c in (bv, *row)]))
+        forms.append(layout.vectors([cols >> s * width & mask for s in range(low)]))
+    rows = index.values(1, forms, lambda row, form: dot(form, row))
+    return FFMatrix.from_packed_rows(layout.field, rows, target.size)
+
+
+@lru_cache(maxsize=None)
+def _product_units(target: MonomialIndex) -> tuple:
+    """(units, low): the products of the target index's low monomials y^s
+    of degree < t with 1, y_0, ..., y_{k-1} as packed units, units[0]
+    holding e_s and units[1 + u] e_{reduce(y^s y_u)}, each in block s
+    (slots [s n, (s + 1) n), n = target.size) of one int.  Combined by
+    (b, a) (layout.dot), they give every column of the product with the
+    linear form b + a.y, column s in block s.  Two products can be one
+    monomial (over F_2, (y_0 y_1) y_0 = (y_0 y_1) y_1), so the units add
+    by dot, never by or."""
+    layout, n = slot_layout(prime_field(target.p)), target.size
+    low = monomial_count(target.m, target.t - 1, target.p)
+    maps = [range(low), *map(target.var_mul, range(target.m))]
+    units = [sum(1 << (s * n + j) * layout.bits for s, j in zip(range(low), vm))
+             for vm in maps]
+    return layout.vectors(units), low
 
 
 def _affine_map(index: MonomialIndex, mat, b):

@@ -9,7 +9,6 @@ from math import prod
 from rmsyndrome.code import (DecodingFailure, ErrorSet, Syndrome,
                              moment_matrix, syndrome_from_errors,
                              tensor_power, tensor_power_matrix)
-from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import (_NOT_COMMON, _NOT_ONE_DIMENSIONAL,
                                  _check_leaf_count, _start_vector)
 from rmsyndrome.linalg import FFMatrix, rank, solve
@@ -55,25 +54,14 @@ def _weight_values(F, a, b, E: ErrorSet):
 
 def affine_substitute(P: MultilinearPoly, mat, b) -> MultilinearPoly:
     """reduce(P(Ay + b)) in k variables, for an m x k matrix A (rows as
-    sequences) of full column rank."""
+    sequences) of full column rank: P's packed coefficients times the
+    substitution matrix, one product in its packed row layout."""
     idx = P.index
     mat_rows, target = _affine_map(idx, mat, b)
     S = substitution_matrix(idx, mat_rows, tuple(b))
-    if idx.p == 2:
-        acc = 0
-        for i, c in enumerate(P.coeffs):
-            if c:
-                acc ^= S.packed_row(i)
-        return MultilinearPoly.from_packed(target, acc)
-    f = prime_field(idx.p)
-    acc = [0] * target.size
-    for i, c in enumerate(P.coeffs):
-        if c:
-            row = S.row(i)
-            for j in range(target.size):
-                if row[j]:
-                    acc[j] = f.add(acc[j], f.mul(c, row[j]))
-    return MultilinearPoly(target, acc)
+    layout = S.layout
+    return MultilinearPoly.from_packed(
+        target, layout.dot(layout.vectors(S.packed_rows()), P.packed()))
 
 
 def check_ur_preserved(E: ErrorSet, M, b) -> bool:

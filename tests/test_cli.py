@@ -4,11 +4,13 @@ import os
 
 import pytest
 
+from rmsyndrome import jennrich
 from rmsyndrome.cli import main, substream_rng, substream_seed
 from rmsyndrome.code import (CodeParams, ErrorSet, corrupt, encode,
                              read_word_file, sample_error_set,
                              syndrome_from_errors, write_syndrome_file,
                              write_word_file)
+from rmsyndrome.fields import OrderFactorizationError
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index, point_to_int
 
 
@@ -196,6 +198,24 @@ def test_decode_without_a_start_vector_exits_2(tmp_path, capsys):
     assert main(["decode", "--syndrome", str(spath),
                  "--out", str(tmp_path / "locs.json")]) == 2
     assert "decode failure: zero start vector" in capsys.readouterr().err
+
+
+def test_decode_with_an_unfactorable_field_order_exits_2(tmp_path, capsys,
+                                                          monkeypatch, rng):
+    # derand needs a primitive element of F_2^D; when 2^D - 1 cannot be
+    # factored (the default D = 170 at m = 17) that is a decode failure
+    def unfactorable(field):
+        raise OrderFactorizationError("order factorization too large")
+
+    monkeypatch.setattr(jennrich, "find_primitive_element", unfactorable)
+    params = CodeParams(6, 1)
+    spath = tmp_path / "synd.json"
+    write_syndrome_file(syndrome_from_errors(sample_error_set(params, 3, rng)), spath)
+    assert main(["decode", "--syndrome", str(spath), "--out", str(tmp_path / "locs.json"),
+                 "--algo", "jennrich", "--mode", "derand"]) == 2
+    err = capsys.readouterr().err
+    assert "decode failure: no primitive element of F_2^60" in err
+    assert "--ext-degree" in err and "Traceback" not in err
 
 
 def test_exit_codes_for_bad_input(tmp_path):

@@ -24,3 +24,29 @@ def test_no_module_imports_a_private_name_from_another():
     found = [f"{path.name}:{line}: {name} from {module}"
              for path in modules for line, module, name in _private_imports(path)]
     assert found == []
+
+
+def _parents_readers(path: Path):
+    """The qualified name of each function or class body in the module at
+    path that reads an attribute named parents (a call of
+    MonomialIndex.parents or the bound method itself)."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute) and child.attr == "parents":
+                found.append(".".join((path.stem,) + scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_monomial_walk_reads_parents():
+    # every walk down the monomial index is MonomialIndex.values
+    found = [name for path in sorted(PACKAGE.glob("*.py")) for name in _parents_readers(path)]
+    assert found == ["polynomials.MonomialIndex.values"]

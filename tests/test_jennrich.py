@@ -15,8 +15,8 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
 from rmsyndrome import jennrich
-from rmsyndrome.fields import (UniPoly, extension_field, find_primitive_element,
-                               prime_field)
+from rmsyndrome.fields import (OrderFactorizationError, UniPoly, extension_field,
+                               find_primitive_element, prime_field)
 from rmsyndrome.jennrich import (_flatten, _krylov_readout, _RetryableFailure,
                                  _split_points, axis_decompose, decompose,
                                  derandomized_flattening_vectors,
@@ -243,6 +243,20 @@ def test_zero_constant_slice_fails_before_the_extension_field(monkeypatch, rng):
     for args in (("randomized", rng), ("derandomized",)):
         with pytest.raises(DecodingFailure, match="zero constant slice"):
             decompose(S, *args)
+
+
+def test_unfactorable_field_order_is_a_decoding_failure(monkeypatch, rng):
+    # at m = 17 the default F_2^170 has an order 2^170 - 1 whose
+    # factorization exhausts its budget; stand that in at m = 6
+    def unfactorable(field):
+        raise OrderFactorizationError("order factorization too large")
+
+    monkeypatch.setattr(jennrich, "find_primitive_element", unfactorable)
+    S = syndrome_from_errors(sample_error_set(CodeParams(6, 1), 3, rng))
+    with pytest.raises(DecodingFailure, match=r"F_2\^60 .*--ext-degree"):
+        decompose(S, "derandomized")
+    with pytest.raises(DecodingFailure, match=r"F_2\^24 "):
+        decompose(S, "derandomized", ext_degree=24)
 
 
 def test_bad_mode_is_rejected_before_any_work(monkeypatch, rng):

@@ -1,4 +1,7 @@
+import random
 from itertools import product
+from math import prod
+from operator import mul
 
 import pytest
 
@@ -8,13 +11,13 @@ from conftest import random_invertible
 from helpers import (affine_substitute, reference_monomials,
                      reference_pair_positions)
 from rmsyndrome.code import tensor_power_matrix, vanishing_space
-from rmsyndrome.fields import prime_field
+from rmsyndrome.fields import PrimeField, prime_field
 from rmsyndrome.linalg import FFMatrix, inverse, rank
 from rmsyndrome.polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                                     moment_positions, monomial_count,
                                     monomial_index, point_to_int, poly_from_obj,
                                     poly_to_obj, reduce_exponent, reduce_terms,
-                                    space_to_obj)
+                                    space_to_obj, substitution_matrix)
 
 
 def test_graded_lex_order_constant_first():
@@ -193,6 +196,51 @@ def test_affine_substitute_rejects_singular():
     P = MultilinearPoly.variable(idx, 0)
     with pytest.raises(ValueError):
         affine_substitute(P, [[0, 0, 0]] * 3, (0, 0, 0))
+
+
+def _reference_value(coeffs, monomials, point, p):
+    """sum_i c_i prod_v x_v^(e_iv) mod p over the exponent tuples."""
+    return sum(c * prod(map(pow, point, mono, [p] * len(point)))
+               for c, mono in zip(coeffs, monomials)) % p
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 3), (13, 2)])
+def test_substitution_matrix_rows_evaluate_to_the_substituted_monomials(p, m):
+    # row i of S, read as a polynomial in k variables, is M_i(Ay + b) at
+    # every y in F_p^k; A with a zero row, b = 0, b with entries >= p
+    rng = random.Random(p * 100 + m)
+    for t in range(4):
+        idx = monomial_index(m, t, p)
+        monos = reference_monomials(m, t, p)
+        for k in range(m + 1):
+            target_monos = reference_monomials(k, t, p)
+            A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+            A[rng.randrange(m)] = [0] * k
+            for b in ((0,) * m, tuple(rng.randrange(p) for _ in range(m)),
+                      tuple(rng.randrange(p, 3 * p) for _ in range(m))):
+                S = substitution_matrix(idx, A, b)
+                assert (S.nrows, S.ncols) == (idx.size, len(target_monos))
+                for y in product(range(p), repeat=k):
+                    x = [(sum(map(mul, row, y)) + c) % p for row, c in zip(A, b)]
+                    assert [_reference_value(S.row(i), target_monos, y, p)
+                            for i in range(idx.size)] == [
+                        _reference_value([1], [mono], x, p) for mono in monos]
+
+
+def test_substitution_matrix_makes_no_field_calls(monkeypatch):
+    """Over F_5 the substitution is packed row products: no
+    PrimeField.add, sub or mul call."""
+    idx = monomial_index(5, 3, 5)
+    rng = random.Random(5)
+    A = [[rng.randrange(5) for _ in range(3)] for _ in range(5)]
+    b = tuple(rng.randrange(5) for _ in range(5))
+    calls = []
+    for name in ("add", "sub", "mul"):
+        monkeypatch.setattr(PrimeField, name,
+                            lambda self, *args, name=name: calls.append(name))
+    S = substitution_matrix(idx, A, b)
+    monkeypatch.undo()
+    assert calls == [] and not S.is_zero()
 
 
 def test_restrict_example_diagonal_pair():
