@@ -14,14 +14,16 @@ row basis too and T_0[K,K] is invertible (_constant_slice, the front
 half both decoders share).  On that minor, M = S^a[K,K] (S^b[K,K])^{-1}
 has the tensor-power columns as eigenvectors.  The decoder never computes
 an eigenvalue: one rref of the Krylov columns of y = T_0[K, 0] against the
-coordinate columns T_0[K, x_v] gives the characteristic polynomial chi of
+coordinate columns H[K, x_v] gives the characteristic polynomial chi of
 M and polynomials g_v with g_v(lambda_e) = e_v (a rational univariate
 representation), and splitting chi by gcd(h, g_v - c), c in F_p, one
 variable at a time leaves one linear factor per error point.
 
 Failure modes (repeated eigenvalues, a singular minor, coordinates that
 do not lie in the base field) trigger a resample in randomized mode and
-are reported as decoding failures in derandomized mode.
+are reported as decoding failures in derandomized mode.  That mode weights
+with powers of z = X mod the modulus of F_{2^D}: the guarantee needs only a
+minimal polynomial of degree D > 6m, the modulus, so nothing is factored.
 
 axis_decompose, the library's default decoder, takes the weightings to be
 the constant slice and each coordinate axis in turn.  The quotients
@@ -45,8 +47,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
-from .fields import (OrderFactorizationError, extension_field,
-                     find_primitive_element, poly_divmod, poly_gcd)
+from .fields import extension_field, poly_divmod, poly_gcd
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
@@ -112,12 +113,13 @@ def _flatten(slices, F, weights) -> FFMatrix:
 
 def derandomized_flattening_vectors(F, alpha: int, m: int) -> tuple[tuple, tuple]:
     """The fixed weighting vectors a = (1, a, a^2, ..., a^m) and
-    b = (a^{3m}, a^{3m+2}, ..., a^{5m}) for a primitive element a.
+    b = (a^{3m}, a^{3m+2}, ..., a^{5m}) for an element a of F_{2^D}.
 
-    For a primitive element of F_{2^D} with D > 6m these satisfy the
+    When the minimal polynomial of a has degree D > 6m these satisfy the
     distinctness conditions for every error set: the discriminating
     polynomials have degree <= 6m with F_2 coefficients, so they cannot
-    vanish at an element whose minimal polynomial has degree D.
+    vanish at a.  That is the only property used: a primitive element has
+    it, and so does decompose's z, the residue of X, with no factoring.
     Both are running products: each entry of a is the one before times
     a, each entry of b the one before times a^2.
     """
@@ -137,17 +139,18 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
 
     mode "randomized" draws the weighting vectors a, then b, from rng and
     retries on unlucky draws, up to MAX_DRAWS draws in all.  Mode
-    "derandomized" (F_2 only) uses the fixed primitive-element vectors
-    and is bit-reproducible.  ext_degree defaults to 10m.  The front
-    half (_constant_slice), the slice minors T_v[K, K] and the columns
-    T_0[K, 0..m] are built once per call; each draw only flattens them.
+    "derandomized" (F_2 only) makes one fixed draw from z = X mod the
+    modulus of F_{2^D} (derandomized_flattening_vectors) and is
+    bit-reproducible: z's minimal polynomial, the modulus, has degree D,
+    so D > 6m guarantees the draw with no factoring of 2^D - 1.
+    ext_degree D defaults to 10m.  The front half (_constant_slice), the
+    slice minors T_v[K, K] and the columns H[K, 0..m] are built once
+    per call; each draw only flattens them.
 
     The recovered set is checked against the syndrome before it is
     returned.  A set that fails the check raises DecodingFailure; on a
     valid syndrome that means an error set whose tensor powers are not
-    independent.  So does a derandomized call whose 2^D - 1 cannot be
-    factored in budget (find_primitive_element), as for the default
-    D = 170 at m = 17.
+    independent, or, in derandomized mode, D <= 6m.
     """
     params = S.params
     if mode not in ("randomized", "derandomized"):
@@ -157,43 +160,32 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     if mode == "derandomized" and params.p != 2:
         raise ValueError("derandomized flattening vectors are defined over F_2")
     m = params.m
-    T0, K = _constant_slice(S)
+    K = _constant_slice(S)[1]
     if not K:
         return ErrorSet(params, ())
     minors = [moment_matrix(S, K, K, v) for v in range(m + 1)]
-    cols = T0.submatrix(K, range(m + 1)).transpose().rows()
+    # H[K, 0..m]: the columns of degree <= 1, which T_0 lacks when r = 0
+    cols = moment_matrix(S, K, range(m + 1)).transpose().rows()
     D = ext_degree if ext_degree is not None else 10 * m
     F = extension_field(params.p, D)
     if mode == "randomized":
-        last = "no attempt made"
-        for _ in range(MAX_DRAWS):
-            a = tuple(F.random_element(rng) for _ in range(m + 1))
-            b = tuple(F.random_element(rng) for _ in range(m + 1))
-            try:
-                return _attempt(S, minors, cols, F, a, b)
-            except _RetryableFailure as exc:
-                last = str(exc)
-        raise DecodingFailure(
-            f"decomposition failed after {MAX_DRAWS} flattening draws: {last}")
-    try:
-        alpha = find_primitive_element(F)
-    except OrderFactorizationError as exc:
-        raise DecodingFailure(
-            f"no primitive element of F_2^{D} for the derandomized vectors: "
-            f"{exc}; choose another extension degree (--ext-degree)") from exc
-    a, b = derandomized_flattening_vectors(F, alpha, m)
-    try:
-        return _attempt(S, minors, cols, F, a, b)
-    except _RetryableFailure as exc:
-        raise DecodingFailure(
-            f"derandomized decomposition failed: {exc} "
-            "(error set without independent tensor powers, or the "
-            "extension degree is too small for the guarantee)") from exc
+        draws = (tuple(tuple(F.random_element(rng) for _ in range(m + 1)) for _ in range(2))
+                 for _ in range(MAX_DRAWS))  # a, then b
+        failure = f"decomposition failed after {MAX_DRAWS} flattening draws: {{}}"
+    else:  # z = X mod the modulus: the int 2, or the constant term when D = 1
+        draws = [derandomized_flattening_vectors(F, 2 if D > 1 else F.modulus.coeffs[0], m)]
+        failure = "derandomized decomposition failed: {} (dependent tensor powers, or D <= 6m)"
+    for a, b in draws:
+        try:
+            return _attempt(S, minors, cols, F, a, b)
+        except _RetryableFailure as exc:
+            last = exc
+    raise DecodingFailure(failure.format(last)) from last
 
 
 def _attempt(S: Syndrome, minors, cols, F, a, b) -> ErrorSet:
     """One flattening draw: the points read off the slice minors
-    T_v[K, K] and the columns T_0[K, 0..m], checked against S."""
+    T_v[K, K] and the columns H[K, 0..m], checked against S."""
     try:
         M = _flatten(minors, F, a) @ inverse(_flatten(minors, F, b))
     except SingularMatrixError:

@@ -215,6 +215,10 @@ def _det_rec(space: PolySpace, m_left: int, p: int) -> list[tuple]:
 # End-to-end decoding.
 
 
+# The largest p run_decoder takes (a word file's symbol is one byte).  Every
+# decoder loops over F_p; the axis split's time grows as p^2 (README).
+MAX_PRIME = 251
+
 # Modes of each decoder by name; the first is its deterministic default.
 DECODER_MODES = {"jennrich": ("axis", "rand", "derand"),
                  "polyspace": ("det", "rand")}
@@ -255,8 +259,11 @@ def locate_and_correct(S: Syndrome, algorithm: str = "jennrich",
 def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = None,
                 rng=None, ext_degree: int | None = None) -> ErrorSet:
     """Dispatch to one of the decoders by name; mode None picks the
-    algorithm's deterministic mode (jennrich axis, polyspace det)."""
+    algorithm's deterministic mode (jennrich axis, polyspace det).
+    Raises ValueError for p above MAX_PRIME."""
     mode = resolve_mode(algorithm, mode)
+    if S.params.p > MAX_PRIME:
+        raise ValueError(f"p = {S.params.p} is above MAX_PRIME = {MAX_PRIME}")
     if mode == "rand" and rng is None:
         raise ValueError(f"randomized {algorithm} decoding needs an rng")
     if algorithm == "polyspace":

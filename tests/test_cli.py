@@ -1,16 +1,15 @@
 import csv
 import json
 import os
+import time
 
 import pytest
 
-from rmsyndrome import jennrich
 from rmsyndrome.cli import main, substream_rng, substream_seed
 from rmsyndrome.code import (CodeParams, ErrorSet, corrupt, encode,
                              read_word_file, sample_error_set,
                              syndrome_from_errors, write_syndrome_file,
                              write_word_file)
-from rmsyndrome.fields import OrderFactorizationError
 from rmsyndrome.polynomials import MultilinearPoly, monomial_index, point_to_int
 
 
@@ -200,22 +199,32 @@ def test_decode_without_a_start_vector_exits_2(tmp_path, capsys):
     assert "decode failure: zero start vector" in capsys.readouterr().err
 
 
-def test_decode_with_an_unfactorable_field_order_exits_2(tmp_path, capsys,
-                                                          monkeypatch, rng):
-    # derand needs a primitive element of F_2^D; when 2^D - 1 cannot be
-    # factored (the default D = 170 at m = 17) that is a decode failure
-    def unfactorable(field):
-        raise OrderFactorizationError("order factorization too large")
-
-    monkeypatch.setattr(jennrich, "find_primitive_element", unfactorable)
-    params = CodeParams(6, 1)
+def test_decode_over_a_prime_above_the_bound_exits_4_at_once(tmp_path, capsys):
+    # every decoder loops over F_p; without the bound the default decoder
+    # spent over a minute on this 3-entry syndrome over F_10007
+    from rmsyndrome.code import Syndrome
+    from rmsyndrome.polyspace import MAX_PRIME
     spath = tmp_path / "synd.json"
-    write_syndrome_file(syndrome_from_errors(sample_error_set(params, 3, rng)), spath)
-    assert main(["decode", "--syndrome", str(spath), "--out", str(tmp_path / "locs.json"),
-                 "--algo", "jennrich", "--mode", "derand"]) == 2
-    err = capsys.readouterr().err
-    assert "decode failure: no primitive element of F_2^60" in err
-    assert "--ext-degree" in err and "Traceback" not in err
+    write_syndrome_file(Syndrome(CodeParams(2, 0, 10007), (1, 5, 7)), spath)
+    for extra in ([], ["--algo", "polyspace", "--mode", "det"]):
+        start = time.perf_counter()
+        assert main(["decode", "--syndrome", str(spath),
+                     "--out", str(tmp_path / "locs.json")] + extra) == 4
+        assert time.perf_counter() - start < 0.5
+    assert f"above MAX_PRIME = {MAX_PRIME}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, r, t", [(17, 2, 5), (23, 1, 6)])
+def test_experiment_derand_decodes_where_the_field_order_does_not_factor(tmp_path, m, r, t):
+    # 2^170 - 1 and 2^230 - 1 (the default D = 10m) exhaust factorize's
+    # budget; the derandomized vectors need no factoring
+    out = tmp_path / "derand.csv"
+    assert main(["experiment", "--m", str(m), "--r", str(r), "--t", str(t),
+                 "--trials", "2", "--algo", "jennrich", "--mode", "derand",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    trials = [row for row in rows if row["record"] == "trial"]
+    assert [(row["status"], row["success"]) for row in trials] == [("ok", "1")] * 2
 
 
 def test_exit_codes_for_bad_input(tmp_path):

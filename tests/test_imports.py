@@ -50,3 +50,26 @@ def test_only_the_monomial_walk_reads_parents():
     # every walk down the monomial index is MonomialIndex.values
     found = [name for path in sorted(PACKAGE.glob("*.py")) for name in _parents_readers(path)]
     assert found == ["polynomials.MonomialIndex.values"]
+
+
+# The decoders' modules and what they build on; none of them may factor
+# a field order (the derandomized vectors are powers of X, not of a
+# primitive element).
+DECODE_PATH = ("code", "jennrich", "polyspace", "polynomials", "linalg")
+FACTORING = {"factorize", "find_primitive_element", "OrderFactorizationError"}
+
+
+def _factoring_imports(package: Path):
+    """module.py:line: name for every import of a FACTORING name by a
+    DECODE_PATH module of the package at package."""
+    for module in DECODE_PATH:
+        path = package / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name in FACTORING:
+                        yield f"{module}.py:{node.lineno}: {alias.name}"
+
+
+def test_no_decode_path_module_imports_factoring():
+    assert list(_factoring_imports(PACKAGE)) == []

@@ -14,9 +14,9 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
                              tensor_power_matrix)
-from rmsyndrome import jennrich
-from rmsyndrome.fields import (OrderFactorizationError, UniPoly, extension_field,
-                               find_primitive_element, prime_field)
+from rmsyndrome import fields, jennrich
+from rmsyndrome.fields import (UniPoly, extension_field, find_primitive_element,
+                               prime_field)
 from rmsyndrome.jennrich import (_flatten, _krylov_readout, _RetryableFailure,
                                  _split_points, axis_decompose, decompose,
                                  derandomized_flattening_vectors,
@@ -118,13 +118,10 @@ def test_derandomized_exponent_progression():
     assert b == tuple(F.pow(alpha, 3 * m + 2 * i) for i in range(m + 1))
 
 
-def test_derandomized_ratios_distinct_exhaustive_m3():
-    # all pairs of distinct nonzero lifted vectors get distinct ratios
-    m = 3
-    F = extension_field(2, 10 * m)
-    alpha = find_primitive_element(F)
-    a, b = derandomized_flattening_vectors(F, alpha, m)
-    vals = {}
+def _lifted_ratios(F, a, b, m) -> set:
+    """The distinct ratios <x, a> / <x, b> over the nonzero x in F_2^{m+1},
+    each of whose <x, a> and <x, b> must be nonzero."""
+    vals = set()
     for x in range(1, 2 ** (m + 1)):
         xv = tuple(x >> i & 1 for i in range(m + 1))
         av = 0
@@ -134,8 +131,17 @@ def test_derandomized_ratios_distinct_exhaustive_m3():
                 av ^= a[k]
                 bv ^= b[k]
         assert av != 0 and bv != 0
-        vals[x] = F.mul(av, F.inv(bv))
-    assert len(set(vals.values())) == len(vals)
+        vals.add(F.mul(av, F.inv(bv)))
+    return vals
+
+
+def test_derandomized_ratios_distinct_exhaustive_m3():
+    # all pairs of distinct nonzero lifted vectors get distinct ratios
+    m = 3
+    F = extension_field(2, 10 * m)
+    alpha = find_primitive_element(F)
+    a, b = derandomized_flattening_vectors(F, alpha, m)
+    assert len(_lifted_ratios(F, a, b, m)) == 2 ** (m + 1) - 1
 
 
 def test_check_flattening_conditions(rng):
@@ -245,18 +251,61 @@ def test_zero_constant_slice_fails_before_the_extension_field(monkeypatch, rng):
             decompose(S, *args)
 
 
-def test_unfactorable_field_order_is_a_decoding_failure(monkeypatch, rng):
-    # at m = 17 the default F_2^170 has an order 2^170 - 1 whose
-    # factorization exhausts its budget; stand that in at m = 6
-    def unfactorable(field):
-        raise OrderFactorizationError("order factorization too large")
+def test_derandomized_decode_factors_nothing(monkeypatch, rng):
+    # the derandomized vectors are powers of z = X, not of a primitive
+    # element, so no decode path factors 2^D - 1
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("a derandomized decode factored the field order")
 
-    monkeypatch.setattr(jennrich, "find_primitive_element", unfactorable)
-    S = syndrome_from_errors(sample_error_set(CodeParams(6, 1), 3, rng))
-    with pytest.raises(DecodingFailure, match=r"F_2\^60 .*--ext-degree"):
-        decompose(S, "derandomized")
-    with pytest.raises(DecodingFailure, match=r"F_2\^24 "):
-        decompose(S, "derandomized", ext_degree=24)
+    monkeypatch.setattr(fields, "find_primitive_element", no_factoring)
+    monkeypatch.setattr(fields, "factorize", no_factoring)
+    E = sample_error_set(CodeParams(6, 1), 3, rng)
+    S = syndrome_from_errors(E)
+    assert decompose(S, "derandomized").points == E.points
+    assert decompose(S, "derandomized", ext_degree=24).points == E.points
+
+
+def test_derandomized_vectors_are_powers_of_x(monkeypatch, rng):
+    # z = X mod the modulus: the int 2, or 0 at D = 1, where the modulus
+    # is X; the all-zero b then flattens to a singular matrix, which is a
+    # decoding failure, not an out-of-field error
+    seen = []
+
+    def spy(F, alpha, m):
+        seen.append((F.k, alpha))
+        return derandomized_flattening_vectors(F, alpha, m)
+
+    monkeypatch.setattr(jennrich, "derandomized_flattening_vectors", spy)
+    for t in (1, 3):
+        E = sample_error_set(CodeParams(4, 1), t, rng)
+        S = syndrome_from_errors(E)
+        assert decompose(S, "derandomized").points == E.points
+        assert decompose(S, "derandomized", ext_degree=25).points == E.points
+        with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
+            decompose(S, "derandomized", ext_degree=1)
+    assert seen == [(40, 2), (25, 2), (1, 0)] * 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [lambda m: 10 * m, lambda m: 6 * m + 1],
+                         ids=["D=10m", "D=6m+1"])
+def test_generator_ratios_distinct_exhaustive(m, degree):
+    # the pair separation of test_derandomized_ratios_distinct_exhaustive_m3
+    # for the vectors of z = X, down to the guarantee's least D = 6m + 1
+    F = extension_field(2, degree(m))
+    a, b = derandomized_flattening_vectors(F, 2, m)
+    assert len(_lifted_ratios(F, a, b, m)) == 2 ** (m + 1) - 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_paper_decoder_at_r_0(p, rng):
+    # T_0 is 1 x 1 at r = 0: the degree-1 columns H[K, 0..m] lie outside it
+    for m in (2, 4):
+        E = sample_error_set(CodeParams(m, 0, p), 1, rng)
+        S = syndrome_from_errors(E)
+        assert decompose(S, "randomized", rng).points == E.points
+        if p == 2:
+            assert decompose(S, "derandomized").points == E.points
 
 
 def test_bad_mode_is_rejected_before_any_work(monkeypatch, rng):
