@@ -31,7 +31,7 @@ from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                           monomial_index, reduce_terms)
 from .polyspace import (IsolationBoundWarning, PartialRecoveryWarning,
                         StructuralInconsistencyError, det_find_roots,
-                        find_roots, find_unique_root, locate_and_correct,
+                        find_roots, locate_and_correct,
                         run_decoder, space_roots, vv_sample)
 
 __version__ = "0.1.0"

@@ -44,10 +44,11 @@ by M_v costs p - 1 products.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
-from .fields import extension_field, poly_divmod, poly_gcd
+from .fields import extension_field, poly_divmod, poly_gcd, prime_field
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
@@ -349,9 +350,7 @@ def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
     shifts = range(t * bits, (m + 1) * t * bits, t * bits)
     bcols = [B.packed_row(j) for j in range(t)]
     stacked = _stacked_minor(S, K, layout.pack)
-    # the coefficients of P_c y in (y, M_v y, ..., M_v^{p-1} y), c in F_p
-    idempotents = [layout.pack([((k == 0) - pow(c, p - 1 - k, p)) % p for k in range(p)])
-                   for c in range(p)]
+    idempotents = _idempotents(p)
 
     multiples_of = ((lambda y: (0, y)) if p == 2
                     else (lambda y: tuple(dot((y,), c) for c in range(p))))
@@ -385,6 +384,16 @@ def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
                 for prod, multiples in leaves]
     except ValueError:
         raise DecodingFailure(_NOT_COMMON) from None
+
+
+@lru_cache(maxsize=None)
+def _idempotents(p: int) -> tuple[int, ...]:
+    """Per c in F_p, the coefficients of P_c y in (y, M_v y, ...,
+    M_v^{p-1} y), packed in F_p's row layout: p^2 powers, built once per
+    p."""
+    pack = slot_layout(prime_field(p)).pack
+    return tuple(pack([((k == 0) - pow(c, p - 1 - k, p)) % p for k in range(p)])
+                 for c in range(p))
 
 
 def _stacked_minor(S: Syndrome, K, pack) -> list[int]:

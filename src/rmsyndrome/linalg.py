@@ -457,7 +457,14 @@ def nullspace_basis(M: FFMatrix) -> FFMatrix:
     (rank-nullity).
     """
     R, _, pivots = rref(M)
-    layout, n, minus_one = M.layout, M.ncols, M.field.neg(1)
+    return rref_nullspace(R, pivots)
+
+
+def rref_nullspace(R: FFMatrix, pivots) -> FFMatrix:
+    """Basis of {x : Rx = 0}, laid out as nullspace_basis says, for R
+    whose row i is 1 at pivots[i] and 0 at the other pivots, as an rref
+    is at rref's pivots."""
+    layout, n, minus_one = R.layout, R.ncols, R.field.neg(1)
     w, mask = layout.bits, layout.mask
     pivot_set = set(pivots)
     rows = []

@@ -8,25 +8,42 @@ tensor slices T_v = H[:, shift_v]), because H a = 0 says the weighted
 evaluations of A on the error set are orthogonal to the independent
 tensor powers.
 
-The error set is then the set of common zeroes of V.  find_roots isolates
-one point at a time in a random affine subspace of codimension ~ log2(t)
-(Valiant-Vazirani): it substitutes a parametrization of the sampled
-subspace into V, reads the point off with find_unique_root, and repeats.
-det_find_roots instead recurses on the last variable's value, pruning
-branches whose restricted space has codimension zero.  Every
-restriction is one affine substitution (PolySpace.affine_image).
+The error set is the set of common zeroes of V, and both root finders
+find it on V's annihilator V^perp, the functionals on polynomials of
+degree <= r+1 that vanish on V: H's row space, spanned by the t
+evaluations at the error points (the inverse-system view; Moller and
+Stetter 1995).  A t-row basis Phi of it is read once off V's rref
+(_annihilator), so a restriction costs an elimination of t rows, where
+V's basis has N - t rows of N = |M_{r+1}| entries.
+
+Restricting to the affine subspace A = {x : C x = c} keeps the
+functionals alpha^T Phi that vanish on every reduce((C_j x - c_j) B),
+deg B <= r.  Those products span the polynomials of degree <= r+1 that
+vanish on A, so the alpha count is the codimension of V restricted to A
+(PolySpace.affine_image), and on a full vanishing space it is the number
+of error points in A: the points' degree <= r tensor powers are
+independent, which forces alpha to vanish off them.  At one alpha the
+functional phi = alpha^T Phi is a multiple of the evaluation at the point
+e, and e_v = phi(x_v) / phi(1) (_read_point).
+
+find_roots draws random subspaces of codimension about log_p(2t)
+(Valiant-Vazirani) and reads off each point that one of them isolates.
+det_find_roots branches on x_k = c for k = m-1, ..., 0, each child's Phi
+the alpha-combinations of its parent's rows, and prunes the branches
+without an alpha.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 
 from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, explains,
                    moment_matrix, tensor_power)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
-from .linalg import FFMatrix, nullspace_basis, rank
+from .linalg import FFMatrix, rank, rref, rref_nullspace
 from .polynomials import PolySpace, monomial_count, monomial_index
 
 
@@ -48,48 +65,95 @@ def space_roots(S: Syndrome) -> PolySpace:
     """The space of all reduced polynomials of degree <= r+1 that vanish
     on the error set: the nullspace of the syndrome's |M_r| x |M_{r+1}|
     moment matrix, whose (M', M) entry is the syndrome entry of
-    reduce(M * M')."""
+    reduce(M * M').
+
+    V's rref is read off one rref of H with its columns reversed: read
+    back in order, each of its t rows is 1 at its last nonzero entry and
+    0 at the other rows' last entries, so its nullspace rows
+    (linalg.rref_nullspace) are 1 at a free column and nonzero only right
+    of it, V's rref rows.  V's N - t rows are never reduced."""
     m, r, p = S.params.m, S.params.r, S.params.p
     index = monomial_index(m, r + 1, p)
-    H = moment_matrix(S, range(monomial_count(m, r, p)), range(index.size))
-    return PolySpace.from_matrix(index, nullspace_basis(H))
+    n = index.size
+    R, rk, pivots = rref(moment_matrix(S, range(monomial_count(m, r, p)), range(n - 1, -1, -1)))
+    layout = R.layout
+    rows = [layout.pack(layout.unpack(row, n)[::-1]) for row in R.packed_rows()[:rk]]
+    last = [n - 1 - c for c in pivots]
+    taken = set(last)
+    return PolySpace(index, rref_nullspace(FFMatrix(layout, rk, n, rows), last),
+                     [q for q in range(n) if q not in taken])
 
 
-def find_unique_root(V: PolySpace) -> tuple | None:
-    """If for every variable exactly one of X_j - a (a in F_p) lies in V,
-    the point read off those constants; otherwise None.
+# ---------------------------------------------------------------------------
+# The annihilator.
 
-    Recovers the point when V is the full vanishing space of a single
-    point."""
-    idx = V.index
-    p = idx.p
-    bits = V.basis.layout.bits
-    point = []
-    for j in range(idx.m):
-        var_pos = idx.position[p ** j]
-        hit = None
-        for a in range(p):
-            vec = 1 << var_pos * bits | -a % p  # X_j - a, packed
-            if V.contains_vec(vec):
-                if hit is not None:
-                    return None
-                hit = a
-        if hit is None:
-            return None
-        point.append(hit)
-    return tuple(point)
+
+def _annihilator(V: PolySpace) -> list[int]:
+    """A basis Phi of V^perp as packed rows over V's index, one per free
+    column f of V's rref basis: e_f minus column f of the reduced rows at
+    the pivots (linalg.rref_nullspace).  Its length is V.codim."""
+    return rref_nullspace(V.basis, V.pivots).packed_rows()
+
+
+def _blocks(phi: list[int], shifts, low: int, layout) -> list[int]:
+    """Per shift s (a map of the index's positions), Phi's entries at
+    s[B], B < low, packed as one vector: row i's in slots [i low,
+    (i + 1) low)."""
+    entries = [layout.unpack(row, len(shifts[0])) for row in phi]
+    return [layout.pack([u[j] for u in entries for j in s[:low]]) for s in shifts]
+
+
+def _restrict(blocks: list[int], forms, t: int, low: int, layout) -> list[int]:
+    """The alpha (packed t-vectors) spanning the functionals alpha^T Phi
+    that vanish on every reduce(l B), deg B <= r, for the linear forms l
+    given by their coefficients on the shifts of blocks (_blocks; with
+    shifts x_0, ..., x_{m-1}, 1, l = C_j x - c_j is the row [C_j | -c_j]).
+    Row i of dot(blocks, l) is Phi_i at those products, so the alpha are
+    the left nullspace of the t-row matrix G of these rows: the rows of
+    the rref of [G | I] that are zero on G, read on I.  That rref stops
+    once G has rank t."""
+    w = layout.bits
+    width = low * w
+    mask, vectors = (1 << width) - 1, layout.vectors(blocks)
+    gs = [layout.dot(vectors, form) for form in forms]
+    n = len(gs) * low
+    rows = []
+    for i in range(t):
+        row = 1 << (n + i) * w
+        for j, g in enumerate(gs):
+            row |= (g >> i * width & mask) << j * width
+        rows.append(row)
+    R, _, pivots = rref(FFMatrix(layout, t, n + t, rows))
+    return [row >> n * w for row in R.packed_rows()[bisect_left(pivots, n):]]
+
+
+def _read_point(phi: int, index, layout) -> tuple | None:
+    """The point e_v = phi(x_v) / phi(1) of a packed functional over the
+    index, or None when phi(1) = 0; when phi spans a restricted
+    annihilator of codimension 1 this is the one common zero left."""
+    p, w, mask = index.p, layout.bits, layout.mask
+    one = phi & mask
+    if not one:
+        return None
+    inv = pow(one, p - 2, p)
+    return tuple((phi >> index.position[p ** v] * w & mask) * inv % p
+                 for v in range(index.m))
 
 
 # ---------------------------------------------------------------------------
 # Valiant-Vazirani isolation.
 
 
-def isolation_codim(t: int, m: int) -> int:
-    """l = ceil(log2 t) + 1, clamped to [1, m-1]: the constraint count
-    satisfies 2 <= 2^l / t < 4 before clamping."""
+def isolation_codim(t: int, m: int, p: int = 2) -> int:
+    """The least l with p^l >= 2t, clamped to [1, m-1]: a random subspace
+    of codimension l holds a given point with probability p^-l, and then
+    holds none of the other t - 1 with probability about 1 - (t-1) p^-l
+    >= 1/2.  Over F_2 this is l = ceil(log2 t) + 1."""
     if t < 1:
         raise ValueError("need t >= 1")
-    l = max(1, math.ceil(math.log2(t)) + 1)
+    l = 1
+    while p ** l < 2 * t:
+        l += 1
     return max(1, min(l, m - 1))
 
 
@@ -105,13 +169,13 @@ def vv_sample(m: int, t: int, rng, p: int = 2):
         warnings.warn(
             f"isolation bound hypothesis violated: t={t} > p^(m/2)/100 at m={m}",
             IsolationBoundWarning, stacklevel=2)
-    l = isolation_codim(t, m)
-    f = prime_field(p)
+    l = isolation_codim(t, m, p)
+    f, randrange = prime_field(p), rng.randrange
     while True:
-        vecs = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(l)]
+        vecs = [tuple([randrange(p) for _ in range(m)]) for _ in range(l)]
         if rank(FFMatrix.from_rows(f, vecs)) == l:
             break
-    consts = tuple(rng.randrange(p) for _ in range(l))
+    consts = tuple([randrange(p) for _ in range(l)])
     return tuple(vecs), consts
 
 
@@ -120,14 +184,12 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     isolation; finds the whole set with probability >= 0.99 within the
     default budget of 100 t log2(t) iterations.
 
-    Each iteration samples an affine subspace {x : Cx = c} of codimension
-    l (vv_sample) and substitutes a parametrization of the sampled
-    subspace, x = x0 + N^T y, into V.  Both parts come from one nullspace
-    of [C | -c]: its row for the last column is (x0, 1), with x0 one
-    solution, and its other rows are (n, 0) with the n a basis of the
-    nullspace of C.  The image is the vanishing space of the points in
-    the subspace; when exactly one point lies there, find_unique_root
-    reads off its y.
+    Each iteration samples an affine subspace {x : Cx = c} (vv_sample)
+    and restricts V's annihilator to it (_restrict): one elimination of
+    the t x l |M_r| matrix whose columns combine Phi's columns at
+    reduce(x_v B) and B by the rows [C_j | -c_j].  When exactly one alpha
+    is left, _read_point reads the isolated point off alpha^T Phi; a point
+    at which V does not vanish is dropped.
 
     Terminates early once codim(V) distinct points are found; if the
     budget runs out first, the partial set is returned with a warning."""
@@ -137,26 +199,25 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     t = V.codim
     if t == 0:
         return ErrorSet(params, ())
-    direct = find_unique_root(V)
+    layout, phi = V.basis.layout, _annihilator(V)
+    direct = _read_point(phi[0], idx, layout) if t == 1 else None
     if direct is not None:
         return ErrorSet(params, (direct,))
     budget = max_iterations
     if budget is None:
         budget = math.ceil(100 * t * math.log2(t)) if t > 1 else 0
-    f = prime_field(p)
+    low = monomial_count(m, idx.t - 1, p)
+    blocks = _blocks(phi, [*map(idx.var_mul, range(m)), range(idx.size)], low, layout)
+    vectors = layout.vectors(phi)
     found: set = set()
     for _ in range(budget):
         vecs, consts = vv_sample(m, t, rng, p)
-        ns = nullspace_basis(FFMatrix.from_rows(
-            f, [v + (f.neg(c),) for v, c in zip(vecs, consts)]))
-        # C has rank l, so the last column is free and its row is (x0, 1)
-        x0 = ns.row(ns.nrows - 1)[:m]
-        Nt = ns.submatrix(range(ns.nrows - 1), range(m)).transpose()
-        cand = find_unique_root(V.affine_image(Nt, x0))
-        if cand is None:
+        alphas = _restrict(blocks, [layout.pack(v + (-c % p,)) for v, c in zip(vecs, consts)],
+                           t, low, layout)
+        if len(alphas) != 1:
             continue
-        e = tuple(f.add(nv, xv) for nv, xv in zip(Nt.mat_vec(cand), x0))
-        if e in found:
+        e = _read_point(layout.dot(vectors, alphas[0]), idx, layout)
+        if e is None or e in found:
             continue
         if any(V.basis.mat_vec(tensor_power(e, idx.t, p))):
             continue  # possible only when V is not a full vanishing space
@@ -172,39 +233,41 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
 
 def det_find_roots(V: PolySpace) -> ErrorSet:
     """All common zeroes of a full vanishing space, deterministically, by
-    recursing on the last variable's value and pruning codimension-zero
-    branches.  Codimension counts are conserved down the tree on valid
-    inputs; a mismatch raises StructuralInconsistencyError."""
+    recursing on the last unfixed variable's value on V's annihilator:
+    the branch x_k = c keeps the alpha^T Phi that vanish on every
+    reduce((x_k - c) B) (_restrict), and a branch without an alpha is
+    pruned.  The alpha counts are the codimensions of V restricted to the
+    branches, and on valid inputs they are conserved down the tree; a
+    mismatch raises StructuralInconsistencyError."""
     idx = V.index
     params = CodeParams(idx.m, idx.t - 1, idx.p)
-    points = _det_rec(V, idx.m, idx.p)
+    low = monomial_count(idx.m, idx.t - 1, idx.p)
+    points = _det_rec(_annihilator(V), idx.m, idx, low, V.basis.layout)
     return ErrorSet(params, tuple(points))
 
 
-def _det_rec(space: PolySpace, m_left: int, p: int) -> list[tuple]:
-    t = space.codim
+def _det_rec(phi: list[int], k: int, idx, low: int, layout) -> list[tuple]:
+    t = len(phi)
     if t == 0:
         return []
-    if m_left == 0:
-        if t != 1:
-            raise StructuralInconsistencyError(
-                "zero-variable space with codimension > 1")
-        return [()]
     if t == 1:
-        e = find_unique_root(space)
+        e = _read_point(phi[0], idx, layout)
         if e is None:
             raise StructuralInconsistencyError(
                 "codimension 1 but no unique read-off point")
         return [e]
+    if k == 0:
+        raise StructuralInconsistencyError("zero-variable space with codimension > 1")
+    k -= 1
+    p = idx.p
+    blocks = _blocks(phi, (idx.var_mul(k), range(idx.size)), low, layout)
+    vectors = layout.vectors(phi)
     out: list[tuple] = []
     branch_total = 0
     for c in range(p):
-        sub = space.restrict_last_const(c)
-        tc = sub.codim
-        if tc:
-            sub_points = _det_rec(sub, m_left - 1, p)
-            out.extend(q + (c,) for q in sub_points)
-            branch_total += tc
+        alphas = _restrict(blocks, [layout.pack((1, -c % p))], t, low, layout)
+        out.extend(_det_rec([layout.dot(vectors, a) for a in alphas], k, idx, low, layout))
+        branch_total += len(alphas)
     if branch_total != t:
         raise StructuralInconsistencyError(
             f"branch codimensions sum to {branch_total}, parent has {t}")
@@ -268,7 +331,12 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
         raise ValueError(f"randomized {algorithm} decoding needs an rng")
     if algorithm == "polyspace":
         V = space_roots(S)
-        return det_find_roots(V) if mode == "det" else find_roots(V, rng)
+        if mode == "det":
+            return det_find_roots(V)
+        E = find_roots(V, rng)
+        if len(E) < V.codim:
+            raise DecodingFailure(f"isolation found {len(E)} of {V.codim} points")
+        return E
     if mode == "axis":
         return axis_decompose(S)
     if mode == "rand":

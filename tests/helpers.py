@@ -11,8 +11,9 @@ from rmsyndrome.code import (DecodingFailure, ErrorSet, Syndrome,
                              tensor_power, tensor_power_matrix)
 from rmsyndrome.jennrich import (_NOT_COMMON, _NOT_ONE_DIMENSIONAL,
                                  _check_leaf_count, _start_vector)
-from rmsyndrome.linalg import FFMatrix, rank, solve
-from rmsyndrome.polynomials import (MultilinearPoly, _affine_map,
+from rmsyndrome.fields import prime_field
+from rmsyndrome.linalg import FFMatrix, nullspace_basis, rank, solve
+from rmsyndrome.polynomials import (MultilinearPoly, PolySpace, _affine_map,
                                     monomial_index, point_to_int,
                                     reduce_exponent, substitution_matrix)
 
@@ -62,6 +63,39 @@ def affine_substitute(P: MultilinearPoly, mat, b) -> MultilinearPoly:
     layout = S.layout
     return MultilinearPoly.from_packed(
         target, layout.dot(layout.vectors(S.packed_rows()), P.packed()))
+
+
+def unique_root(V: PolySpace) -> tuple | None:
+    """If for every variable exactly one of X_j - a (a in F_p) lies in V,
+    the point read off those constants; otherwise None.  The reference
+    for the codim-1 read-off of polyspace, which reads the same point off
+    V's annihilator when V has codimension 1."""
+    idx = V.index
+    p = idx.p
+    point = []
+    for j in range(idx.m):
+        var = [0] * idx.size
+        var[idx.position[p ** j]] = 1
+        hits = [a for a in range(p)
+                if V.contains(MultilinearPoly(idx, [-a % p] + var[1:]))]
+        if len(hits) != 1:
+            return None
+        point.append(hits[0])
+    return tuple(point)
+
+
+def subspace_parametrization(vecs, consts, p: int):
+    """(x0, N^T) with x -> x0 + N^T y a bijection from F_p^k onto
+    {x : C x = c}, C with the given l independent rows, both read off one
+    nullspace of [C | -c]: its row for the last column is (x0, 1), and its
+    other rows are (n, 0) with the n a basis of the nullspace of C."""
+    f = prime_field(p)
+    m = len(vecs[0])
+    ns = nullspace_basis(FFMatrix.from_rows(
+        f, [tuple(v) + (f.neg(c),) for v, c in zip(vecs, consts)]))
+    # C has rank l, so the last column is free and its row is (x0, 1)
+    x0 = ns.row(ns.nrows - 1)[:m]
+    return x0, ns.submatrix(range(ns.nrows - 1), range(m)).transpose()
 
 
 def check_ur_preserved(E: ErrorSet, M, b) -> bool:

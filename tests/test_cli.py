@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from rmsyndrome import polyspace
 from rmsyndrome.cli import main, substream_rng, substream_seed
 from rmsyndrome.code import (CodeParams, ErrorSet, corrupt, encode,
                              read_word_file, sample_error_set,
@@ -225,6 +226,25 @@ def test_experiment_derand_decodes_where_the_field_order_does_not_factor(tmp_pat
     rows = list(csv.DictReader(out.read_text().splitlines()))
     trials = [row for row in rows if row["record"] == "trial"]
     assert [(row["status"], row["success"]) for row in trials] == [("ok", "1")] * 2
+
+
+def test_experiment_never_records_a_partial_isolation_as_ok(tmp_path, monkeypatch):
+    # over F_31 one constraint per draw isolates (two made every trial a
+    # partial set, recorded ok with success 0); a partial set that
+    # remains is a decoding failure
+    out = tmp_path / "p31.csv"
+    args = ["experiment", "--m", "4", "--r", "1", "--p", "31", "--t", "2",
+            "--trials", "5", "--algo", "polyspace", "--mode", "rand", "--out", str(out)]
+    assert main(args) == 0
+    trials = [row for row in csv.DictReader(out.read_text().splitlines())
+              if row["record"] == "trial"]
+    assert [(row["status"], row["success"]) for row in trials] == [("ok", "1")] * 5
+    monkeypatch.setattr(polyspace, "find_roots",
+                        lambda V, rng: ErrorSet(CodeParams(4, 1, 31), ()))
+    assert main(args) == 0
+    trials = [row for row in csv.DictReader(out.read_text().splitlines())
+              if row["record"] == "trial"]
+    assert [(row["status"], row["success"]) for row in trials] == [("decode_failed", "0")] * 5
 
 
 def test_exit_codes_for_bad_input(tmp_path):

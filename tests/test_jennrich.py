@@ -549,6 +549,18 @@ def test_axis_decode_exact_at_wide_slots_and_large_odd_t(m, r, p, t):
         assert decoded == E and residual.is_zero()
 
 
+def test_axis_decode_builds_the_idempotent_table_once_per_p():
+    # p^2 powers per decode were most of a small decode at p = 251
+    params = CodeParams(2, 0, 251)
+    S = syndrome_from_weighted_errors(ErrorSet(params, ((3, 200),)), [7])
+    jennrich._idempotents.cache_clear()
+    assert axis_decompose(S).points == ((3, 200),)
+    assert jennrich._idempotents.cache_info().misses == 1
+    assert axis_decompose(S).points == ((3, 200),)
+    info = jennrich._idempotents.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 # The Krylov readout and the gcd split.  Each crafted case below must make
 # one decode attempt retry.  They live over F_2^39 with m = 6 variables;
 # the degree is odd, so X^2 + X + 1 has no root there (its roots generate F_4).

@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import check_ur_preserved
+from helpers import check_ur_preserved, subspace_parametrization, unique_root
 from rmsyndrome import code, polynomials, polyspace
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode, explains,
@@ -16,15 +16,15 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              syndrome_streaming, tensor_power, vanishing_space)
 from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import decompose
-from rmsyndrome.linalg import FFMatrix, nullspace_basis, rank
+from rmsyndrome.linalg import FFMatrix, rank
 from rmsyndrome.polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                                     monomial_index)
 from rmsyndrome.polyspace import (IsolationBoundWarning,
                                   PartialRecoveryWarning,
                                   StructuralInconsistencyError, det_find_roots,
-                                  find_roots,
-                                  find_unique_root, isolation_codim,
-                                  locate_and_correct, space_roots, vv_sample)
+                                  find_roots, isolation_codim,
+                                  locate_and_correct, run_decoder, space_roots,
+                                  vv_sample, _annihilator, _read_point)
 
 
 def _sample_instance(rng, p=2, max_t=6):
@@ -66,17 +66,33 @@ def test_space_roots_matches_nullspace_oracle(p, rng):
         assert V.codim == len(E)  # codimension identity
 
 
-def test_find_unique_root_examples():
+def _read_off(V):
+    """The point read off V's annihilator, which must have one row."""
+    phi = _annihilator(V)
+    assert len(phi) == V.codim == 1
+    return _read_point(phi[0], V.index, V.basis.layout)
+
+
+def test_codim_1_read_off_examples():
     V = vanishing_space([(1, 0, 1)], 1, 3)
-    assert find_unique_root(V) == (1, 0, 1)
+    assert _read_off(V) == unique_root(V) == (1, 0, 1)
     V2 = vanishing_space([(0, 0, 0), (1, 1, 0)], 1, 3)
-    assert find_unique_root(V2) is None
-    assert find_unique_root(PolySpace.full(monomial_index(3, 1, 2))) is None
+    assert len(_annihilator(V2)) == 2 and unique_root(V2) is None
+    assert _annihilator(PolySpace.full(monomial_index(3, 1, 2))) == []
+    # a functional that vanishes on the constants reads no point:
+    # evaluation at (0,0,0) minus evaluation at (1,1,0)
+    layout = V2.basis.layout
+    diff = layout.pack(tensor_power((0, 0, 0), 1, 2)) ^ layout.pack(tensor_power((1, 1, 0), 1, 2))
+    assert _read_point(diff, V2.index, layout) is None
 
 
-def test_find_unique_root_odd_field():
+def test_codim_1_read_off_odd_field():
     V = vanishing_space([(2, 0, 1)], 1, 3, 3)
-    assert find_unique_root(V) == (2, 0, 1)
+    assert _read_off(V) == unique_root(V) == (2, 0, 1)
+    # a scaled evaluation reads the same point
+    layout = V.basis.layout
+    phi = layout.pack([2 * v % 3 for v in tensor_power((2, 0, 1), 1, 3)])
+    assert _read_point(phi, V.index, layout) == (2, 0, 1)
 
 
 def test_isolation_codim_formula():
@@ -86,10 +102,25 @@ def test_isolation_codim_formula():
     assert isolation_codim(8, 4) == 3  # clamped to m - 1
 
 
+def test_isolation_codim_over_f2_is_log2_for_every_t_up_to_4096():
+    for t in range(1, 4097):
+        assert isolation_codim(t, 40) == isolation_codim(t, 40, 2) == math.ceil(math.log2(t)) + 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 251])
+def test_isolation_codim_over_fp_is_the_least_l_with_p_to_the_l_at_least_2t(p):
+    for t in range(1, 300):
+        l = isolation_codim(t, 40, p)
+        assert p ** l >= 2 * t and (l == 1 or p ** (l - 1) < 2 * t)
+    assert isolation_codim(2, 4, 31) == 1
+    assert isolation_codim(10 ** 6, 3, p) == 2  # clamped to m - 1
+
+
 def test_vv_sample_independence_and_warning(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vecs, consts = vv_sample(20, 4, rng)
+        assert len(vv_sample(20, 4, rng, 5)[0]) == isolation_codim(4, 20, 5) == 2
     assert len(vecs) == isolation_codim(4, 20) == 3
     assert rank(FFMatrix.from_rows(CodeParams(20, 1).field, vecs)) == 3
     assert all(c in (0, 1) for c in consts)
@@ -329,23 +360,43 @@ def test_find_roots_seed_invariance_of_result(rng):
 
 @given(st.sampled_from([(6, 2), (4, 3)]), st.integers(1, 20), st.integers(0, 2**32))
 def test_isolation_parametrization_enumerates_the_sampled_subspace(mp, t, seed):
-    # find_roots reads x0 and N off one nullspace of [C | -c]
+    # the reference restriction of the differential tests reads x0 and N
+    # off one nullspace of [C | -c]
     m, p = mp
     f = prime_field(p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IsolationBoundWarning)
         vecs, consts = vv_sample(m, t, random.Random(seed), p)
-    ns = nullspace_basis(FFMatrix.from_rows(
-        f, [v + (f.neg(c),) for v, c in zip(vecs, consts)]))
-    *dirs, last = ns.rows()
-    assert last[m] == 1 and all(d[m] == 0 for d in dirs)
-    Nt = FFMatrix.from_rows(f, [d[:m] for d in dirs]).transpose()
-    image = [tuple(f.add(a, b) for a, b in zip(Nt.mat_vec(y), last[:m]))
-             for y in itertools.product(range(p), repeat=len(dirs))]
+    x0, Nt = subspace_parametrization(vecs, consts, p)
+    image = [tuple(f.add(a, b) for a, b in zip(Nt.mat_vec(y), x0))
+             for y in itertools.product(range(p), repeat=Nt.ncols)]
     C = FFMatrix.from_rows(f, vecs)
     subspace = {x for x in itertools.product(range(p), repeat=m)
                 if C.mat_vec(x) == consts}
     assert len(set(image)) == len(image) and set(image) == subspace
+
+
+@pytest.mark.parametrize("m,r,p,t", [(4, 1, 31, 2), (6, 1, 7, 4)])
+def test_isolation_over_large_fields_recovers_every_set(m, r, p, t):
+    # one constraint isolates a point over F_31 about 1 draw in 16; the
+    # F_2 constraint count, two, made that 1 in 500
+    params = CodeParams(m, r, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IsolationBoundWarning)
+        for seed in range(5):
+            rng = random.Random(seed)
+            E = sample_error_set(params, t, rng)
+            assert run_decoder(syndrome_from_errors(E), "polyspace", "rand", rng) == E
+
+
+def test_run_decoder_rejects_a_partial_isolation(monkeypatch, rng):
+    params = CodeParams(10, 1)
+    E = sample_error_set(params, 6, rng)
+    S = syndrome_from_errors(E)
+    partial = ErrorSet(params, E.points[:4])
+    monkeypatch.setattr(polyspace, "find_roots", lambda V, rng: partial)
+    with pytest.raises(DecodingFailure, match="isolation found 4 of 6 points"):
+        run_decoder(S, "polyspace", "rand", rng)
 
 
 def test_no_decode_path_builds_exponent_tuples(monkeypatch):
