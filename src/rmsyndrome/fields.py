@@ -153,20 +153,41 @@ def _gf2_gcd_int(a: int, b: int) -> int:
 
 
 def _gf2_is_irreducible_int(f: int, k: int) -> bool:
-    """Irreducibility of a degree-k polynomial over F_2, int-encoded."""
+    """Irreducibility of a degree-k polynomial over F_2, int-encoded.
+
+    Ben-Or's test (1981): f is irreducible iff gcd(X^{2^d} - X, f) = 1 for
+    every d <= k/2, as a reducible f has a factor of some such degree d,
+    which divides X^{2^d} - X.  A reducible f is rejected at its smallest
+    factor's degree."""
     if k <= 0:
         return False
     if not (f & 1):
         return k == 1 and f == 2  # divisible by X unless f = X itself
     x_red = _gf2_mod_int(2, f)  # X reduced (a constant when k == 1)
     h = x_red
-    for d in range(1, k + 1):
+    for _ in range(k // 2):
         h = _gf2_mod_int(_gf2_square_int(h), f)
-        if d == k:
-            return h == x_red
-        if k % d == 0 and _gf2_gcd_int(h ^ x_red, f) != 1:
+        if _gf2_gcd_int(h ^ x_red, f) != 1:
             return False
     return True
+
+
+def _swan_reducible(n: int, k: int) -> bool:
+    """True when X^n + X^k + 1 over F_2, n > k > 0, has an even number
+    of irreducible factors by Swan's theorem (Swan, Pacific J. Math.
+    1962), so is reducible; False means the theorem does not decide.
+    With both exponents even it is a square; with both odd, its
+    reciprocal X^n + X^{n-k} + 1 factors alike.  No trinomial of degree
+    n = 0 mod 8 is irreducible."""
+    if n % 2 == 0 and k % 2 == 0:
+        return True
+    if n % 2 and k % 2:
+        k = n - k
+    if n % 2 == 0:
+        return n != 2 * k and n * k // 2 % 4 in (0, 1)
+    if 2 * n % k:
+        return n % 8 in (3, 5)
+    return n % 8 in (1, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +665,22 @@ def is_irreducible(f: UniPoly) -> bool:
     return True
 
 
+def irreducible_trinomial(base: PrimeField, k: int) -> UniPoly | None:
+    """The irreducible X^k + X^j + 1 of least j in 1..k-1, or None when
+    there is none: find_irreducible's first pass.  Over F_2 the
+    candidates that Swan's theorem rules out are not tested."""
+    p = base.p
+    for j in range(1, k):
+        if p == 2 and _swan_reducible(k, j):
+            continue
+        coeffs = [0] * (k + 1)
+        coeffs[0] = coeffs[j] = coeffs[k] = 1
+        cand = UniPoly(base, coeffs)
+        if is_irreducible(cand):
+            return cand
+    return None
+
+
 def find_irreducible(base: PrimeField, k: int) -> UniPoly:
     """Deterministic monic irreducible of degree k over the base field.
 
@@ -653,15 +690,10 @@ def find_irreducible(base: PrimeField, k: int) -> UniPoly:
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
+    trinomial = irreducible_trinomial(base, k)
+    if trinomial is not None:
+        return trinomial
     p = base.p
-    for j in range(1, k):
-        coeffs = [0] * (k + 1)
-        coeffs[0] = 1
-        coeffs[j] = (coeffs[j] + 1) % p
-        coeffs[k] = 1
-        cand = UniPoly(base, coeffs)
-        if cand.degree == k and is_irreducible(cand):
-            return cand
     for n in range(p ** k):
         coeffs = []
         v = n

@@ -16,14 +16,18 @@ has the tensor-power columns as eigenvectors.  The decoder never computes
 an eigenvalue: one rref of the Krylov columns of y = T_0[K, 0] against the
 coordinate columns H[K, x_v] gives the characteristic polynomial chi of
 M and polynomials g_v with g_v(lambda_e) = e_v (a rational univariate
-representation), and splitting chi by gcd(h, g_v - c), c in F_p, one
-variable at a time leaves one linear factor per error point.
+representation).  Splitting chi by gcd(h, g_v - c), c in F_p, one
+variable at a time until every factor is linear, X - lambda, leaves one
+factor per error point, whose coordinates are read off at lambda in one
+packed product.
 
 Failure modes (repeated eigenvalues, a singular minor, coordinates that
 do not lie in the base field) trigger a resample in randomized mode and
 are reported as decoding failures in derandomized mode.  That mode weights
 with powers of z = X mod the modulus of F_{2^D}: the guarantee needs only a
 minimal polynomial of degree D > 6m, the modulus, so nothing is factored.
+Over F_2 D defaults to the least degree above 6m with an irreducible
+trinomial, the modulus that extension_field then takes.
 
 axis_decompose, the library's default decoder, takes the weightings to be
 the constant slice and each coordinate axis in turn.  The quotients
@@ -48,7 +52,8 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
-from .fields import extension_field, poly_divmod, poly_gcd, prime_field
+from .fields import (extension_field, irreducible_trinomial, poly_divmod,
+                     poly_gcd, prime_field)
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
@@ -144,7 +149,9 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     modulus of F_{2^D} (derandomized_flattening_vectors) and is
     bit-reproducible: z's minimal polynomial, the modulus, has degree D,
     so D > 6m guarantees the draw with no factoring of 2^D - 1.
-    ext_degree D defaults to 10m.  The front half (_constant_slice), the
+    ext_degree D defaults, over F_2 in both modes, to the least D > 6m
+    with an irreducible trinomial X^D + X^j + 1 (_default_ext_degree), and
+    over odd p to 10m.  The front half (_constant_slice), the
     slice minors T_v[K, K] and the columns H[K, 0..m] are built once
     per call; each draw only flattens them.
 
@@ -167,7 +174,7 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     minors = [moment_matrix(S, K, K, v) for v in range(m + 1)]
     # H[K, 0..m]: the columns of degree <= 1, which T_0 lacks when r = 0
     cols = moment_matrix(S, K, range(m + 1)).transpose().rows()
-    D = ext_degree if ext_degree is not None else 10 * m
+    D = ext_degree if ext_degree is not None else _default_ext_degree(params.p, m)
     F = extension_field(params.p, D)
     if mode == "randomized":
         draws = (tuple(tuple(F.random_element(rng) for _ in range(m + 1)) for _ in range(2))
@@ -182,6 +189,22 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
         except _RetryableFailure as exc:
             last = exc
     raise DecodingFailure(failure.format(last)) from last
+
+
+@lru_cache(maxsize=None)
+def _default_ext_degree(p: int, m: int) -> int:
+    """decompose's extension degree D when none is given.  Over F_2 it is
+    the least D > 6m with an irreducible trinomial X^D + X^j + 1: D > 6m
+    is all the derandomized weights need, and extension_field(2, D) then
+    takes that trinomial as its modulus, so each fold of a product in
+    F_{2^D} is two shifts.  Over odd p it is 10m: over F_3 every such
+    trinomial has the root 1, so no trinomial search is made."""
+    if p != 2:
+        return 10 * m
+    D = 6 * m + 1
+    while irreducible_trinomial(prime_field(2), D) is None:
+        D += 1
+    return D
 
 
 def _attempt(S: Syndrome, minors, cols, F, a, b) -> ErrorSet:
@@ -233,38 +256,72 @@ def _split_points(chi: list, gs: list[list], F) -> list[tuple]:
     chi, which must be distinct, lie in F and give base-field values.
 
     A node is a monic factor h of chi whose roots share the coordinates
-    found so far.  Variable v splits h into the gcd(h, g_v - c), c in F_p,
-    which is the polynomial form of axis_decompose's idempotent split.
-    No root of chi is ever computed, and the division and gcd are
-    fields.poly_divmod and poly_gcd on the coefficient lists, the same
-    calls for every characteristic.  Raises _RetryableFailure when the
-    factors of a node fall short of its degree (a coordinate outside the
-    base field) or a final node is not linear (a repeated root, or one
-    outside F).
+    split on so far.  Variable v splits h by g_v mod h = r into the classes
+    gcd(h, r - c), c in F_p, the polynomial form of axis_decompose's
+    idempotent split: for c < p - 1 each class is taken off h by an exact
+    division, which needs no inverse as the gcd is monic, and what is
+    left of h is the class c = p - 1.  The classes cover h exactly when
+    that rest divides r - (p - 1); if not, some root of h gives g_v a
+    value outside the base field.  The splits stop once every node is
+    linear, X - lambda, and its point is read off at lambda in one packed
+    product (_read_points).  No root of chi is computed before its node
+    is linear, and the division and gcd are fields.poly_divmod and
+    poly_gcd on the coefficient lists, the same calls for every
+    characteristic.  Raises _RetryableFailure for a coordinate outside
+    the base field, or a node that no variable splits into linear ones
+    (a repeated root, or one outside F).
     """
-    nodes = [(chi, ())]
+    p = F.p
+    nodes = [chi]
     for g in gs:
         split = []
-        for h, point in nodes:
+        for h in nodes:
+            if len(h) == 2:
+                split.append(h)
+                continue
             r = poly_divmod(g, h, F)[1]
             if len(r) <= 1:  # every root of h gives g the value r
-                c = r[0] if r else 0
-                if not F.is_base(c):
+                if r and not F.is_base(r[0]):
                     raise _RetryableFailure("recovered coordinate outside the base field")
-                split.append((h, point + (c,)))
+                split.append(h)
                 continue
-            parts = []
-            for c in range(F.p):
+            for c in range(p - 1):
+                if len(h) == 1:
+                    break
                 d = poly_gcd(h, [F.sub(r[0], c)] + r[1:], F)
                 if len(d) > 1:
-                    parts.append((d, point + (c,)))
-            if sum(len(d) - 1 for d, _ in parts) != len(h) - 1:
-                raise _RetryableFailure("recovered coordinate outside the base field")
-            split.extend(parts)
+                    split.append(d)
+                    h = poly_divmod(h, d, F)[0]
+            if len(h) > 1:
+                if poly_divmod([F.sub(r[0], p - 1)] + r[1:], h, F)[1]:
+                    raise _RetryableFailure("recovered coordinate outside the base field")
+                split.append(h)
         nodes = split
-    if any(len(h) != 2 for h, _ in nodes):
+    if any(len(h) != 2 for h in nodes):
         raise _RetryableFailure("repeated eigenvalue, or one outside the extension field")
-    return [point for _, point in nodes]
+    return _read_points([F.neg(h[0]) for h in nodes], gs, F)
+
+
+def _read_points(roots: list, gs: list[list], F) -> list[tuple]:
+    """The points (g_1(lambda), ..., g_m(lambda)) at the given roots, each
+    one packed product: with column k of the g's (their coefficients of
+    X^k) packed as an m-slot vector of F's row layout once, the point at
+    lambda is those columns combined by 1, lambda, ..., lambda^{t-1}.
+    Raises _RetryableFailure for a value outside the base field."""
+    layout, m = slot_layout(F), len(gs)
+    t = max(map(len, gs), default=0)
+    columns = layout.vectors([layout.pack([g[k] if k < len(g) else 0 for g in gs])
+                              for k in range(t)])
+    points = []
+    for lam in roots:
+        powers = [1]
+        for _ in range(t - 1):
+            powers.append(F.mul(powers[-1], lam))
+        point = layout.unpack(layout.dot(columns, layout.pack(powers)), m)
+        if not all(map(F.is_base, point)):
+            raise _RetryableFailure("recovered coordinate outside the base field")
+        points.append(point)
+    return points
 
 
 def axis_decompose(S: Syndrome) -> ErrorSet:

@@ -71,7 +71,11 @@ def space_roots(S: Syndrome) -> PolySpace:
     back in order, each of its t rows is 1 at its last nonzero entry and
     0 at the other rows' last entries, so its nullspace rows
     (linalg.rref_nullspace) are 1 at a free column and nonzero only right
-    of it, V's rref rows.  V's N - t rows are never reduced."""
+    of it, V's rref rows.  V's N - t rows are never reduced.
+
+    Those t rows, in reverse, are V's annihilator Phi as _annihilator
+    lays it out, one row per free column of V in increasing order, so V
+    keeps them."""
     m, r, p = S.params.m, S.params.r, S.params.p
     index = monomial_index(m, r + 1, p)
     n = index.size
@@ -81,7 +85,7 @@ def space_roots(S: Syndrome) -> PolySpace:
     last = [n - 1 - c for c in pivots]
     taken = set(last)
     return PolySpace(index, rref_nullspace(FFMatrix(layout, rk, n, rows), last),
-                     [q for q in range(n) if q not in taken])
+                     [q for q in range(n) if q not in taken], rows[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +95,10 @@ def space_roots(S: Syndrome) -> PolySpace:
 def _annihilator(V: PolySpace) -> list[int]:
     """A basis Phi of V^perp as packed rows over V's index, one per free
     column f of V's rref basis: e_f minus column f of the reduced rows at
-    the pivots (linalg.rref_nullspace).  Its length is V.codim."""
+    the pivots (linalg.rref_nullspace), or the rows V keeps when it was
+    read off them (space_roots).  Its length is V.codim."""
+    if V.annihilator is not None:
+        return V.annihilator
     return rref_nullspace(V.basis, V.pivots).packed_rows()
 
 

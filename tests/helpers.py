@@ -10,8 +10,9 @@ from rmsyndrome.code import (DecodingFailure, ErrorSet, Syndrome,
                              moment_matrix, syndrome_from_errors,
                              tensor_power, tensor_power_matrix)
 from rmsyndrome.jennrich import (_NOT_COMMON, _NOT_ONE_DIMENSIONAL,
-                                 _check_leaf_count, _start_vector)
-from rmsyndrome.fields import prime_field
+                                 _check_leaf_count, _RetryableFailure,
+                                 _start_vector)
+from rmsyndrome.fields import poly_divmod, poly_gcd, prime_field
 from rmsyndrome.linalg import FFMatrix, nullspace_basis, rank, solve
 from rmsyndrome.polynomials import (MultilinearPoly, PolySpace, _affine_map,
                                     monomial_index, point_to_int,
@@ -198,6 +199,37 @@ def reference_axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tup
         raise DecodingFailure(_NOT_ONE_DIMENSIONAL)
     stacked = reduce(FFMatrix.vstack, mats)
     return [_eigenvalues(stacked, y, f) for y in leaves]
+
+
+def reference_split_points(chi: list, gs: list[list], F) -> list[tuple]:
+    """The gcd split one variable at a time down to the last: every node
+    takes p gcds per variable, and a linear node X - lambda reads g_v(lambda)
+    as g_v mod (X - lambda), one Horner pass per variable.  The reference
+    for jennrich._split_points, with the same point set, and a
+    _RetryableFailure wherever it raises one."""
+    nodes = [(chi, ())]
+    for g in gs:
+        split = []
+        for h, point in nodes:
+            r = poly_divmod(g, h, F)[1]
+            if len(r) <= 1:  # every root of h gives g the value r
+                c = r[0] if r else 0
+                if not F.is_base(c):
+                    raise _RetryableFailure("recovered coordinate outside the base field")
+                split.append((h, point + (c,)))
+                continue
+            parts = []
+            for c in range(F.p):
+                d = poly_gcd(h, [F.sub(r[0], c)] + r[1:], F)
+                if len(d) > 1:
+                    parts.append((d, point + (c,)))
+            if sum(len(d) - 1 for d, _ in parts) != len(h) - 1:
+                raise _RetryableFailure("recovered coordinate outside the base field")
+            split.extend(parts)
+        nodes = split
+    if any(len(h) != 2 for h, _ in nodes):
+        raise _RetryableFailure("repeated eigenvalue, or one outside the extension field")
+    return [point for _, point in nodes]
 
 
 def _eigen_split(M: FFMatrix, y: tuple, f) -> list[tuple]:

@@ -217,8 +217,10 @@ def test_decode_over_a_prime_above_the_bound_exits_4_at_once(tmp_path, capsys):
 
 @pytest.mark.parametrize("m, r, t", [(17, 2, 5), (23, 1, 6)])
 def test_experiment_derand_decodes_where_the_field_order_does_not_factor(tmp_path, m, r, t):
-    # 2^170 - 1 and 2^230 - 1 (the default D = 10m) exhaust factorize's
-    # budget; the derandomized vectors need no factoring
+    # the derandomized vectors need no factoring of 2^D - 1 at any D: at
+    # D = 10m, 2^170 - 1 and 2^230 - 1 exhaust factorize's budget; the
+    # default D, the least degree above 6m with an irreducible trinomial,
+    # is 103 and 140 here
     out = tmp_path / "derand.csv"
     assert main(["experiment", "--m", str(m), "--r", str(r), "--t", str(t),
                  "--trials", "2", "--algo", "jennrich", "--mode", "derand",

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmsyndrome.fields import (ExtField, OrderFactorizationError, UniPoly,
+                               _gf2_is_irreducible_int, _swan_reducible,
                                berlekamp_roots, extension_field, factorize,
                                find_irreducible, find_primitive_element,
-                               is_irreducible, is_prime, poly_divmod, poly_gcd,
-                               prime_field)
+                               irreducible_trinomial, is_irreducible, is_prime,
+                               poly_divmod, poly_gcd, prime_field)
 
 F2 = prime_field(2)
 ODD_FIELDS = [prime_field(3), prime_field(5), extension_field(3, 2),
@@ -42,6 +43,35 @@ def test_find_irreducible_passes_is_irreducible(p, k):
     assert is_irreducible(f)
     # deterministic: same output on a second search
     assert find_irreducible(base, k) == f
+
+
+def test_gf2_irreducible_counts_match_the_necklace_formula():
+    # the number of irreducibles of degree k over F_2, (1/k) sum_{d | k}
+    # mu(d) 2^{k/d}, for k = 1..12
+    counts = [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
+    for k, count in enumerate(counts, 1):
+        assert sum(_gf2_is_irreducible_int(f, k)
+                   for f in range(1 << k, 2 << k)) == count
+
+
+def test_swan_filter_skips_only_reducible_trinomials():
+    # every trinomial Swan's theorem rules out is reducible, and the
+    # search with the filter finds the least j the full search finds
+    skipped = 0
+    for n in range(2, 101):
+        least = None
+        for j in range(1, n):
+            irreducible = _gf2_is_irreducible_int(1 << n | 1 << j | 1, n)
+            if _swan_reducible(n, j):
+                assert not irreducible, (n, j)
+                skipped += 1
+            if irreducible and least is None:
+                least = j
+        found = irreducible_trinomial(F2, n)
+        assert (found and found.coeffs.index(1, 1)) == least
+    assert skipped == 3041  # of the 4950 trinomials
+    assert irreducible_trinomial(F2, 8) is None
+    assert irreducible_trinomial(prime_field(3), 5) is None  # 1 is a root
 
 
 def test_is_irreducible_examples():

@@ -6,7 +6,8 @@ from hypothesis import given, reject, settings, strategies as st
 
 from conftest import random_invertible
 from helpers import (check_flattening_conditions, direct_tensor_power,
-                     full_system_explains, reference_axis_points)
+                     full_system_explains, reference_axis_points,
+                     reference_split_points)
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode, explains,
                              int_to_point, moment_matrix, point_to_int,
@@ -280,10 +281,41 @@ def test_derandomized_vectors_are_powers_of_x(monkeypatch, rng):
         E = sample_error_set(CodeParams(4, 1), t, rng)
         S = syndrome_from_errors(E)
         assert decompose(S, "derandomized").points == E.points
-        assert decompose(S, "derandomized", ext_degree=25).points == E.points
+        assert decompose(S, "derandomized", ext_degree=31).points == E.points
         with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
             decompose(S, "derandomized", ext_degree=1)
-    assert seen == [(40, 2), (25, 2), (1, 0)] * 2
+    # the default D at m = 4 is 25, the least degree above 24 with an
+    # irreducible trinomial (X^25 + X^3 + 1)
+    assert seen == [(25, 2), (31, 2), (1, 0)] * 2
+
+
+def test_default_extension_degree_for_every_m_up_to_64():
+    # over F_2 the least D > 6m with an irreducible trinomial, which
+    # extension_field takes as the modulus; over odd p, 10m
+    for m in range(1, 65):
+        D = jennrich._default_ext_degree(2, m)
+        assert D > 6 * m
+        assert sum(map(bool, extension_field(2, D).modulus.coeffs)) == 3
+        for p in (3, 5):
+            assert jennrich._default_ext_degree(p, m) == 10 * m
+    assert [jennrich._default_ext_degree(2, m) for m in (12, 20, 64)] == [73, 121, 385]
+    assert extension_field(2, 73).modulus == UniPoly(prime_field(2), [1] + [0] * 24 + [1] + [0] * 47 + [1])
+
+
+def test_decompose_takes_the_default_extension_degree(monkeypatch, rng):
+    seen = []
+
+    def spy(p, k):
+        seen.append((p, k))
+        return extension_field(p, k)
+
+    monkeypatch.setattr(jennrich, "extension_field", spy)
+    # randomized mode; test_derandomized_vectors_are_powers_of_x covers derand
+    for p in (2, 3):
+        E = sample_error_set(CodeParams(4, 1, p), 3, rng)
+        S = syndrome_from_errors(E)
+        assert decompose(S, "randomized", rng).points == E.points
+    assert seen == [(2, 25), (3, 40)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -650,6 +682,63 @@ def test_unlucky_readout_retries_when_randomized_and_fails_when_derandomized(
     assert len(calls) == 1
 
 
+def _interpolate(F, xs, ys) -> list:
+    """The g of degree < len(xs) with g(xs[i]) = ys[i], by Lagrange."""
+    g = UniPoly.zero(F)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        basis = UniPoly.from_roots(F, xs[:i] + xs[i + 1:])
+        g = g + basis.scale(F.mul(y, F.inv(basis.evaluate(x))))
+    return list(g.coeffs)
+
+
+def _split_instance(F, kind, rng):
+    """chi over t distinct random roots, one of them doubled when kind is
+    "repeated", and g_v interpolating t distinct random base-field points,
+    two of them equal when kind is "collide" and one coordinate a random
+    element of F when kind is "outside"; the g's are padded to deg chi at
+    random, as the Krylov readout returns them.  Also the planted points."""
+    m = rng.randint(1, 4)
+    t = rng.randint(2, min(8, F.p ** m))
+    roots = []
+    while len(roots) < t:
+        lam = F.random_element(rng)
+        if lam not in roots:
+            roots.append(lam)
+    points = [list(int_to_point(x, m, F.p)) for x in rng.sample(range(F.p ** m), t)]
+    if kind == "collide":
+        points[1] = points[0]
+    if kind == "outside":
+        points[rng.randrange(t)][rng.randrange(m)] = F.random_element(rng)
+    chi = UniPoly.from_roots(F, roots + roots[:1] * (kind == "repeated"))
+    gs = []
+    for v in range(m):
+        g = _interpolate(F, roots, [e[v] for e in points])
+        gs.append(g + [0] * (chi.degree - len(g)) if rng.random() < 0.5 else g)
+    return list(chi.coeffs), gs, sorted(map(tuple, points))
+
+
+@pytest.mark.parametrize("p, k", [(2, 25), (2, 73), (3, 4), (5, 3)])
+def test_split_matches_the_reference_split(p, k, rng):
+    # the same point set as the split by every variable down to the last,
+    # and a retry wherever that raises one
+    F = extension_field(p, k)
+    outcomes = []
+    for kind in ("distinct", "collide", "outside", "repeated") * 15:
+        chi, gs, planted = _split_instance(F, kind, rng)
+        try:
+            want = sorted(reference_split_points(chi, gs, F))
+        except _RetryableFailure:
+            with pytest.raises(_RetryableFailure):
+                _split_points(chi, gs, F)
+            outcomes.append((kind, "retry"))
+            continue
+        assert sorted(_split_points(chi, gs, F)) == want == planted
+        outcomes.append((kind, "points"))
+    assert {kind for kind, outcome in outcomes if outcome == "points"} <= {"distinct", "outside"}
+    assert outcomes.count(("distinct", "points")) == 15
+    assert outcomes.count(("outside", "retry")) >= 12
+
+
 # Fields and sizes for the readout property tests.
 READOUT_GRID = {2: [(4, 1), (6, 1), (6, 2)], 3: [(4, 1), (5, 1)]}
 
@@ -665,7 +754,7 @@ def test_randomized_readout_matches_planted_and_axis(p, seed, data):
     except SamplingError:
         reject()
     S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
-    # small extension degrees, well below the default 10m
+    # small extension degrees, below the default D > 6m
     D = data.draw(st.integers(2 * m, 3 * m))
     assert decompose(S, "randomized", rng, ext_degree=D).points == E.points
     assert axis_decompose(S).points == E.points

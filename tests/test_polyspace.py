@@ -16,7 +16,7 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              syndrome_streaming, tensor_power, vanishing_space)
 from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import decompose
-from rmsyndrome.linalg import FFMatrix, rank
+from rmsyndrome.linalg import FFMatrix, rank, rref_nullspace
 from rmsyndrome.polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                                     monomial_index)
 from rmsyndrome.polyspace import (IsolationBoundWarning,
@@ -64,6 +64,24 @@ def test_space_roots_matches_nullspace_oracle(p, rng):
         V = space_roots(S)
         assert V == vanishing_space(E.points, params.r + 1, params.m, p)
         assert V.codim == len(E)  # codimension identity
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_space_roots_keeps_the_annihilator_rref_nullspace_builds(p, rng):
+    # on planted syndromes and on ones with an entry changed, whose space
+    # is no full vanishing space, the rows space_roots keeps are the ones
+    # rref_nullspace rebuilds from V's rref, in the same order
+    for _ in range(8):
+        params, E = _sample_instance(rng, p)
+        entries = list(syndrome_from_errors(E).entries)
+        for S in (Syndrome(params, tuple(entries)),
+                  Syndrome(params, tuple(entries[:-1]) + ((entries[-1] + 1) % p,))):
+            V = space_roots(S)
+            rebuilt = rref_nullspace(V.basis, V.pivots).packed_rows()
+            assert V.annihilator == rebuilt == _annihilator(V)
+    V = vanishing_space([(1, 0, 1), (0, 1, 1)], 1, 3)
+    assert V.annihilator is None
+    assert _annihilator(V) == rref_nullspace(V.basis, V.pivots).packed_rows()
 
 
 def _read_off(V):
