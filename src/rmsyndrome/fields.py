@@ -11,14 +11,16 @@ inside any extension.
 
 Univariate polynomials over every field divide by one routine,
 poly_divmod, and take gcds by one, poly_gcd, both on coefficient lists;
-UniPoly, the root finder and the Jennrich split all call these two.
+UniPoly, the root finder and the Jennrich split all call these two.  Both
+root finders split by one step, split_by_value: berlekamp_roots (the
+trace algorithm) on traces, the Jennrich split on coordinate polynomials.
+is_irreducible is Ben-Or's test for every field.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
 
 
 class OrderFactorizationError(Exception):
@@ -215,6 +217,7 @@ class PrimeField:
 
     zero = 0
     one = 1
+    k = 1  # degree over the prime field, as on ExtField
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -246,9 +249,6 @@ class PrimeField:
 
     def random_element(self, rng) -> int:
         return rng.randrange(self.p)
-
-    def elements(self) -> Iterable[int]:
-        return range(self.p)
 
     def element_coeffs(self, a: int) -> list[int]:
         return [a % self.p]
@@ -471,9 +471,6 @@ class ExtField:
     def random_element(self, rng) -> int:
         return rng.randrange(self.order)
 
-    def elements(self) -> Iterable[int]:
-        return range(self.order)
-
     def element_coeffs(self, a: int) -> list[int]:
         return self._digits(a)
 
@@ -544,9 +541,6 @@ class UniPoly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def monic(self) -> "UniPoly":
         if self.is_zero() or self.is_monic():
@@ -640,27 +634,25 @@ class UniPoly:
 def is_irreducible(f: UniPoly) -> bool:
     """True iff the monic polynomial f has no nontrivial factor.
 
-    Tests gcd(X^{q^d} - X, f) = 1 for every proper divisor d of deg f and
-    X^{q^k} = X mod f, over the coefficient field of order q.
+    Ben-Or's test (1981) over the coefficient field, of order q = p^k:
+    gcd(X^{q^d} - X, f) = 1 for every d <= deg f / 2, as a reducible f has
+    a factor of some such degree d, which divides X^{q^d} - X.  Each
+    X^{q^d} mod f is k Frobenius steps past the last (_frobenius_mod);
+    over F_2 the same test runs on ints (_gf2_is_irreducible_int).
     """
     if not f.is_monic():
         raise ValueError("is_irreducible expects a monic polynomial")
-    k = f.degree
-    if k < 1:
+    n = f.degree
+    if n < 1:
         raise ValueError("degree must be >= 1")
-    field = f.field
-    if isinstance(field, PrimeField) and field.p == 2:
-        return _gf2_is_irreducible_int(sum(c << i for i, c in enumerate(f.coeffs)), k)
-    if k == 1:
-        return True
-    q = field.order
-    x = UniPoly.x(field)
-    h = x
-    for d in range(1, k + 1):
-        h = h.pow_mod(q, f)
-        if d == k:
-            return h == x.mod(f)
-        if k % d == 0 and (h - x).gcd(f).degree > 0:
+    field, m = f.field, list(f.coeffs)
+    if field.order == 2:
+        return _gf2_is_irreducible_int(sum(c << i for i, c in enumerate(m)), n)
+    h = [0, 1]
+    for _ in range(n // 2):
+        for _ in range(field.k):
+            h = _frobenius_mod(h, m, field)
+        if len(poly_gcd(m, _minus_x(h, field), field)) > 1:
             return False
     return True
 
@@ -735,7 +727,7 @@ def find_primitive_element(field) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Root extraction (Berlekamp root-finding specialization).
+# Root extraction (Berlekamp's trace algorithm).
 
 
 def berlekamp_roots(f: UniPoly) -> dict[int, int]:
@@ -743,23 +735,56 @@ def berlekamp_roots(f: UniPoly) -> dict[int, int]:
 
     deg(f) - sum(multiplicities) is the degree of the rootless cofactor,
     so a caller can detect factors that do not split into linear pieces.
-    Deterministic: the equal-degree splitting walks a fixed element
-    sequence instead of sampling.
+    Berlekamp's trace algorithm (Berlekamp 1970), the same steps for
+    every field, of order q = p^k: g = gcd(f, X^q - X) is the product of
+    the distinct roots' linear factors, and a node h of g splits by
+    split_by_value on the absolute trace Tr(uX) = sum_i u^{p^i} X^{p^i}
+    mod h, whose values lie in F_p.  The trace form is nondegenerate, so
+    some u in the power basis z^j separates any two roots: u walks that
+    fixed sequence, and the result is deterministic.  A trace mod g is
+    one packed product of the rows X^{p^i} mod g (linalg.slot_layout).
     """
+    from .linalg import slot_layout  # linalg imports this module
+
     if f.is_zero():
         raise ValueError("berlekamp_roots expects a nonzero polynomial")
     field = f.field
     fm = f.monic()
     if fm.degree == 0:
         return {}
-    if field.char == 2:
-        roots = _roots_distinct_char2(fm, field)
-    else:
-        q = field.order
-        x = UniPoly.x(field)
-        xq = x.pow_mod(q, fm)
-        g = (xq - x).gcd(fm)
-        roots = _split_linear_odd(g, field) if g.degree > 0 else []
+    m, p = list(fm.coeffs), field.char
+    frob, h = [], [0, 1]  # X^{p^i} mod fm, i < k
+    for _ in range(field.k):
+        frob.append(h)
+        h = _frobenius_mod(h, m, field)
+    g = poly_gcd(m, _minus_x(h, field), field)
+    layout, n = slot_layout(field), len(g) - 1
+    rows = layout.vectors([layout.pack(poly_divmod(r, g, field)[1]) for r in frob])
+    traces: dict[int, list] = {}
+
+    def trace(j: int) -> list:
+        """Tr(z^j X) mod g."""
+        powers = [p ** j]
+        for _ in range(field.k - 1):
+            powers.append(field.pow(powers[-1], p))
+        return _trim(list(layout.unpack(layout.dot(rows, layout.pack(powers)), n)))
+
+    roots: list[int] = []
+    stack = [g] if n > 0 else []
+    while stack:
+        h = stack.pop()
+        if len(h) == 2:  # monic, as gcds and their cofactors are
+            roots.append(field.neg(h[0]))
+            continue
+        for j in range(field.k):
+            if j not in traces:
+                traces[j] = trace(j)
+            parts = split_by_value(h, traces[j], field)
+            if len(parts) > 1:
+                stack.extend(parts)
+                break
+        else:
+            raise RuntimeError("trace splitting failed on distinct roots")
     out: dict[int, int] = {}
     for r in sorted(roots):
         mult = 0
@@ -821,14 +846,14 @@ def poly_divmod(a, b, field) -> tuple[list, list]:
         rem = list(field._unpack(fold(A, field._pack([field._mask] * db)), db))
     else:
         mul, sub = field.mul, field.sub
+        terms = [(j - db, y) for j, y in enumerate(b) if y]  # b's nonzero terms
         rem = list(a)
         for i in range(len(a) - 1, db - 1, -1):
             c = rem[i]
             if c:
                 qc = quo[i - db] = mul(c, lead_inv) if lead_inv != 1 else c
-                for j, y in enumerate(b):
-                    if y:
-                        rem[i - db + j] = sub(rem[i - db + j], mul(qc, y))
+                for j, y in terms:
+                    rem[i + j] = sub(rem[i + j], mul(qc, y))
         del rem[db:]
     return _trim(quo), _trim(rem)
 
@@ -844,97 +869,50 @@ def poly_gcd(a, b, field) -> list:
     return a
 
 
-def _c2_sqmod(a: list, m: list, field) -> list:
-    out = [0] * (2 * len(a) - 1) if a else []
+def _minus_x(h: list, field) -> list:
+    """h - X, trimmed."""
+    h = h + [0] * (2 - len(h))
+    h[1] = field.sub(h[1], 1)
+    return _trim(h)
+
+
+def _frobenius_mod(a: list, m: list, field) -> list:
+    """a^p mod m over a field of characteristic p: each coefficient to
+    the p-th power, placed at p times its degree, then reduced."""
+    p = field.char
+    out = [0] * (p * (len(a) - 1) + 1) if a else []
     for i, c in enumerate(a):
         if c:
-            out[2 * i] = field.square(c)
+            out[p * i] = field.pow(c, p)
     return poly_divmod(out, m, field)[1]
 
 
-def _roots_distinct_char2(fm: UniPoly, field) -> list[int]:
-    """Distinct roots of fm over a char-2 field of order 2^kappa.
+def split_by_value(h: list, r: list, field) -> list | None:
+    """The factors gcd(h, r - c), c in F_p, of degree >= 1 of the monic
+    nonconstant h, lowest c first, or None when some root of h gives r a
+    value outside F_p; h, r and the factors are coefficient lists.
 
-    Computes g = gcd(fm, X^q - X) via a Frobenius squaring chain, then
-    splits g with trace polynomials Tr(uX) mod g.  Traces are computed
-    once at the top and reduced down the splitting tree.
+    Each class c < p - 1 comes off h by an exact division, which needs no
+    inverse as the gcd is monic, and what is left of h is the class
+    c = p - 1.  The classes cover h exactly when that rest divides
+    r - (p - 1).  Both root finders split by this one step: the Jennrich
+    split (jennrich._split_points) on its coordinate polynomials, and
+    berlekamp_roots on traces.
     """
-    fmul, fsquare = field.mul, field.square
-    kappa = (field.order - 1).bit_length()  # q = 2^kappa
-    m = list(fm.coeffs)
-    if len(m) == 2:  # linear: root is the constant term in char 2
-        return [m[0]]
-    frob = []  # X^{2^i} mod fm for i = 0..kappa-1
-    h = [0, 1]
-    for _ in range(kappa):
-        frob.append(h)
-        h = _c2_sqmod(h, m, field)
-    # h = X^q mod fm
-    hx = h[:]
-    if len(hx) < 2:
-        hx += [0] * (2 - len(hx))
-    hx[1] ^= 1
-    g = poly_gcd(m, _trim(hx), field)
-    if len(g) <= 1:
-        return []
-    frob_g = [poly_divmod(fb, g, field)[1] for fb in frob]
-    traces: dict[int, list] = {}
-
-    def trace_at_root(u: int) -> list:
-        w = [0] * (len(g) - 1)
-        uu = u
-        for fbr in frob_g:
-            for i, c in enumerate(fbr):
-                if c:
-                    w[i] ^= fmul(uu, c) if uu != 1 else c
-            uu = fsquare(uu)
-        return _trim(w)
-
-    roots: list[int] = []
-    stack = [g]
-    while stack:
-        hcur = stack.pop()
-        if len(hcur) == 2:  # monic, as gcds and their cofactors are
-            roots.append(hcur[0])
-            continue
-        # u walks the power basis z^j: the trace form is nondegenerate, so
-        # some basis element separates any fixed pair of distinct roots
-        for j in range(kappa):
-            u = 1 << j if field.order > 2 else 1
-            w = traces.get(u)
-            if w is None:
-                w = traces[u] = trace_at_root(u)
-            wr = poly_divmod(w, hcur, field)[1]
-            d = poly_gcd(hcur, wr, field)
-            if 1 < len(d) < len(hcur):
-                stack.append(d)
-                stack.append(poly_divmod(hcur, d, field)[0])
-                break
-        else:
-            raise RuntimeError("trace splitting failed on distinct roots")
-    return roots
-
-
-def _split_linear_odd(g: UniPoly, field) -> list[int]:
-    """Split a product of distinct linear factors over an odd-order field
-    via the quadratic character of X + u, u walking a fixed sequence."""
-    half = (field.order - 1) // 2
-    one = UniPoly.one(field)
-    roots: list[int] = []
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        if h.degree == 1:
-            roots.append(field.neg(h.monic().coeffs[0]))
-            continue
-        for u in field.elements():
-            shifted = UniPoly(field, (u, 1))
-            w = shifted.pow_mod(half, h) - one
-            d = w.gcd(h)
-            if 0 < d.degree < h.degree:
-                stack.append(d)
-                stack.append(h.divmod_by(d)[0])
-                break
-        else:
-            raise RuntimeError("character splitting failed on distinct roots")
-    return roots
+    p = field.char
+    r = poly_divmod(r, h, field)[1]
+    if len(r) <= 1:  # r takes one value on every root of h
+        return [h] if not r or field.is_base(r[0]) else None
+    parts = []
+    for c in range(p - 1):
+        if len(h) == 1:
+            break
+        d = poly_gcd(h, [field.sub(r[0], c)] + r[1:], field)
+        if len(d) > 1:
+            parts.append(d)
+            h = poly_divmod(h, d, field)[0]
+    if len(h) > 1:
+        if poly_divmod([field.sub(r[0], p - 1)] + r[1:], h, field)[1]:
+            return None
+        parts.append(h)
+    return parts

@@ -52,8 +52,8 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
-from .fields import (extension_field, irreducible_trinomial, poly_divmod,
-                     poly_gcd, prime_field)
+from .fields import (extension_field, irreducible_trinomial, prime_field,
+                     split_by_value)
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
@@ -256,46 +256,24 @@ def _split_points(chi: list, gs: list[list], F) -> list[tuple]:
     chi, which must be distinct, lie in F and give base-field values.
 
     A node is a monic factor h of chi whose roots share the coordinates
-    split on so far.  Variable v splits h by g_v mod h = r into the classes
-    gcd(h, r - c), c in F_p, the polynomial form of axis_decompose's
-    idempotent split: for c < p - 1 each class is taken off h by an exact
-    division, which needs no inverse as the gcd is monic, and what is
-    left of h is the class c = p - 1.  The classes cover h exactly when
-    that rest divides r - (p - 1); if not, some root of h gives g_v a
-    value outside the base field.  The splits stop once every node is
-    linear, X - lambda, and its point is read off at lambda in one packed
-    product (_read_points).  No root of chi is computed before its node
-    is linear, and the division and gcd are fields.poly_divmod and
-    poly_gcd on the coefficient lists, the same calls for every
-    characteristic.  Raises _RetryableFailure for a coordinate outside
-    the base field, or a node that no variable splits into linear ones
-    (a repeated root, or one outside F).
+    split on so far.  Variable v splits h into the classes
+    gcd(h, g_v - c), c in F_p, by fields.split_by_value, the step
+    berlekamp_roots splits by too: the polynomial form of axis_decompose's
+    idempotent split.  The splits stop once every node is linear,
+    X - lambda, and its point is read off at lambda in one packed product
+    (_read_points).  No root of chi is computed before its node is
+    linear.  Raises _RetryableFailure for a coordinate outside the base
+    field, or a node that no variable splits into linear ones (a repeated
+    root, or one outside F).
     """
-    p = F.p
     nodes = [chi]
     for g in gs:
         split = []
         for h in nodes:
-            if len(h) == 2:
-                split.append(h)
-                continue
-            r = poly_divmod(g, h, F)[1]
-            if len(r) <= 1:  # every root of h gives g the value r
-                if r and not F.is_base(r[0]):
-                    raise _RetryableFailure("recovered coordinate outside the base field")
-                split.append(h)
-                continue
-            for c in range(p - 1):
-                if len(h) == 1:
-                    break
-                d = poly_gcd(h, [F.sub(r[0], c)] + r[1:], F)
-                if len(d) > 1:
-                    split.append(d)
-                    h = poly_divmod(h, d, F)[0]
-            if len(h) > 1:
-                if poly_divmod([F.sub(r[0], p - 1)] + r[1:], h, F)[1]:
-                    raise _RetryableFailure("recovered coordinate outside the base field")
-                split.append(h)
+            parts = [h] if len(h) == 2 else split_by_value(h, g, F)
+            if parts is None:
+                raise _RetryableFailure("recovered coordinate outside the base field")
+            split.extend(parts)
         nodes = split
     if any(len(h) != 2 for h in nodes):
         raise _RetryableFailure("repeated eigenvalue, or one outside the extension field")
@@ -344,7 +322,7 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
 
     Raises DecodingFailure unless the splits end in exactly rank(T_0)
     common eigenvectors of every M_v with distinct eigenvalue tuples;
-    callers check the set against the syndrome (locate_and_correct).
+    callers check the set against the syndrome (polyspace.run_decoder).
     """
     params = S.params
     T0, K = _constant_slice(S)

@@ -316,13 +316,10 @@ def locate_and_correct(S: Syndrome, algorithm: str = "jennrich",
     Over F_2 the located tensor powers are subtracted directly; over odd
     fields the unknown error magnitudes are solved first, on the t x t
     minor of the located degree <= r tensor powers (unique, since those
-    are independent), and must all be nonzero.
-    The residual is the zero syndrome: a located set that does not
-    explain S (code.explains) raises DecodingFailure."""
+    are independent), and must all be nonzero.  run_decoder certifies
+    that the located set explains S, so the residual is the zero
+    syndrome."""
     E = run_decoder(S, algorithm, mode, rng, ext_degree)
-    if not explains(S, E):
-        raise DecodingFailure("nonzero residual after correction" if S.params.p == 2
-                              else "located set cannot explain the syndrome")
     return E, Syndrome(S.params, (0,) * len(S.entries))
 
 
@@ -330,7 +327,8 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
                 rng=None, ext_degree: int | None = None) -> ErrorSet:
     """Dispatch to one of the decoders by name; mode None picks the
     algorithm's deterministic mode (jennrich axis, polyspace det).
-    Raises ValueError for p above MAX_PRIME."""
+    Returns only a set that explains S (code.explains), else raises
+    DecodingFailure.  Raises ValueError for p above MAX_PRIME."""
     mode = resolve_mode(algorithm, mode)
     if S.params.p > MAX_PRIME:
         raise ValueError(f"p = {S.params.p} is above MAX_PRIME = {MAX_PRIME}")
@@ -339,14 +337,18 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
     if algorithm == "polyspace":
         V = space_roots(S)
         if mode == "det":
-            return det_find_roots(V)
-        E = find_roots(V, rng)
-        if len(E) < V.codim:
-            raise DecodingFailure(f"isolation found {len(E)} of {V.codim} points")
-        return E
-    if mode == "axis":
-        return axis_decompose(S)
-    if mode == "rand":
-        return decompose(S, "randomized", rng, ext_degree)
-    return decompose(S, "derandomized", ext_degree=ext_degree)
-
+            E = det_find_roots(V)
+        else:
+            E = find_roots(V, rng)
+            if len(E) < V.codim:
+                raise DecodingFailure(f"isolation found {len(E)} of {V.codim} points")
+    elif mode == "axis":
+        E = axis_decompose(S)
+    elif mode == "rand":
+        E = decompose(S, "randomized", rng, ext_degree)
+    else:
+        E = decompose(S, "derandomized", ext_degree=ext_degree)
+    if not explains(S, E):
+        raise DecodingFailure("nonzero residual after correction" if S.params.p == 2
+                              else "located set cannot explain the syndrome")
+    return E

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rmsyndrome import polyspace
+from rmsyndrome import fields, polyspace
 from rmsyndrome.cli import main, substream_rng, substream_seed
 from rmsyndrome.code import (CodeParams, ErrorSet, corrupt, encode,
                              read_word_file, sample_error_set,
@@ -216,11 +216,18 @@ def test_decode_over_a_prime_above_the_bound_exits_4_at_once(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("m, r, t", [(17, 2, 5), (23, 1, 6)])
-def test_experiment_derand_decodes_where_the_field_order_does_not_factor(tmp_path, m, r, t):
-    # the derandomized vectors need no factoring of 2^D - 1 at any D: at
-    # D = 10m, 2^170 - 1 and 2^230 - 1 exhaust factorize's budget; the
-    # default D, the least degree above 6m with an irreducible trinomial,
-    # is 103 and 140 here
+def test_experiment_derand_decodes_where_the_field_order_does_not_factor(
+        tmp_path, monkeypatch, m, r, t):
+    # the derandomized vectors need no factoring of 2^D - 1 at any D, so
+    # the experiment decodes with factorize and find_primitive_element
+    # raising, in this process; the default D, the least degree above 6m
+    # with an irreducible trinomial, is 103 and 140 here
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("a derandomized decode factored the field order")
+
+    monkeypatch.setattr(fields, "factorize", no_factoring)
+    monkeypatch.setattr(fields, "find_primitive_element", no_factoring)
+    monkeypatch.delenv("RMS_THREADS", raising=False)
     out = tmp_path / "derand.csv"
     assert main(["experiment", "--m", str(m), "--r", str(r), "--t", str(t),
                  "--trials", "2", "--algo", "jennrich", "--mode", "derand",

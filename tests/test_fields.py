@@ -54,6 +54,17 @@ def test_gf2_irreducible_counts_match_the_necklace_formula():
                    for f in range(1 << k, 2 << k)) == count
 
 
+@pytest.mark.parametrize("q, counts", [
+    (3, [3, 3, 8, 18, 48]), (5, [5, 10, 40, 150]), (4, [4, 6, 20, 60])])
+def test_irreducible_counts_match_the_necklace_formula_over_other_fields(q, counts):
+    # is_irreducible away from its F_2 int path: the monic irreducibles of
+    # degree k over F_q number (1/k) sum_{d | k} mu(d) q^{k/d}
+    F = prime_field(q) if q != 4 else extension_field(2, 2)
+    for k, count in enumerate(counts, 1):
+        monics = (UniPoly(F, [n // q ** i % q for i in range(k)] + [1]) for n in range(q ** k))
+        assert sum(map(is_irreducible, monics)) == count, k
+
+
 def test_swan_filter_skips_only_reducible_trinomials():
     # every trinomial Swan's theorem rules out is reducible, and the
     # search with the filter finds the least j the full search finds
@@ -202,6 +213,23 @@ def test_berlekamp_odd_characteristic(rng):
     F9 = extension_field(3, 2)
     roots = rng.sample(range(9), 6)
     assert berlekamp_roots(UniPoly.from_roots(F9, roots)) == {r: 1 for r in roots}
+    # planted roots with multiplicities times a random cofactor, checked
+    # against dividing by X - r for every element r: the multiplicities,
+    # the roots the cofactor adds, and the rootless rest
+    for F in (prime_field(3), prime_field(7), prime_field(251), F9,
+              extension_field(3, 4), extension_field(5, 3), extension_field(7, 2)):
+        for _ in range(15):
+            planted = [F.random_element(rng) for _ in range(rng.randint(1, 4))]
+            f = UniPoly.from_roots(F, [r for r in planted for _ in range(rng.randint(1, 3))])
+            f = f * UniPoly(F, [F.random_element(rng) for _ in range(rng.randint(0, 4))] + [1])
+            expect = {}
+            for r in range(F.order):
+                linear = UniPoly(F, (F.neg(r), 1))
+                rest, rem = f.divmod_by(linear)
+                while rem.is_zero():
+                    expect[r] = expect.get(r, 0) + 1
+                    rest, rem = rest.divmod_by(linear)
+            assert berlekamp_roots(f) == expect, (F, f)
 
 
 def test_unipoly_divmod_gcd(rng):
