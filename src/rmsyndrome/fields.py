@@ -13,8 +13,10 @@ Univariate polynomials over every field divide by one routine,
 poly_divmod, and take gcds by one, poly_gcd, both on coefficient lists;
 UniPoly, the root finder and the Jennrich split all call these two.  Both
 root finders split by one step, split_by_value: berlekamp_roots (the
-trace algorithm) on traces, the Jennrich split on coordinate polynomials.
-is_irreducible is Ben-Or's test for every field.
+trace algorithm) on traces, or for large p on their quadratic character,
+the Jennrich split on coordinate polynomials.  is_irreducible is Ben-Or's
+test for every field.  Both take p-th powers mod a polynomial through one
+map, _frobenius, whose cost grows with log p, not p.
 """
 
 from __future__ import annotations
@@ -565,14 +567,7 @@ class UniPoly:
         return UniPoly(f, out)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else 0
-            y = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(f.sub(x, y))
-        return UniPoly(f, out)
+        return self + UniPoly(self.field, map(self.field.neg, other.coeffs))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         f = self.field
@@ -599,10 +594,6 @@ class UniPoly:
 
     def mod(self, other: "UniPoly") -> "UniPoly":
         return self.divmod_by(other)[1]
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """The monic gcd (zero when both are zero)."""
-        return UniPoly(self.field, poly_gcd(self.coeffs, other.coeffs, self.field))
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
         if e < 0:
@@ -637,7 +628,7 @@ def is_irreducible(f: UniPoly) -> bool:
     Ben-Or's test (1981) over the coefficient field, of order q = p^k:
     gcd(X^{q^d} - X, f) = 1 for every d <= deg f / 2, as a reducible f has
     a factor of some such degree d, which divides X^{q^d} - X.  Each
-    X^{q^d} mod f is k Frobenius steps past the last (_frobenius_mod);
+    X^{q^d} mod f is k Frobenius steps past the last (_frobenius);
     over F_2 the same test runs on ints (_gf2_is_irreducible_int).
     """
     if not f.is_monic():
@@ -648,10 +639,10 @@ def is_irreducible(f: UniPoly) -> bool:
     field, m = f.field, list(f.coeffs)
     if field.order == 2:
         return _gf2_is_irreducible_int(sum(c << i for i, c in enumerate(m)), n)
-    h = [0, 1]
+    h, frobenius = [0, 1], _frobenius(m, field)
     for _ in range(n // 2):
         for _ in range(field.k):
-            h = _frobenius_mod(h, m, field)
+            h = frobenius(h)
         if len(poly_gcd(m, _minus_x(h, field), field)) > 1:
             return False
     return True
@@ -730,6 +721,12 @@ def find_primitive_element(field) -> int:
 # Root extraction (Berlekamp's trace algorithm).
 
 
+# Above this p a node splits on the quadratic character of a trace, not
+# on its p classes: about log p products in place of up to p - 1 gcds,
+# which costs less from p near 100 (over F_{p^2}) to 250 (over F_p).
+_CLASS_WALK_MAX_P = 127
+
+
 def berlekamp_roots(f: UniPoly) -> dict[int, int]:
     """All roots of f in its coefficient field, mapped to multiplicities.
 
@@ -743,20 +740,22 @@ def berlekamp_roots(f: UniPoly) -> dict[int, int]:
     some u in the power basis z^j separates any two roots: u walks that
     fixed sequence, and the result is deterministic.  A trace mod g is
     one packed product of the rows X^{p^i} mod g (linalg.slot_layout).
+    For p above _CLASS_WALK_MAX_P the split reads 1 + (Tr(uX) + c)^((p-1)/2)
+    mod h in place of the trace, c walking F_p: its values are 0, 1 and 2,
+    and some (u, c) separates any two roots, as the quadratic character
+    of t + c is 0 at c = -t alone (Cantor & Zassenhaus 1981).
     """
     from .linalg import slot_layout  # linalg imports this module
 
     if f.is_zero():
         raise ValueError("berlekamp_roots expects a nonzero polynomial")
-    field = f.field
-    fm = f.monic()
-    if fm.degree == 0:
+    field, p, m = f.field, f.field.char, list(f.monic().coeffs)
+    if len(m) == 1:
         return {}
-    m, p = list(fm.coeffs), field.char
-    frob, h = [], [0, 1]  # X^{p^i} mod fm, i < k
+    frob, h, frobenius = [], [0, 1], _frobenius(m, field)  # X^{p^i} mod f, i < k
     for _ in range(field.k):
         frob.append(h)
-        h = _frobenius_mod(h, m, field)
+        h = frobenius(h)
     g = poly_gcd(m, _minus_x(h, field), field)
     layout, n = slot_layout(field), len(g) - 1
     rows = layout.vectors([layout.pack(poly_divmod(r, g, field)[1]) for r in frob])
@@ -764,10 +763,20 @@ def berlekamp_roots(f: UniPoly) -> dict[int, int]:
 
     def trace(j: int) -> list:
         """Tr(z^j X) mod g."""
-        powers = [p ** j]
-        for _ in range(field.k - 1):
-            powers.append(field.pow(powers[-1], p))
-        return _trim(list(layout.unpack(layout.dot(rows, layout.pack(powers)), n)))
+        if j not in traces:
+            powers = [p ** j]
+            for _ in range(field.k - 1):
+                powers.append(field.pow(powers[-1], p))
+            traces[j] = _trim(list(layout.unpack(layout.dot(rows, layout.pack(powers)), n)))
+        return traces[j]
+
+    def splitters(h: list):
+        """What split_by_value reads at the node h, in a fixed order."""
+        if p <= _CLASS_WALK_MAX_P:
+            return map(trace, range(field.k))
+        one, H = UniPoly.one(field), UniPoly(field, h)
+        return (((UniPoly(field, trace(j)) + UniPoly(field, (c,))).pow_mod(p // 2, H)
+                 + one).coeffs for c in range(p) for j in range(field.k))
 
     roots: list[int] = []
     stack = [g] if n > 0 else []
@@ -776,27 +785,19 @@ def berlekamp_roots(f: UniPoly) -> dict[int, int]:
         if len(h) == 2:  # monic, as gcds and their cofactors are
             roots.append(field.neg(h[0]))
             continue
-        for j in range(field.k):
-            if j not in traces:
-                traces[j] = trace(j)
-            parts = split_by_value(h, traces[j], field)
+        for r in splitters(h):
+            parts = split_by_value(h, r, field)
             if len(parts) > 1:
                 stack.extend(parts)
                 break
         else:
             raise RuntimeError("trace splitting failed on distinct roots")
     out: dict[int, int] = {}
-    for r in sorted(roots):
-        mult = 0
-        poly = fm
-        linear = UniPoly(field, (field.neg(r), 1))
-        while True:
-            quo, rem = poly.divmod_by(linear)
-            if not rem.is_zero():
-                break
-            poly = quo
-            mult += 1
-        out[r] = mult
+    for r in sorted(roots):  # multiplicities, by division by X - r
+        quo, rem, out[r] = m, [], -1
+        while not rem:
+            quo, rem = poly_divmod(quo, [field.neg(r), 1], field)
+            out[r] += 1
     return out
 
 
@@ -876,15 +877,33 @@ def _minus_x(h: list, field) -> list:
     return _trim(h)
 
 
-def _frobenius_mod(a: list, m: list, field) -> list:
-    """a^p mod m over a field of characteristic p: each coefficient to
-    the p-th power, placed at p times its degree, then reduced."""
-    p = field.char
-    out = [0] * (p * (len(a) - 1) + 1) if a else []
-    for i, c in enumerate(a):
-        if c:
-            out[p * i] = field.pow(c, p)
-    return poly_divmod(out, m, field)[1]
+def _frobenius(m: list, field):
+    """The map a -> a^p mod m on coefficient lists, for the monic m of
+    degree n over a field of characteristic p.  While p <= n, a^p is each
+    coefficient to the p-th power, placed at p times its degree, then
+    reduced.  Above that the placed list would grow with p, so a^p is the
+    rows X^{pi} mod m, i < n, combined by a's coefficients to the p-th
+    power in one packed product (linalg.slot_layout); the rows are the
+    powers of X^p mod m, found by square-and-multiply."""
+    p, n = field.char, len(m) - 1
+    if p <= n:
+        def place(a: list) -> list:
+            out = [0] * (p * (len(a) - 1) + 1) if a else []
+            for i, c in enumerate(a):
+                if c:
+                    out[p * i] = field.pow(c, p)
+            return poly_divmod(out, m, field)[1]
+        return place
+    from .linalg import slot_layout  # linalg imports this module
+
+    M = UniPoly(field, m)
+    xp, rows = UniPoly.x(field).pow_mod(p, M), [UniPoly.one(field)]
+    for _ in range(n - 1):
+        rows.append((rows[-1] * xp).mod(M))
+    layout = slot_layout(field)
+    rows = layout.vectors([layout.pack(r.coeffs) for r in rows])
+    return lambda a: _trim(list(layout.unpack(layout.dot(rows, layout.pack(
+        [field.pow(c, p) for c in poly_divmod(a, m, field)[1]])), n)))
 
 
 def split_by_value(h: list, r: list, field) -> list | None:

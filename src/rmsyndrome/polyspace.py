@@ -344,10 +344,9 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
                 raise DecodingFailure(f"isolation found {len(E)} of {V.codim} points")
     elif mode == "axis":
         E = axis_decompose(S)
-    elif mode == "rand":
-        E = decompose(S, "randomized", rng, ext_degree)
-    else:
-        E = decompose(S, "derandomized", ext_degree=ext_degree)
+    else:  # decompose checks each draw against S before it returns
+        return decompose(S, "randomized" if mode == "rand" else "derandomized",
+                         rng, ext_degree)
     if not explains(S, E):
         raise DecodingFailure("nonzero residual after correction" if S.params.p == 2
                               else "located set cannot explain the syndrome")

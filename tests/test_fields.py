@@ -30,7 +30,7 @@ def test_find_irreducible_octic_gcd_test():
     x = UniPoly.x(F2)
     for d in (1, 2, 4):
         xqd = x.pow_mod(2 ** d, f)
-        assert (xqd - x).gcd(f).degree == 0
+        assert poly_gcd((xqd - x).coeffs, f.coeffs, F2) == [1]
     assert x.pow_mod(2 ** 8, f) == x.mod(f)
 
 
@@ -232,6 +232,24 @@ def test_berlekamp_odd_characteristic(rng):
             assert berlekamp_roots(f) == expect, (F, f)
 
 
+def test_berlekamp_and_irreducibility_over_a_large_prime(rng):
+    """Over F_p and F_{p^2}, p = 2^31 - 1, p-th powers mod f and the
+    splits cost log p products, not p."""
+    F = prime_field(2 ** 31 - 1)
+    p = F.p
+    assert berlekamp_roots(UniPoly(F, (5, 1))) == {p - 5: 1}
+    assert berlekamp_roots(UniPoly.from_roots(F, [3, 3, 2 ** 30, p - 1])) == {
+        3: 2, 2 ** 30: 1, p - 1: 1}
+    a = next(a for a in range(2, 100) if pow(a, (p - 1) // 2, p) == p - 1)
+    assert is_irreducible(UniPoly(F, (p - a, 0, 1)))  # X^2 - a, a a non-residue
+    assert berlekamp_roots(UniPoly(F, (p - a, 0, 1))) == {}
+    assert not is_irreducible(UniPoly(F, (p - 4, 0, 1)))
+    assert berlekamp_roots(UniPoly(F, (p - 4, 0, 1))) == {2: 1, p - 2: 1}
+    Fp2 = extension_field(p, 2)
+    roots = [Fp2.random_element(rng) for _ in range(4)]
+    assert berlekamp_roots(UniPoly.from_roots(Fp2, roots)) == {r: 1 for r in roots}
+
+
 def test_unipoly_divmod_gcd(rng):
     F = extension_field(2, 8)
     for _ in range(20):
@@ -242,7 +260,7 @@ def test_unipoly_divmod_gcd(rng):
         assert r.degree < b.degree
     g = find_irreducible(F2, 5)
     h = find_irreducible(F2, 3)
-    assert (g * h).gcd(g * g) == g
+    assert poly_gcd((g * h).coeffs, (g * g).coeffs, F2) == list(g.coeffs)
 
 
 def test_unipoly_division_over_f2k_makes_no_element_products(monkeypatch, rng):
