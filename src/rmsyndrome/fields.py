@@ -409,6 +409,14 @@ class ExtField:
                     prod[i + j] = (prod[i + j] + x * y) % p
         return self._undigits(self._reduce_digits(prod))
 
+    def powers(self, a: int, n: int) -> list[int]:
+        """1, a, ..., a^(n-1), over characteristic 2 from one window of a."""
+        out, tb = [1], self._window(a) if self.p == 2 else None
+        while len(out) < n:
+            out.append(self._fold(self._clmul(out[-1], tb), self._mask) if tb
+                       else self.mul(out[-1], a))
+        return out
+
     def _reduce_digits(self, v: list[int]) -> list[int]:
         p = self.p
         modlow = self._modlow

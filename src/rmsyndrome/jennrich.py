@@ -284,7 +284,7 @@ def _read_points(roots: list, gs: list[list], F) -> list[tuple]:
     """The points (g_1(lambda), ..., g_m(lambda)) at the given roots, each
     one packed product: with column k of the g's (their coefficients of
     X^k) packed as an m-slot vector of F's row layout once, the point at
-    lambda is those columns combined by 1, lambda, ..., lambda^{t-1}.
+    lambda is those columns combined by F.powers(lambda, t).
     Raises _RetryableFailure for a value outside the base field."""
     layout, m = slot_layout(F), len(gs)
     t = max(map(len, gs), default=0)
@@ -292,10 +292,7 @@ def _read_points(roots: list, gs: list[list], F) -> list[tuple]:
                               for k in range(t)])
     points = []
     for lam in roots:
-        powers = [1]
-        for _ in range(t - 1):
-            powers.append(F.mul(powers[-1], lam))
-        point = layout.unpack(layout.dot(columns, layout.pack(powers)), m)
+        point = layout.unpack(layout.dot(columns, layout.pack(F.powers(lam, t))), m)
         if not all(map(F.is_base, point)):
             raise _RetryableFailure("recovered coordinate outside the base field")
         points.append(point)

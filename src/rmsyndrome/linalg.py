@@ -143,8 +143,10 @@ class FFMatrix:
     def mat_vec(self, v) -> tuple:
         if len(v) != self.ncols:
             raise ValueError("length mismatch")
-        x = FFMatrix.from_rows(self.field, [v])._rows[0]
-        return self.layout.mat_vec(self._rows, self.ncols, x)
+        order = self.field.order  # pack_bits checks F_2 entries itself
+        if order != 2 and v and not 0 <= min(v) <= max(v) < order:
+            raise ValueError("entry out of field range")
+        return self.layout.mat_vec(self._rows, self.ncols, self.layout.pack(v))
 
     def submatrix(self, row_idx, col_idx) -> "FFMatrix":
         col_idx = list(col_idx)
@@ -400,25 +402,19 @@ def rref(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
     row with a nonzero entry, so the output is deterministic.
     """
     f, n, ncols = M.field, M.nrows, M.ncols
+    if f.order == 2:  # the unique rref from _bit_basis, by back substitution
+        basis = _bit_basis(M._rows)
+        pivots, done = sorted(basis), 0
+        for low in reversed(pivots):  # clear the higher pivots, already reduced
+            hit = basis[low] & done
+            while hit:
+                basis[low] ^= basis[hit & -hit]
+                hit &= hit - 1
+            done |= low
+        rows = [basis[low] for low in pivots] + [0] * (n - len(pivots))
+        return (FFMatrix(M.layout, n, ncols, rows), len(pivots),
+                tuple([low.bit_length() - 1 for low in pivots]))
     rows, pivots, prow = list(M._rows), [], 0
-    if f.order == 2:
-        for col in range(ncols):
-            bit = 1 << col
-            for piv in range(prow, n):
-                if rows[piv] & bit:
-                    break
-            else:
-                continue
-            rows[prow], rows[piv] = rows[piv], rows[prow]
-            pr = rows[prow]
-            for i in range(n):
-                if i != prow and rows[i] & bit:
-                    rows[i] ^= pr
-            pivots.append(col)
-            prow += 1
-            if prow == n:
-                break
-        return FFMatrix(M.layout, n, ncols, rows), len(pivots), tuple(pivots)
     layout = M.layout
     w, mask, order = layout.bits, layout.mask, f.order
     for col in range(ncols):
@@ -443,8 +439,19 @@ def rref(M: FFMatrix) -> tuple[FFMatrix, int, tuple[int, ...]]:
     return FFMatrix(layout, n, ncols, rows), len(pivots), tuple(pivots)
 
 
+def _bit_basis(rows) -> dict[int, int]:
+    """A basis of the span of F_2 rows, keyed by their lowest set bits."""
+    basis = {}
+    for r in rows:
+        while r and (low := r & -r) in basis:
+            r ^= basis[low]
+        if r:
+            basis[r & -r] = r
+    return basis
+
+
 def rank(M: FFMatrix) -> int:
-    return rref(M)[1]
+    return len(_bit_basis(M._rows)) if M.field.order == 2 else rref(M)[1]
 
 
 def nullspace_basis(M: FFMatrix) -> FFMatrix:

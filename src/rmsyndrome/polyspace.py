@@ -43,7 +43,7 @@ from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, explains,
                    moment_matrix, tensor_power)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
-from .linalg import FFMatrix, rank, rref, rref_nullspace
+from .linalg import FFMatrix, rank, rref, rref_nullspace, slot_layout
 from .polynomials import PolySpace, monomial_count, monomial_index
 
 
@@ -102,12 +102,13 @@ def _annihilator(V: PolySpace) -> list[int]:
     return rref_nullspace(V.basis, V.pivots).packed_rows()
 
 
-def _blocks(phi: list[int], shifts, low: int, layout) -> list[int]:
+def _blocks(phi: list[int], shifts, low: int, layout, l: int = 1) -> list[int]:
     """Per shift s (a map of the index's positions), Phi's entries at
-    s[B], B < low, packed as one vector: row i's in slots [i low,
-    (i + 1) low)."""
-    entries = [layout.unpack(row, len(shifts[0])) for row in phi]
-    return [layout.pack([u[j] for u in entries for j in s[:low]]) for s in shifts]
+    s[B], B < low, packed as one vector: row i's in slots [i l low,
+    i l low + low), room for l forms' products side by side (_restrict)."""
+    entries, stride = [layout.unpack(row, len(shifts[0])) for row in phi], l * low * layout.bits
+    return [sum(layout.pack([u[j] for j in s[:low]]) << i * stride for i, u in enumerate(entries))
+            for s in shifts]
 
 
 def _restrict(blocks: list[int], forms, t: int, low: int, layout) -> list[int]:
@@ -115,21 +116,14 @@ def _restrict(blocks: list[int], forms, t: int, low: int, layout) -> list[int]:
     that vanish on every reduce(l B), deg B <= r, for the linear forms l
     given by their coefficients on the shifts of blocks (_blocks; with
     shifts x_0, ..., x_{m-1}, 1, l = C_j x - c_j is the row [C_j | -c_j]).
-    Row i of dot(blocks, l) is Phi_i at those products, so the alpha are
-    the left nullspace of the t-row matrix G of these rows: the rows of
-    the rref of [G | I] that are zero on G, read on I.  That rref stops
-    once G has rank t."""
-    w = layout.bits
-    width = low * w
-    mask, vectors = (1 << width) - 1, layout.vectors(blocks)
-    gs = [layout.dot(vectors, form) for form in forms]
-    n = len(gs) * low
-    rows = []
-    for i in range(t):
-        row = 1 << (n + i) * w
-        for j, g in enumerate(gs):
-            row |= (g >> i * width & mask) << j * width
-        rows.append(row)
+    Row i of dot(blocks, l) is Phi_i at those products; shifted by j low
+    slots for the j-th form, they add up to the t rows of a matrix G one
+    after another, and the alpha are the left nullspace of G: the rows of
+    the rref of [G | I] that are zero on G, read on I."""
+    w, n = layout.bits, len(forms) * low
+    mask, vectors = (1 << n * w) - 1, layout.vectors(blocks)
+    g = sum(layout.dot(vectors, form) << j * low * w for j, form in enumerate(forms))
+    rows = [g >> i * n * w & mask | 1 << (n + i) * w for i in range(t)]
     R, _, pivots = rref(FFMatrix(layout, t, n + t, rows))
     return [row >> n * w for row in R.packed_rows()[bisect_left(pivots, n):]]
 
@@ -164,26 +158,41 @@ def isolation_codim(t: int, m: int, p: int = 2) -> int:
     return max(1, min(l, m - 1))
 
 
+def _warn_if_crowded(m: int, t: int, p: int) -> None:
+    """Warn at the caller's caller when t > p^{m/2}/100 (vv_sample)."""
+    if (100 * t) ** 2 > p ** m:
+        warnings.warn(f"isolation bound hypothesis violated: t={t} > p^(m/2)/100 at m={m}",
+                      IsolationBoundWarning, stacklevel=3)
+
+
+def _draw_forms(m: int, l: int, rng, layout) -> list[int]:
+    """l uniform forms [C_j | -c_j] in the packed layout of F_p, each one
+    rng.randrange(p^(m+1)) read as its base-p digits (over F_2 the int is
+    the packed form), redrawn until the rows C_j are independent."""
+    p = layout.field.order
+    size, low = p ** (m + 1), (1 << m * layout.bits) - 1
+    while True:
+        forms = [rng.randrange(size) for _ in range(l)]
+        if p > 2:
+            forms = [layout.pack([x // p ** v % p for v in range(m + 1)]) for x in forms]
+        if rank(FFMatrix(layout, l, m, [form & low for form in forms])) == l:
+            return forms
+
+
 def vv_sample(m: int, t: int, rng, p: int = 2):
     """l uniformly random linearly independent constraint vectors and
-    uniform constants; each point of a hidden t-set satisfies all
-    constraints alone with probability >= 1/(7t) at comfortable sizes.
+    uniform constants, drawn as one find_roots draw (_draw_forms); each
+    point of a hidden t-set satisfies all constraints alone with
+    probability >= 1/(7t) at comfortable sizes.
 
     When t exceeds p^{m/2}/100 the lemma hypothesis is not met; that is
     reported as a warning and sampling proceeds (the algorithm degrades
     gracefully and the decoders only need isolation often enough)."""
-    if (100 * t) ** 2 > p ** m:
-        warnings.warn(
-            f"isolation bound hypothesis violated: t={t} > p^(m/2)/100 at m={m}",
-            IsolationBoundWarning, stacklevel=2)
-    l = isolation_codim(t, m, p)
-    f, randrange = prime_field(p), rng.randrange
-    while True:
-        vecs = [tuple([randrange(p) for _ in range(m)]) for _ in range(l)]
-        if rank(FFMatrix.from_rows(f, vecs)) == l:
-            break
-    consts = tuple([randrange(p) for _ in range(l)])
-    return tuple(vecs), consts
+    _warn_if_crowded(m, t, p)
+    layout = slot_layout(prime_field(p))
+    rows = [layout.unpack(form, m + 1) for form in
+            _draw_forms(m, isolation_codim(t, m, p), rng, layout)]
+    return tuple(row[:m] for row in rows), tuple(-row[m] % p for row in rows)
 
 
 def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet:
@@ -199,7 +208,8 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     at which V does not vanish is dropped.
 
     Terminates early once codim(V) distinct points are found; if the
-    budget runs out first, the partial set is returned with a warning."""
+    budget runs out first, the partial set is returned with a warning;
+    vv_sample's warning comes once per call."""
     idx = V.index
     m, p = idx.m, idx.p
     params = CodeParams(m, idx.t - 1, p)
@@ -213,21 +223,18 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     budget = max_iterations
     if budget is None:
         budget = math.ceil(100 * t * math.log2(t)) if t > 1 else 0
-    low = monomial_count(m, idx.t - 1, p)
-    blocks = _blocks(phi, [*map(idx.var_mul, range(m)), range(idx.size)], low, layout)
+    _warn_if_crowded(m, t, p)
+    low, l = monomial_count(m, idx.t - 1, p), isolation_codim(t, m, p)
+    blocks = _blocks(phi, [*map(idx.var_mul, range(m)), range(idx.size)], low, layout, l)
     vectors = layout.vectors(phi)
     found: set = set()
     for _ in range(budget):
-        vecs, consts = vv_sample(m, t, rng, p)
-        alphas = _restrict(blocks, [layout.pack(v + (-c % p,)) for v, c in zip(vecs, consts)],
-                           t, low, layout)
+        alphas = _restrict(blocks, _draw_forms(m, l, rng, layout), t, low, layout)
         if len(alphas) != 1:
             continue
         e = _read_point(layout.dot(vectors, alphas[0]), idx, layout)
-        if e is None or e in found:
-            continue
-        if any(V.basis.mat_vec(tensor_power(e, idx.t, p))):
-            continue  # possible only when V is not a full vanishing space
+        if e is None or e in found or any(V.basis.mat_vec(tensor_power(e, idx.t, p))):
+            continue  # V misses e only when it is no full vanishing space
         found.add(e)
         if len(found) == t:
             break

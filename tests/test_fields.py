@@ -352,3 +352,15 @@ def test_ext_field_inverse_rejects_ints_outside_the_field():
     for F, a in ((F256, 283), (F256, 256), (F256, -1), (F9, 9), (F9, 10), (F9, -1)):
         with pytest.raises(ValueError):
             F.inv(a)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 8), (2, 73), (3, 4), (5, 2)])
+def test_powers_match_repeated_products(p, k, rng):
+    F = extension_field(p, k)
+    for _ in range(5):
+        a = F.random_element(rng)
+        want = [1]
+        for _ in range(9):
+            want.append(F.mul(want[-1], a))
+        assert F.powers(a, 10) == want
+    assert F.powers(a, 1) == [1]

@@ -5,7 +5,7 @@ The fields cover every row layout of linalg.slot_layout: byte slots over
 F_3, F_5 and F_7 (at any rank), 2-byte slots over F_13, 8-byte slots over
 F_{2^31 - 1}, 16-byte slots (no machine word) over F_{2^61 - 1},
 entry-by-entry slots over F_{3^2} and carry-less 2k-bit slots over
-F_{2^8}; the round trip adds F_2's bit rows.  Over the
+F_{2^8}; rref and the round trip add F_2's bit rows.  Over the
 extension fields, whose reference arithmetic is slow, large shapes get
 low rank."""
 
@@ -74,11 +74,40 @@ def _matrix(F, rows, ncols):
 
 
 @settings(max_examples=100)
-@given(fields, st.data())
+@given(st.sampled_from(FIELDS + [prime_field(2)]), st.data())
 def test_rref_matches_schoolbook(F, data):
     rows, ncols = _rows(F, data)
     R, rk, pivots = rref(_matrix(F, rows, ncols))
     assert (R.rows(), rk, pivots) == schoolbook_rref(F, rows, ncols)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 13), st.sampled_from([0, 1, 7, 13, 52, 91]), st.data())
+def test_f2_rref_of_rank_deficient_rows_beside_the_identity(t, n, data):
+    # [G | I], t x (n + t), with rank(G) < t: the matrix polyspace's
+    # restriction reduces, whose rows zero on G span G's left nullspace
+    F2, rng = prime_field(2), random.Random(data.draw(st.integers(0, 2 ** 32)))
+    base = [[rng.randrange(2) for _ in range(n)] for _ in range(rng.randrange(t))]
+    rows = []
+    for i in range(t):
+        g = [0] * n
+        for b in base:
+            if rng.randrange(2):
+                g = [x ^ y for x, y in zip(g, b)]
+        rows.append(g + [int(i == j) for j in range(t)])
+    R, rk, pivots = rref(_matrix(F2, rows, n + t))
+    assert (R.rows(), rk, pivots) == schoolbook_rref(F2, rows, n + t)
+    assert rk == t and sum(p < n for p in pivots) < t
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(2, 1), (13, 4), (36, 12), (63, 7), (91, 62)]), st.data())
+def test_f2_rref_of_more_rows_than_columns(shape, data):
+    F2 = prime_field(2)
+    rows, ncols = _rows(F2, data, *shape)
+    R, rk, pivots = rref(_matrix(F2, rows, ncols))
+    assert (R.rows(), rk, pivots) == schoolbook_rref(F2, rows, ncols)
+    assert R.rows()[rk:] == [(0,) * ncols] * (len(rows) - rk)
 
 
 @settings(max_examples=60)

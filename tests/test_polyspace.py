@@ -146,6 +146,80 @@ def test_vv_sample_independence_and_warning(rng):
         vv_sample(8, 8, rng)
 
 
+class CountingRandom(random.Random):
+    """A Random that counts its randrange calls."""
+
+    calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("m,t,p", [(6, 4, 2), (5, 4, 3)])
+def test_vv_sample_draws_independent_rows_and_uniform_entries(m, t, p):
+    # every C row is uniform over the nonzero vectors (GL_m permutes the
+    # independent l-tuples and acts transitively on nonzero vectors), so
+    # an entry is 0 with probability (p^(m-1) - 1) / (p^m - 1) and each
+    # nonzero value with p^(m-1) / (p^m - 1); the constants are uniform
+    draws, l = 20000, isolation_codim(t, m, p)
+    F, rng = prime_field(p), CountingRandom(m * p)
+    entries = [[0] * p for _ in range(l * m)]
+    consts = [[0] * p for _ in range(l)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IsolationBoundWarning)
+        for _ in range(draws):
+            vecs, cs = vv_sample(m, t, rng, p)
+            assert len(vecs) == len(cs) == l
+            assert rank(FFMatrix.from_rows(F, vecs)) == l
+            for j, v in enumerate(vecs):
+                for k, x in enumerate(v):
+                    entries[j * m + k][x] += 1
+            for j, c in enumerate(cs):
+                consts[j][c] += 1
+    # one randrange per constraint, and all l drawn again while the rows
+    # are dependent: 1 / P(independent) tries per draw on average
+    tries = 1 / math.prod(1 - p ** (i - m) for i in range(l))
+    assert abs(rng.calls / (l * draws) - tries) < 0.02 * tries
+    zero = (p ** (m - 1) - 1) / (p ** m - 1)
+    entry_probs = [zero] + [(1 - zero) / (p - 1)] * (p - 1)
+    # chi-square with p - 1 degrees of freedom, against a bound that a
+    # true distribution exceeds with probability below 1e-6
+    bound = {1: 23.93, 2: 27.63}[p - 1]
+    for counts, probs in [(c, entry_probs) for c in entries] + [(c, [1 / p] * p)
+                                                               for c in consts]:
+        chi2 = sum((n - draws * q) ** 2 / (draws * q) for n, q in zip(counts, probs))
+        assert chi2 < bound
+
+
+def test_find_roots_makes_one_random_call_per_constraint(monkeypatch, rng):
+    counts = []
+    inner = polyspace._restrict
+
+    def restrict(blocks, forms, *args):
+        counts.append(len(forms))
+        return inner(blocks, forms, *args)
+    monkeypatch.setattr(polyspace, "_restrict", restrict)
+    E = sample_error_set(CodeParams(12, 1), 8, rng)
+    V, counting = space_roots(syndrome_from_errors(E)), CountingRandom(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IsolationBoundWarning)
+        assert find_roots(V, counting).points == E.points
+    assert set(counts) == {isolation_codim(8, 12)}
+    assert sum(counts) <= counting.calls < 1.05 * sum(counts)
+
+
+def test_find_roots_warns_once_at_its_caller(rng):
+    E = sample_error_set(CodeParams(12, 1), 8, rng)
+    V = space_roots(syndrome_from_errors(E))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert find_roots(V, rng).points == E.points
+    crowded = [w for w in caught if issubclass(w.category, IsolationBoundWarning)]
+    assert len(crowded) == 1
+    assert crowded[0].filename == __file__
+
+
 def test_vv_isolation_frequency_small(rng):
     m, t = 14, 4
     pts = set()
