@@ -392,6 +392,19 @@ def _pack(values, m: int, p: int) -> int:
     return int.from_bytes(data, "little")
 
 
+@lru_cache(maxsize=8)
+def _transform_plan(m: int, p: int, moments: bool) -> tuple:
+    """_power_transform's matrix, row k for output digit k, and axis masks."""
+    bits, axes = _slot_bits(m, p), []
+    for shift in [bits * p ** axis for axis in range(m)]:
+        unit = lcm(p * shift, 8)  # mask: the low `shift` bits of every period
+        low = sum((1 << shift) - 1 << s for s in range(0, unit, p * shift))
+        axes.append((shift, int.from_bytes(low.to_bytes(unit // 8, "little")
+                                           * -(-bits * p ** m // unit), "little")))
+    return tuple(tuple(pow(a, k, p) if moments else pow(k, a, p) for a in range(p))
+                 for k in range(p)), tuple(axes)
+
+
 def _power_transform(W: int, m: int, p: int, moments: bool) -> int:
     """Moments sum_x y(x) x^k of a packed table of p^m symbols y
     (moments=True), or the transpose: evaluations sum_k c_k x^k of a packed
@@ -399,16 +412,8 @@ def _power_transform(W: int, m: int, p: int, moments: bool) -> int:
     one axis by the matrix (a^k mod p); over F_2 this is the superset-sum
     transform.  Slot i of the result belongs to the point or exponent
     vector numbered i; _slots reads it mod p."""
-    bits = _slot_bits(m, p)
-    # row k: output digit k; moments a^k, the transpose k^a
-    power = [[pow(a, k, p) if moments else pow(k, a, p) for a in range(p)] for k in range(p)]
-    for axis in range(m):
-        shift = bits * p ** axis
-        period = p * shift  # mask: the low `shift` bits of every period
-        unit = lcm(period, 8)
-        low = sum((1 << shift) - 1 << s for s in range(0, unit, period))
-        mask = int.from_bytes(low.to_bytes(unit // 8, "little")
-                              * -(-bits * p ** m // unit), "little")
+    power, axes = _transform_plan(m, p, moments)
+    for shift, mask in axes:
         planes = [W >> a * shift & mask for a in range(p)]
         W = 0
         for k, row in enumerate(power):

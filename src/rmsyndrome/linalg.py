@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .fields import UniPoly, berlekamp_roots
 
@@ -212,6 +212,24 @@ def slot_layout(field):
     if field.order > field.char:
         return _EntrySlots(field)
     return _PrimeSlots(field)
+
+
+def tabled_dot(layout, vectors):
+    """x -> layout.dot(layout.vectors(vectors), x), for many x; over F_2 one
+    lookup per 4 entries of x in tables of the xors of all subsets of each 4
+    vectors, built once (Method of Four Russians; Arlazarov et al. 1970)."""
+    if layout.field.order != 2:
+        return partial(layout.dot, layout.vectors(vectors))
+    tables = [[0] for _ in range(0, len(vectors), 4)]
+    for i, v in enumerate(vectors):
+        tables[i // 4] += [u ^ v for u in tables[i // 4]]
+
+    def dot(x: int) -> int:
+        out = 0
+        for table in tables:
+            out, x = out ^ table[x & 15], x >> 4
+        return out
+    return dot
 
 
 class _EntrySlots:
@@ -452,6 +470,16 @@ def _bit_basis(rows) -> dict[int, int]:
 
 def rank(M: FFMatrix) -> int:
     return len(_bit_basis(M._rows)) if M.field.order == 2 else rref(M)[1]
+
+
+def left_kernel(layout, rows, ncols: int) -> list[int]:
+    """A basis of {a : sum_i a_i rows[i] = 0}: the rows of [G | I] reduced to
+    0 on G, read on I, by one forward pass over F_2 (_bit_basis), else rref."""
+    shift = ncols * layout.bits
+    tagged = [r | 1 << i * layout.bits << shift for i, r in enumerate(rows)]
+    reduced = (_bit_basis(tagged).values() if layout.field.order == 2 else
+               rref(FFMatrix(layout, len(rows), ncols + len(rows), tagged))[0]._rows)
+    return [r >> shift for r in reduced if not r & (1 << shift) - 1]
 
 
 def nullspace_basis(M: FFMatrix) -> FFMatrix:

@@ -13,8 +13,8 @@ find it on V's annihilator V^perp, the functionals on polynomials of
 degree <= r+1 that vanish on V: H's row space, spanned by the t
 evaluations at the error points (the inverse-system view; Moller and
 Stetter 1995).  A t-row basis Phi of it is read once off V's rref
-(_annihilator), so a restriction costs an elimination of t rows, where
-V's basis has N - t rows of N = |M_{r+1}| entries.
+(_annihilator), so a restriction works on t rows, where V's basis has
+N - t rows of N = |M_{r+1}| entries.
 
 Restricting to the affine subspace A = {x : C x = c} keeps the
 functionals alpha^T Phi that vanish on every reduce((C_j x - c_j) B),
@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
+from operator import itemgetter
 
 from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, explains,
                    moment_matrix, tensor_power)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
-from .linalg import FFMatrix, rank, rref, rref_nullspace, slot_layout
+from .linalg import FFMatrix, left_kernel, rank, rref, rref_nullspace, slot_layout, tabled_dot
 from .polynomials import PolySpace, monomial_count, monomial_index
 
 
@@ -102,30 +102,27 @@ def _annihilator(V: PolySpace) -> list[int]:
     return rref_nullspace(V.basis, V.pivots).packed_rows()
 
 
-def _blocks(phi: list[int], shifts, low: int, layout, l: int = 1) -> list[int]:
-    """Per shift s (a map of the index's positions), Phi's entries at
-    s[B], B < low, packed as one vector: row i's in slots [i l low,
-    i l low + low), room for l forms' products side by side (_restrict)."""
-    entries, stride = [layout.unpack(row, len(shifts[0])) for row in phi], l * low * layout.bits
-    return [sum(layout.pack([u[j] for j in s[:low]]) << i * stride for i, u in enumerate(entries))
-            for s in shifts]
+def _blocks(phi: list[int], shifts, low: int, layout, l: int = 1):
+    """The product with l forms side by side (_restrict), tabled: vector j
+    len(shifts) + k is, for shift k (a map of the index's positions), Phi's
+    entries at k[B], B < low, packed with row i's at slot (i l + j) low."""
+    w, mask = layout.bits, (1 << low * layout.bits) - 1
+    pick = itemgetter(*[q for s in shifts for q in s[:low]])
+    picked = [layout.pack(pick(layout.unpack(row, len(shifts[0])))) for row in phi]
+    blocks = [sum((u >> k * low * w & mask) << i * l * low * w for i, u in enumerate(picked))
+              for k in range(len(shifts))]
+    return tabled_dot(layout, [b << j * low * w for j in range(l) for b in blocks])
 
 
-def _restrict(blocks: list[int], forms, t: int, low: int, layout) -> list[int]:
+def _restrict(dot, forms, t: int, low: int, layout) -> list[int]:
     """The alpha (packed t-vectors) spanning the functionals alpha^T Phi
-    that vanish on every reduce(l B), deg B <= r, for the linear forms l
-    given by their coefficients on the shifts of blocks (_blocks; with
-    shifts x_0, ..., x_{m-1}, 1, l = C_j x - c_j is the row [C_j | -c_j]).
-    Row i of dot(blocks, l) is Phi_i at those products; shifted by j low
-    slots for the j-th form, they add up to the t rows of a matrix G one
-    after another, and the alpha are the left nullspace of G: the rows of
-    the rref of [G | I] that are zero on G, read on I."""
-    w, n = layout.bits, len(forms) * low
-    mask, vectors = (1 << n * w) - 1, layout.vectors(blocks)
-    g = sum(layout.dot(vectors, form) << j * low * w for j, form in enumerate(forms))
-    rows = [g >> i * n * w & mask | 1 << (n + i) * w for i in range(t)]
-    R, _, pivots = rref(FFMatrix(layout, t, n + t, rows))
-    return [row >> n * w for row in R.packed_rows()[bisect_left(pivots, n):]]
+    that vanish on every reduce(l B), deg B <= r, for the forms l given by
+    their rows on the shifts of _blocks (x_0, ..., x_{m-1}, 1: [C_j | -c_j]
+    for l = C_j x - c_j), each in its own slots (_draw_forms): dot(sum(forms))
+    is G's t rows one after another, and the alpha are G's left kernel."""
+    width = len(forms) * low * layout.bits
+    g, mask = dot(sum(forms)), (1 << width) - 1
+    return left_kernel(layout, [g >> i * width & mask for i in range(t)], len(forms) * low)
 
 
 def _read_point(phi: int, index, layout) -> tuple | None:
@@ -168,7 +165,7 @@ def _warn_if_crowded(m: int, t: int, p: int) -> None:
 def _draw_forms(m: int, l: int, rng, layout) -> list[int]:
     """l uniform forms [C_j | -c_j] in the packed layout of F_p, each one
     rng.randrange(p^(m+1)) read as its base-p digits (over F_2 the int is
-    the packed form), redrawn until the rows C_j are independent."""
+    the packed form) at slot j (m+1), redrawn until the C_j are independent."""
     p = layout.field.order
     size, low = p ** (m + 1), (1 << m * layout.bits) - 1
     while True:
@@ -176,7 +173,7 @@ def _draw_forms(m: int, l: int, rng, layout) -> list[int]:
         if p > 2:
             forms = [layout.pack([x // p ** v % p for v in range(m + 1)]) for x in forms]
         if rank(FFMatrix(layout, l, m, [form & low for form in forms])) == l:
-            return forms
+            return [form << j * (m + 1) * layout.bits for j, form in enumerate(forms)]
 
 
 def vv_sample(m: int, t: int, rng, p: int = 2):
@@ -190,8 +187,8 @@ def vv_sample(m: int, t: int, rng, p: int = 2):
     gracefully and the decoders only need isolation often enough)."""
     _warn_if_crowded(m, t, p)
     layout = slot_layout(prime_field(p))
-    rows = [layout.unpack(form, m + 1) for form in
-            _draw_forms(m, isolation_codim(t, m, p), rng, layout)]
+    rows = [layout.unpack(form >> j * (m + 1) * layout.bits, m + 1) for j, form in
+            enumerate(_draw_forms(m, isolation_codim(t, m, p), rng, layout))]
     return tuple(row[:m] for row in rows), tuple(-row[m] % p for row in rows)
 
 
@@ -201,11 +198,11 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
     default budget of 100 t log2(t) iterations.
 
     Each iteration samples an affine subspace {x : Cx = c} (vv_sample)
-    and restricts V's annihilator to it (_restrict): one elimination of
+    and restricts V's annihilator to it (_restrict): the left kernel of
     the t x l |M_r| matrix whose columns combine Phi's columns at
-    reduce(x_v B) and B by the rows [C_j | -c_j].  When exactly one alpha
-    is left, _read_point reads the isolated point off alpha^T Phi; a point
-    at which V does not vanish is dropped.
+    reduce(x_v B) and B by the rows [C_j | -c_j], tabled once (_blocks).
+    When one alpha is left, _read_point reads the isolated point off
+    alpha^T Phi; a point at which V does not vanish is dropped.
 
     Terminates early once codim(V) distinct points are found; if the
     budget runs out first, the partial set is returned with a warning;
@@ -225,11 +222,11 @@ def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet
         budget = math.ceil(100 * t * math.log2(t)) if t > 1 else 0
     _warn_if_crowded(m, t, p)
     low, l = monomial_count(m, idx.t - 1, p), isolation_codim(t, m, p)
-    blocks = _blocks(phi, [*map(idx.var_mul, range(m)), range(idx.size)], low, layout, l)
+    dot = _blocks(phi, [*map(idx.var_mul, range(m)), range(idx.size)], low, layout, l)
     vectors = layout.vectors(phi)
     found: set = set()
     for _ in range(budget):
-        alphas = _restrict(blocks, _draw_forms(m, l, rng, layout), t, low, layout)
+        alphas = _restrict(dot, _draw_forms(m, l, rng, layout), t, low, layout)
         if len(alphas) != 1:
             continue
         e = _read_point(layout.dot(vectors, alphas[0]), idx, layout)
@@ -274,12 +271,12 @@ def _det_rec(phi: list[int], k: int, idx, low: int, layout) -> list[tuple]:
         raise StructuralInconsistencyError("zero-variable space with codimension > 1")
     k -= 1
     p = idx.p
-    blocks = _blocks(phi, (idx.var_mul(k), range(idx.size)), low, layout)
+    dot = _blocks(phi, (idx.var_mul(k), range(idx.size)), low, layout)
     vectors = layout.vectors(phi)
     out: list[tuple] = []
     branch_total = 0
     for c in range(p):
-        alphas = _restrict(blocks, [layout.pack((1, -c % p))], t, low, layout)
+        alphas = _restrict(dot, [layout.pack((1, -c % p))], t, low, layout)
         out.extend(_det_rec([layout.dot(vectors, a) for a in alphas], k, idx, low, layout))
         branch_total += len(alphas)
     if branch_total != t:

@@ -5,9 +5,10 @@ The fields cover every row layout of linalg.slot_layout: byte slots over
 F_3, F_5 and F_7 (at any rank), 2-byte slots over F_13, 8-byte slots over
 F_{2^31 - 1}, 16-byte slots (no machine word) over F_{2^61 - 1},
 entry-by-entry slots over F_{3^2} and carry-less 2k-bit slots over
-F_{2^8}; rref and the round trip add F_2's bit rows.  Over the
-extension fields, whose reference arithmetic is slow, large shapes get
-low rank."""
+F_{2^8}; rref, the round trip and tabled_dot add F_2's bit rows.  Over
+the extension fields, whose reference arithmetic is slow, large shapes
+get low rank.  left_kernel runs over F_2, F_3, F_5 and F_4 against the
+rows of the rref of [G | I] that are zero on G."""
 
 import random
 
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import (schoolbook_dot, schoolbook_inverse, schoolbook_matmul,
                      schoolbook_nullspace, schoolbook_rref)
 from rmsyndrome.fields import extension_field, prime_field
-from rmsyndrome.linalg import (FFMatrix, SingularMatrixError, inverse,
-                               nullspace_basis, rref, slot_layout)
+from rmsyndrome.linalg import (FFMatrix, SingularMatrixError, inverse, left_kernel,
+                               nullspace_basis, rref, slot_layout, tabled_dot)
 
 FIELDS = [prime_field(3), prime_field(5), prime_field(7), prime_field(13),
           extension_field(3, 2), extension_field(2, 8), prime_field(2 ** 31 - 1),
@@ -214,3 +215,73 @@ def test_rref_slots_hold_the_worst_case_sums(p, R):
     rows.append([1] * R + [0, 0])
     R_, rk, pivots = rref(FFMatrix.from_rows(F, rows))
     assert (R_.rows(), rk, pivots) == schoolbook_rref(F, rows, R + 2)
+
+
+KERNEL_FIELDS = [prime_field(2), prime_field(3), prime_field(5), extension_field(2, 2)]
+
+
+def _kernel_rows(F, kind, data):
+    """G as lists, t x n: zero, of full row rank, with more rows than
+    columns, of rank below t (so [G | I] reduces rows to zero on G), or
+    any _rows matrix."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    t = data.draw(st.integers(2 if kind == "tall" else 1, 13))
+    n = data.draw(st.integers(0, t - 1) if kind == "tall" else st.sampled_from([0, 1, 7, 13, 40]))
+    if kind == "zero":
+        return [[0] * n for _ in range(t)], n
+    if kind == "full":
+        n = max(n, t)
+        while True:
+            G = [[F.random_element(rng) for _ in range(n)] for _ in range(t)]
+            if schoolbook_rref(F, G, n)[1] == t:
+                return G, n
+    if kind == "deficient":
+        base = [[F.random_element(rng) for _ in range(n)] for _ in range(rng.randrange(t))]
+        G = []
+        for _ in range(t):
+            g = [0] * n
+            for b in base:
+                c = F.random_element(rng)
+                g = [F.add(x, F.mul(c, y)) for x, y in zip(g, b)]
+            G.append(g)
+        return G, n
+    return _rows(F, data, t, n)
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(KERNEL_FIELDS),
+       st.sampled_from(["zero", "full", "tall", "deficient", "any"]), st.data())
+def test_left_kernel_matches_the_rref_of_g_beside_the_identity(F, kind, data):
+    G, n = _kernel_rows(F, kind, data)
+    t, layout = len(G), slot_layout(F)
+    alphas = [layout.unpack(a, t) for a in left_kernel(layout, list(map(layout.pack, G)), n)]
+    rank_g = schoolbook_rref(F, G, n)[1]
+    assert len(alphas) == t - rank_g
+    for a in alphas:  # a^T G = 0
+        assert all(schoolbook_dot(F, a, [g[j] for g in G]) == 0 for j in range(n))
+    assert schoolbook_rref(F, alphas, t)[1] == len(alphas)
+    # the reference: the rows of the rref of [G | I] that are zero on G
+    tagged = [g + [int(i == j) for j in range(t)] for i, g in enumerate(G)]
+    R = schoolbook_rref(F, tagged, n + t)[0]
+    reference = [r[n:] for r in R if not any(r[:n])]
+    assert schoolbook_rref(F, alphas + reference, t)[1] == len(reference) == len(alphas)
+    if F.order > 2:  # the rref's rows themselves
+        assert alphas == reference
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(FIELDS + [prime_field(2)]),
+       st.sampled_from([0, 1, 3, 4, 5, 8, 13, 26, 52]), st.data())
+def test_tabled_dot_matches_the_layout_dot(F, k, data):
+    # k vectors, k not always a multiple of 4, so the last table may hold
+    # fewer; x = 0, x with its top entry set, and random x
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    layout = slot_layout(F)
+    rows, _ = _rows(F, data, k)
+    vectors = list(map(layout.pack, rows))
+    dot, expect = tabled_dot(layout, vectors), layout.vectors(vectors)
+    xs = [[0] * k, [F.random_element(rng) for _ in range(k)]]
+    if k:
+        xs.append([0] * (k - 1) + [F.order - 1])
+    for x in xs:
+        assert dot(layout.pack(x)) == layout.dot(expect, layout.pack(x))
