@@ -29,9 +29,8 @@ from .linalg import (FFMatrix, SingularMatrixError, SpectrumNotSimpleError,
                      nullspace_basis, rank, rref, solve)
 from .polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                           monomial_index, reduce_terms)
-from .polyspace import (IsolationBoundWarning, PartialRecoveryWarning,
-                        StructuralInconsistencyError, det_find_roots,
-                        find_roots, locate_and_correct,
+from .polyspace import (IsolationBoundWarning, StructuralInconsistencyError,
+                        det_find_roots, find_roots, locate_and_correct,
                         run_decoder, space_roots, vv_sample)
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -31,9 +30,8 @@ from .code import (CodeParams, DecodingFailure, LengthMismatchError,
                    syndrome_of_word, syndrome_streaming, encode as encode_word,
                    write_syndrome_file, write_word_file)
 from .polynomials import monomial_index, poly_from_obj, space_to_obj
-from .polyspace import (DECODER_MODES, IsolationBoundWarning,
-                        PartialRecoveryWarning, locate_and_correct,
-                        resolve_mode, run_decoder, space_roots)
+from .polyspace import (DECODER_MODES, locate_and_correct, resolve_mode,
+                        run_decoder, space_roots)
 
 EXIT_OK = 0
 EXIT_DECODE_FAILURE = 2
@@ -211,11 +209,9 @@ def _cmd_decode(args) -> int:
     rng = substream_rng(args.seed, 0)
     if args.dump_space is not None:
         Path(args.dump_space).write_text(json.dumps(space_to_obj(space_roots(syndrome))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        errors, _residual = locate_and_correct(
-            syndrome, algorithm=args.algo, mode=args.mode, rng=rng,
-            ext_degree=args.ext_degree)
+    errors, _residual = locate_and_correct(
+        syndrome, algorithm=args.algo, mode=args.mode, rng=rng,
+        ext_degree=args.ext_degree)
     Path(args.out).write_text(json.dumps([list(e) for e in errors.points]))
     return EXIT_OK
 
@@ -252,12 +248,8 @@ def _trial_worker(job) -> dict:
     t0 = time.perf_counter()
     recovered = ()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IsolationBoundWarning)
-            warnings.simplefilter("ignore", PartialRecoveryWarning)
-            result = run_decoder(syndrome, algorithm=algo, mode=mode, rng=rng,
-                                 ext_degree=ext_degree)
-            recovered = result.points
+        recovered = run_decoder(syndrome, algorithm=algo, mode=mode, rng=rng,
+                                ext_degree=ext_degree).points
     except DecodingFailure:
         row["status"] = "decode_failed"
     row["decode_ms"] = _ms(t0, omit_timing)

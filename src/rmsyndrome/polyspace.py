@@ -26,21 +26,20 @@ independent, which forces alpha to vanish off them.  At one alpha the
 functional phi = alpha^T Phi is a multiple of the evaluation at the point
 e, and e_v = phi(x_v) / phi(1) (_read_point).
 
-find_roots draws random subspaces of codimension about log_p(2t)
-(Valiant-Vazirani) and reads off each point that one of them isolates.
-det_find_roots branches on x_k = c for k = m-1, ..., 0, each child's Phi
-the alpha-combinations of its parent's rows, and prunes the branches
-without an alpha.
+Both root finders split Phi over the p cosets of one linear form per
+level and prune the cosets without an alpha (_split): det_find_roots on
+x_{m-1}, ..., x_0, find_roots on m random independent forms, the random
+hyperplanes of Valiant-Vazirani isolation with every coset kept.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
+from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
-from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, explains,
-                   moment_matrix, tensor_power)
+from .code import CodeParams, DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
 from .linalg import FFMatrix, left_kernel, rank, rref, rref_nullspace, slot_layout, tabled_dot
@@ -55,10 +54,6 @@ class StructuralInconsistencyError(DecodingFailure):
 
 class IsolationBoundWarning(UserWarning):
     """t exceeds the comfortable isolation-lemma hypothesis for this m."""
-
-
-class PartialRecoveryWarning(UserWarning):
-    """The iteration budget ran out before codim(V) points were found."""
 
 
 def space_roots(S: Syndrome) -> PolySpace:
@@ -102,27 +97,39 @@ def _annihilator(V: PolySpace) -> list[int]:
     return rref_nullspace(V.basis, V.pivots).packed_rows()
 
 
-def _blocks(phi: list[int], shifts, low: int, layout, l: int = 1):
-    """The product with l forms side by side (_restrict), tabled: vector j
-    len(shifts) + k is, for shift k (a map of the index's positions), Phi's
-    entries at k[B], B < low, packed with row i's at slot (i l + j) low."""
-    w, mask = layout.bits, (1 << low * layout.bits) - 1
-    pick = itemgetter(*[q for s in shifts for q in s[:low]])
-    picked = [layout.pack(pick(layout.unpack(row, len(shifts[0])))) for row in phi]
-    blocks = [sum((u >> k * low * w & mask) << i * l * low * w for i, u in enumerate(picked))
-              for k in range(len(shifts))]
-    return tabled_dot(layout, [b << j * low * w for j in range(l) for b in blocks])
+def _products(phi: list[int], idx, low: int, layout):
+    """form -> the product x -> x^T G_l, tabled (linalg.tabled_dot), for
+    the t x |M_r| matrix G_l whose column B is Phi at reduce(l B), for the
+    linear form l = C x given by its row C.  G_l is sum_v C_v G_{x_v},
+    each G_{x_v} Phi's entries at the shift var_mul(v) of the B < low, row
+    i's at slot i low; each G_{x_v}, and each form's table, is built once,
+    when first asked for."""
+    t, width = len(phi), low * layout.bits
+    mask, rows = (1 << width) - 1, [layout.unpack(row, idx.size) for row in phi]
+
+    @lru_cache(maxsize=None)
+    def shifted(v: int) -> int:
+        pick = itemgetter(*idx.var_mul(v)[:low])
+        return layout.pack(list(chain.from_iterable(map(pick, rows))))
+
+    @lru_cache(maxsize=None)
+    def product(form: int):
+        blocks = [shifted(v) if c else 0 for v, c in enumerate(layout.unpack(form, idx.m))]
+        g = layout.dot(layout.vectors(blocks), form)
+        return tabled_dot(layout, [g >> i * width & mask for i in range(t)])
+    return product
 
 
-def _restrict(dot, forms, t: int, low: int, layout) -> list[int]:
-    """The alpha (packed t-vectors) spanning the functionals alpha^T Phi
-    that vanish on every reduce(l B), deg B <= r, for the forms l given by
-    their rows on the shifts of _blocks (x_0, ..., x_{m-1}, 1: [C_j | -c_j]
-    for l = C_j x - c_j), each in its own slots (_draw_forms): dot(sum(forms))
-    is G's t rows one after another, and the alpha are G's left kernel."""
-    width = len(forms) * low * layout.bits
-    g, mask = dot(sum(forms)), (1 << width) - 1
-    return left_kernel(layout, [g >> i * width & mask for i in range(t)], len(forms) * low)
+def _restrict(lin: list[int], c: int, nodes: list[int], low: int, layout) -> list[int]:
+    """The nodes (_split) of the coset {l = c} in the span of these: the
+    functionals alpha^T Phi among theirs that vanish on every
+    reduce((l - c) B), deg B <= r.  They are beta^T nodes for the beta in
+    the left kernel of the rows alpha^T G_l - c alpha^T Phi[:, M_r], with
+    the alpha^T G_l in lin (_products)."""
+    mask, neg = (1 << low * layout.bits) - 1, layout.field.neg(c)
+    rows = [layout.axpy(g, neg, x & mask) for g, x in zip(lin, nodes)] if c else lin
+    vectors = layout.vectors(nodes)
+    return [layout.dot(vectors, b) for b in left_kernel(layout, rows, low)]
 
 
 def _read_point(phi: int, index, layout) -> tuple | None:
@@ -136,6 +143,61 @@ def _read_point(phi: int, index, layout) -> tuple | None:
     inv = pow(one, p - 2, p)
     return tuple((phi >> index.position[p ** v] * w & mask) * inv % p
                  for v in range(index.m))
+
+
+def _split(V: PolySpace, forms: list[int]) -> ErrorSet:
+    """All common zeroes of a full vanishing space, by splitting its
+    annihilator over the p cosets {l_j = c} of each linear form l_j in
+    turn (_descend).  A node at depth j, a coset of l_0, ..., l_{j-1},
+    holds the alpha whose alpha^T Phi vanish on it, each packed as
+    [alpha^T Phi[:, M_r] | alpha].  For independent forms the last cosets
+    are points, so on a full vanishing space the answer is exact."""
+    idx, layout, phi = V.index, V.basis.layout, _annihilator(V)
+    low = monomial_count(idx.m, idx.t - 1, idx.p)
+    nodes, product = phi, None
+    if len(phi) > 1:  # t <= |M_r|, so here r >= 1 and Phi[:, M_r] holds every x_v
+        width = low * layout.bits
+        nodes = [row & (1 << width) - 1 | 1 << i * layout.bits << width
+                 for i, row in enumerate(phi)]
+        product = _products(phi, idx, low, layout)
+    points = _descend(nodes, forms, product, idx, low, layout) if nodes else []
+    return ErrorSet(CodeParams(idx.m, idx.t - 1, idx.p), tuple(points))
+
+
+def _descend(nodes: list[int], forms: list[int], product, idx, low: int, layout) -> list[tuple]:
+    """The points under the nodes of a coset (_split), split on forms[0]
+    with its products with the nodes' alpha taken once and shared by the
+    p children (_restrict).  A child without an alpha is pruned, and a
+    node with one reads its point off alpha^T Phi (_read_point), a point
+    of its coset, so distinct nodes read distinct points.  The alpha
+    counts are the codimensions of V on the cosets, conserved down the
+    tree on valid inputs; a mismatch, a codim-1 node without a point, or
+    more than one alpha after the last form raises
+    StructuralInconsistencyError."""
+    if len(nodes) == 1:
+        e = _read_point(nodes[0], idx, layout)
+        if e is None:
+            raise StructuralInconsistencyError("codimension 1 but no unique read-off point")
+        return [e]
+    if not forms:
+        raise StructuralInconsistencyError("a point with codimension > 1")
+    width = low * layout.bits
+    lin, out = list(map(product(forms[0]), [x >> width for x in nodes])), []
+    for c in range(idx.p):
+        child = _restrict(lin, c, nodes, low, layout)
+        out += _descend(child, forms[1:], product, idx, low, layout) if child else []
+    if len(out) != len(nodes):  # a subtree reads one point per alpha
+        raise StructuralInconsistencyError(
+            f"branch codimensions sum to {len(out)}, parent has {len(nodes)}")
+    return out
+
+
+def det_find_roots(V: PolySpace) -> ErrorSet:
+    """All common zeroes of a full vanishing space, deterministically: the
+    split (_split) on the last unfixed variable's value, x_{m-1}, ...,
+    x_0, each branch x_k = c one restriction of V's annihilator."""
+    bits = V.basis.layout.bits
+    return _split(V, [1 << k * bits for k in reversed(range(V.index.m))])
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +217,10 @@ def isolation_codim(t: int, m: int, p: int = 2) -> int:
     return max(1, min(l, m - 1))
 
 
-def _warn_if_crowded(m: int, t: int, p: int) -> None:
-    """Warn at the caller's caller when t > p^{m/2}/100 (vv_sample)."""
-    if (100 * t) ** 2 > p ** m:
-        warnings.warn(f"isolation bound hypothesis violated: t={t} > p^(m/2)/100 at m={m}",
-                      IsolationBoundWarning, stacklevel=3)
-
-
 def _draw_forms(m: int, l: int, rng, layout) -> list[int]:
     """l uniform forms [C_j | -c_j] in the packed layout of F_p, each one
     rng.randrange(p^(m+1)) read as its base-p digits (over F_2 the int is
-    the packed form) at slot j (m+1), redrawn until the C_j are independent."""
+    the packed form), redrawn until the C_j are independent."""
     p = layout.field.order
     size, low = p ** (m + 1), (1 << m * layout.bits) - 1
     while True:
@@ -173,116 +228,34 @@ def _draw_forms(m: int, l: int, rng, layout) -> list[int]:
         if p > 2:
             forms = [layout.pack([x // p ** v % p for v in range(m + 1)]) for x in forms]
         if rank(FFMatrix(layout, l, m, [form & low for form in forms])) == l:
-            return [form << j * (m + 1) * layout.bits for j, form in enumerate(forms)]
+            return forms
 
 
 def vv_sample(m: int, t: int, rng, p: int = 2):
-    """l uniformly random linearly independent constraint vectors and
-    uniform constants, drawn as one find_roots draw (_draw_forms); each
-    point of a hidden t-set satisfies all constraints alone with
-    probability >= 1/(7t) at comfortable sizes.
+    """l = isolation_codim(t, m, p) uniformly random linearly independent
+    constraint vectors and uniform constants (_draw_forms); each point of
+    a hidden t-set satisfies all constraints alone with probability
+    >= 1/(7t) at comfortable sizes.
 
     When t exceeds p^{m/2}/100 the lemma hypothesis is not met; that is
-    reported as a warning and sampling proceeds (the algorithm degrades
-    gracefully and the decoders only need isolation often enough)."""
-    _warn_if_crowded(m, t, p)
+    reported as a warning and sampling proceeds."""
+    if (100 * t) ** 2 > p ** m:
+        warnings.warn(f"isolation bound hypothesis violated: t={t} > p^(m/2)/100 at m={m}",
+                      IsolationBoundWarning, stacklevel=2)
     layout = slot_layout(prime_field(p))
-    rows = [layout.unpack(form >> j * (m + 1) * layout.bits, m + 1) for j, form in
-            enumerate(_draw_forms(m, isolation_codim(t, m, p), rng, layout))]
+    rows = [layout.unpack(form, m + 1)
+            for form in _draw_forms(m, isolation_codim(t, m, p), rng, layout)]
     return tuple(row[:m] for row in rows), tuple(-row[m] % p for row in rows)
 
 
-def find_roots(V: PolySpace, rng, max_iterations: int | None = None) -> ErrorSet:
-    """All common zeroes of a full vanishing space, by repeated random
-    isolation; finds the whole set with probability >= 0.99 within the
-    default budget of 100 t log2(t) iterations.
-
-    Each iteration samples an affine subspace {x : Cx = c} (vv_sample)
-    and restricts V's annihilator to it (_restrict): the left kernel of
-    the t x l |M_r| matrix whose columns combine Phi's columns at
-    reduce(x_v B) and B by the rows [C_j | -c_j], tabled once (_blocks).
-    When one alpha is left, _read_point reads the isolated point off
-    alpha^T Phi; a point at which V does not vanish is dropped.
-
-    Terminates early once codim(V) distinct points are found; if the
-    budget runs out first, the partial set is returned with a warning;
-    vv_sample's warning comes once per call."""
-    idx = V.index
-    m, p = idx.m, idx.p
-    params = CodeParams(m, idx.t - 1, p)
-    t = V.codim
-    if t == 0:
-        return ErrorSet(params, ())
-    layout, phi = V.basis.layout, _annihilator(V)
-    direct = _read_point(phi[0], idx, layout) if t == 1 else None
-    if direct is not None:
-        return ErrorSet(params, (direct,))
-    budget = max_iterations
-    if budget is None:
-        budget = math.ceil(100 * t * math.log2(t)) if t > 1 else 0
-    _warn_if_crowded(m, t, p)
-    low, l = monomial_count(m, idx.t - 1, p), isolation_codim(t, m, p)
-    dot = _blocks(phi, [*map(idx.var_mul, range(m)), range(idx.size)], low, layout, l)
-    vectors = layout.vectors(phi)
-    found: set = set()
-    for _ in range(budget):
-        alphas = _restrict(dot, _draw_forms(m, l, rng, layout), t, low, layout)
-        if len(alphas) != 1:
-            continue
-        e = _read_point(layout.dot(vectors, alphas[0]), idx, layout)
-        if e is None or e in found or any(V.basis.mat_vec(tensor_power(e, idx.t, p))):
-            continue  # V misses e only when it is no full vanishing space
-        found.add(e)
-        if len(found) == t:
-            break
-    if len(found) < t:
-        warnings.warn(
-            f"isolation budget exhausted with {len(found)} of {t} roots found",
-            PartialRecoveryWarning, stacklevel=2)
-    return ErrorSet(params, tuple(found))
-
-
-def det_find_roots(V: PolySpace) -> ErrorSet:
-    """All common zeroes of a full vanishing space, deterministically, by
-    recursing on the last unfixed variable's value on V's annihilator:
-    the branch x_k = c keeps the alpha^T Phi that vanish on every
-    reduce((x_k - c) B) (_restrict), and a branch without an alpha is
-    pruned.  The alpha counts are the codimensions of V restricted to the
-    branches, and on valid inputs they are conserved down the tree; a
-    mismatch raises StructuralInconsistencyError."""
-    idx = V.index
-    params = CodeParams(idx.m, idx.t - 1, idx.p)
-    low = monomial_count(idx.m, idx.t - 1, idx.p)
-    points = _det_rec(_annihilator(V), idx.m, idx, low, V.basis.layout)
-    return ErrorSet(params, tuple(points))
-
-
-def _det_rec(phi: list[int], k: int, idx, low: int, layout) -> list[tuple]:
-    t = len(phi)
-    if t == 0:
-        return []
-    if t == 1:
-        e = _read_point(phi[0], idx, layout)
-        if e is None:
-            raise StructuralInconsistencyError(
-                "codimension 1 but no unique read-off point")
-        return [e]
-    if k == 0:
-        raise StructuralInconsistencyError("zero-variable space with codimension > 1")
-    k -= 1
-    p = idx.p
-    dot = _blocks(phi, (idx.var_mul(k), range(idx.size)), low, layout)
-    vectors = layout.vectors(phi)
-    out: list[tuple] = []
-    branch_total = 0
-    for c in range(p):
-        alphas = _restrict(dot, [layout.pack((1, -c % p))], t, low, layout)
-        out.extend(_det_rec([layout.dot(vectors, a) for a in alphas], k, idx, low, layout))
-        branch_total += len(alphas)
-    if branch_total != t:
-        raise StructuralInconsistencyError(
-            f"branch codimensions sum to {branch_total}, parent has {t}")
-    return out
+def find_roots(V: PolySpace, rng) -> ErrorSet:
+    """All common zeroes of a full vanishing space, by the split (_split)
+    on m random independent forms, one _draw_forms draw: the random
+    affine hyperplanes of Valiant-Vazirani isolation, one per level, with
+    every coset kept, so no draw is wasted and the answer is exact."""
+    layout, m = V.basis.layout, V.index.m
+    linear = (1 << m * layout.bits) - 1
+    return _split(V, [form & linear for form in _draw_forms(m, m, rng, layout)])
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +317,6 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
             E = det_find_roots(V)
         else:
             E = find_roots(V, rng)
-            if len(E) < V.codim:
-                raise DecodingFailure(f"isolation found {len(E)} of {V.codim} points")
     elif mode == "axis":
         E = axis_decompose(S)
     else:  # decompose checks each draw against S before it returns

@@ -18,8 +18,7 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, Syndrome, sample_error
                              syndrome_from_weighted_errors)
 from rmsyndrome.polynomials import monomial_count
 from rmsyndrome.polyspace import (DECODER_MODES, IsolationBoundWarning,
-                                  PartialRecoveryWarning, locate_and_correct,
-                                  run_decoder)
+                                  locate_and_correct, run_decoder)
 
 PAIRS = [(algo, mode) for algo, modes in DECODER_MODES.items() for mode in modes]
 
@@ -44,7 +43,6 @@ def _decode_both(S, algo, mode, ext_degree, seed):
     residual."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IsolationBoundWarning)
-        warnings.simplefilter("ignore", PartialRecoveryWarning)
         try:
             E = run_decoder(S, algo, mode, random.Random(seed), ext_degree)
         except DecodingFailure:

@@ -4,7 +4,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from helpers import check_ur_preserved, subspace_parametrization, unique_root
 from rmsyndrome import code, polynomials, polyspace
@@ -13,14 +13,14 @@ from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              sample_error_set, solve_error_magnitudes,
                              syndrome_from_errors,
                              syndrome_from_weighted_errors, syndrome_of_word,
-                             syndrome_streaming, tensor_power, vanishing_space)
+                             syndrome_streaming, tensor_power,
+                             tensor_power_matrix, vanishing_space)
 from rmsyndrome.fields import prime_field
 from rmsyndrome.jennrich import decompose
 from rmsyndrome.linalg import FFMatrix, rank, rref_nullspace
 from rmsyndrome.polynomials import (MonomialIndex, MultilinearPoly, PolySpace,
                                     monomial_index)
 from rmsyndrome.polyspace import (IsolationBoundWarning,
-                                  PartialRecoveryWarning,
                                   StructuralInconsistencyError, det_find_roots,
                                   find_roots, isolation_codim,
                                   locate_and_correct, run_decoder, space_roots,
@@ -193,31 +193,29 @@ def test_vv_sample_draws_independent_rows_and_uniform_entries(m, t, p):
 
 
 def test_find_roots_makes_one_random_call_per_constraint(monkeypatch, rng):
-    counts = []
-    inner = polyspace._restrict
+    # one _draw_forms draw of m forms per decode, one randrange per form
+    # (all m drawn again while they are dependent), and every restriction
+    # against one form: rows of one |M_r|-slot product per alpha
+    draws, restricts = [], []
+    draw, restrict = polyspace._draw_forms, polyspace._restrict
 
-    def restrict(blocks, forms, *args):
-        counts.append(len(forms))
-        return inner(blocks, forms, *args)
-    monkeypatch.setattr(polyspace, "_restrict", restrict)
+    def counting_draw(m, l, rng, layout):
+        before = rng.calls
+        forms = draw(m, l, rng, layout)
+        draws.append((m, l, rng.calls - before))
+        return forms
+
+    def one_form_restrict(lin, c, nodes, low, layout):
+        restricts.append(len(lin) == len(nodes) and all(g >> low * layout.bits == 0 for g in lin))
+        return restrict(lin, c, nodes, low, layout)
+    monkeypatch.setattr(polyspace, "_draw_forms", counting_draw)
+    monkeypatch.setattr(polyspace, "_restrict", one_form_restrict)
     E = sample_error_set(CodeParams(12, 1), 8, rng)
     V, counting = space_roots(syndrome_from_errors(E)), CountingRandom(5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        assert find_roots(V, counting).points == E.points
-    assert set(counts) == {isolation_codim(8, 12)}
-    assert sum(counts) <= counting.calls < 1.05 * sum(counts)
-
-
-def test_find_roots_warns_once_at_its_caller(rng):
-    E = sample_error_set(CodeParams(12, 1), 8, rng)
-    V = space_roots(syndrome_from_errors(E))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert find_roots(V, rng).points == E.points
-    crowded = [w for w in caught if issubclass(w.category, IsolationBoundWarning)]
-    assert len(crowded) == 1
-    assert crowded[0].filename == __file__
+    assert find_roots(V, counting).points == E.points
+    assert len(draws) == 1 and draws[0][:2] == (12, 12)
+    assert draws[0][2] == counting.calls and counting.calls % 12 == 0
+    assert restricts and all(restricts)
 
 
 def test_vv_isolation_frequency_small(rng):
@@ -254,19 +252,20 @@ def test_find_roots_degenerate_cases(rng):
 
 @pytest.mark.parametrize("m,r,p,t", [(8, 1, 2, 5), (5, 1, 3, 3)])
 def test_find_roots_returns_only_common_zeroes_of_a_partial_space(m, r, p, t, rng):
-    # half of a vanishing space's basis is not a full vanishing space, so
-    # isolation can read off candidates that are not common zeroes
-    E = sample_error_set(CodeParams(m, r, p), t, rng)
-    V = vanishing_space(E.points, r + 1, m, p)
-    W = PolySpace.from_matrix(V.index, V.basis.submatrix(range(V.dim // 2),
-                                                         range(V.index.size)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        warnings.simplefilter("ignore", PartialRecoveryWarning)
-        found = find_roots(W, rng, max_iterations=200)
-    assert found.points
-    for e in found:
-        assert not any(W.basis.mat_vec(tensor_power(e, r + 1, p)))
+    # half of a vanishing space's basis is not a full vanishing space:
+    # both finders either see that or return only its common zeroes
+    for _ in range(5):
+        E = sample_error_set(CodeParams(m, r, p), t, rng)
+        V = vanishing_space(E.points, r + 1, m, p)
+        W = PolySpace.from_matrix(V.index, V.basis.submatrix(range(V.dim // 2),
+                                                             range(V.index.size)))
+        for find in (det_find_roots, lambda W: find_roots(W, rng)):
+            try:
+                found = find(W)
+            except StructuralInconsistencyError:
+                continue
+            for e in found:
+                assert not any(W.basis.mat_vec(tensor_power(e, r + 1, p)))
 
 
 # The F_2 cases keep the ids they had before p became a parameter.
@@ -283,18 +282,6 @@ def test_find_roots_round_trip(m, r, p, t, rng):
             assert find_roots(V, rng).points == E.points
 
 
-def test_find_roots_partial_recovery_warning(rng):
-    params = CodeParams(10, 1)
-    E = sample_error_set(params, 6, rng)
-    V = space_roots(syndrome_from_errors(E))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        with pytest.warns(PartialRecoveryWarning):
-            partial = find_roots(V, rng, max_iterations=1)
-    assert len(partial) < len(E)
-    assert partial.as_set() <= E.as_set()
-
-
 def test_det_find_roots_trivial_and_single():
     params = CodeParams(6, 1)
     assert det_find_roots(space_roots(syndrome_from_errors(
@@ -309,6 +296,24 @@ def test_det_find_roots_round_trip(p, rng):
         params, E = _sample_instance(rng, p)
         V = space_roots(syndrome_from_errors(E))
         assert det_find_roots(V).points == E.points
+
+
+@given(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]), st.data())
+def test_both_finders_recover_clustered_sets(pr, data):
+    # the points agree on the top half of the coordinates, so det keeps
+    # every alpha in one branch for half its levels before the set splits
+    p, r = pr
+    m = data.draw(st.integers(2 * r + 2, 2 * r + 4), label="m")
+    half = m // 2
+    top = data.draw(st.tuples(*[st.integers(0, p - 1)] * (m - half)), label="top")
+    lows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * half), min_size=1,
+                              max_size=min(p ** half, 8), unique=True), label="lows")
+    points = [low + top for low in lows]
+    assume(rank(tensor_power_matrix(points, r, p, m)) == len(points))
+    E = ErrorSet(CodeParams(m, r, p), tuple(points))
+    V = space_roots(syndrome_from_errors(E))
+    assert det_find_roots(V) == E
+    assert find_roots(V, random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))) == E
 
 
 def test_det_find_roots_structural_inconsistency(rng):
@@ -487,7 +492,7 @@ def test_run_decoder_rejects_a_partial_isolation(monkeypatch, rng):
     S = syndrome_from_errors(E)
     partial = ErrorSet(params, E.points[:4])
     monkeypatch.setattr(polyspace, "find_roots", lambda V, rng: partial)
-    with pytest.raises(DecodingFailure, match="isolation found 4 of 6 points"):
+    with pytest.raises(DecodingFailure, match="nonzero residual after correction"):
         run_decoder(S, "polyspace", "rand", rng)
 
 

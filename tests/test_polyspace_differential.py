@@ -1,28 +1,27 @@
 """The annihilator root finders against restrictions of the space itself.
 
 polyspace restricts V's annihilator; the reference restricts V, by
-substituting a parametrization of the sampled subspace
+substituting a parametrization of a coset of the random frame's forms
 (PolySpace.affine_image) or the value of the last variable
 (PolySpace.restrict_last_const), and reads a codim-1 point off the
 restricted space (helpers.unique_root).  Over F_2, F_3 and F_5, on full
 vanishing spaces and on the spaces of corrupted syndromes, both must see
-the same codimension under every VV draw and every det branch, leave the
-rng in the same state and return the same points or the same failure.
+the same codimension under every restriction of the random frame and
+every det branch, leave the rng in the same state and return the same
+points or the same failure.
 """
 
-import math
 import random
-import warnings
 
 import pytest
 
 from helpers import subspace_parametrization, unique_root
 from rmsyndrome import polyspace
-from rmsyndrome.code import (CodeParams, Syndrome, sample_error_set,
-                             syndrome_from_errors, tensor_power)
-from rmsyndrome.polyspace import (IsolationBoundWarning, PartialRecoveryWarning,
-                                  StructuralInconsistencyError, det_find_roots,
-                                  find_roots, space_roots, vv_sample)
+from rmsyndrome.code import CodeParams, Syndrome, sample_error_set, syndrome_from_errors
+from rmsyndrome.fields import prime_field
+from rmsyndrome.linalg import FFMatrix, rank
+from rmsyndrome.polyspace import (StructuralInconsistencyError, det_find_roots,
+                                  find_roots, space_roots)
 
 SHAPES = [(6, 1, 2, 4), (8, 1, 2, 6), (8, 2, 2, 5), (4, 1, 3, 3), (6, 1, 3, 4),
           (4, 1, 5, 3), (6, 2, 5, 2)]
@@ -55,34 +54,47 @@ def _recording_restrict(monkeypatch):
     return counts
 
 
-def reference_find_roots(V, rng, codims, budget=None):
-    """find_roots by substitution into V: the same draws and checks, the
-    codimension of each restricted space appended to codims."""
-    idx = V.index
-    m, p, t = idx.m, idx.p, V.codim
+def reference_frame(m, p, rng):
+    """The linear parts of m forms drawn as find_roots draws them: each
+    from one rng.randrange(p^(m+1)) read as its base-p digits, all m drawn
+    again until they are independent."""
+    while True:
+        frame = [[x // p ** v % p for v in range(m)]
+                 for x in [rng.randrange(p ** (m + 1)) for _ in range(m)]]
+        if rank(FFMatrix.from_rows(prime_field(p), frame)) == m:
+            return frame
+
+
+def reference_split(V, frame, codims, consts=(), W=None):
+    """find_roots by substitution into V: W is V on the coset {C x = c} of
+    the frame's first len(consts) forms (subspace_parametrization), and
+    each child's codimension is appended to codims in the order the
+    recursion visits them."""
+    p = V.index.p
+    W = V if W is None else W
+    t = W.codim
     if t == 0:
-        return ()
-    direct = unique_root(V) if t == 1 else None
-    if direct is not None:
-        return (direct,)
-    if budget is None:
-        budget = math.ceil(100 * t * math.log2(t)) if t > 1 else 0
-    found = set()
-    for _ in range(budget):
-        vecs, consts = vv_sample(m, t, rng, p)
-        x0, Nt = subspace_parametrization(vecs, consts, p)
-        W = V.affine_image(Nt, x0)
-        codims.append(W.codim)
-        y = unique_root(W) if W.codim == 1 else None
+        return []
+    if t == 1:
+        y = unique_root(W)
         if y is None:
-            continue
-        e = tuple((a + b) % p for a, b in zip(Nt.mat_vec(y), x0))
-        if e in found or any(V.basis.mat_vec(tensor_power(e, idx.t, p))):
-            continue
-        found.add(e)
-        if len(found) == t:
-            break
-    return tuple(found)
+            raise StructuralInconsistencyError("no read-off point")
+        if not consts:
+            return [y]
+        x0, Nt = subspace_parametrization(frame[:len(consts)], consts, p)
+        return [tuple((a + b) % p for a, b in zip(Nt.mat_vec(y), x0))]
+    if len(consts) == len(frame):
+        raise StructuralInconsistencyError("a point with codimension > 1")
+    out, total = [], 0
+    for c in range(p):
+        x0, Nt = subspace_parametrization(frame[:len(consts) + 1], consts + (c,), p)
+        child = V.affine_image(Nt, x0)
+        codims.append(child.codim)
+        out += reference_split(V, frame, codims, consts + (c,), child)
+        total += child.codim
+    if total != t:
+        raise StructuralInconsistencyError("branch sum")
+    return out
 
 
 def reference_det(V, codims):
@@ -114,18 +126,22 @@ def reference_det(V, codims):
 @pytest.mark.parametrize("m,r,p,t", SHAPES)
 def test_vv_draws_see_the_codimensions_of_the_substituted_spaces(m, r, p, t, monkeypatch):
     counts = _recording_restrict(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        warnings.simplefilter("ignore", PartialRecoveryWarning)
-        for seed in range(2):
-            for budget, V in zip((None, 30, 30), _spaces(m, r, p, t, seed)):
-                ours, ref = random.Random(seed), random.Random(seed)
-                codims = []
-                counts.clear()
-                got = find_roots(V, ours, budget)
-                assert set(got.points) == set(reference_find_roots(V, ref, codims, budget))
-                assert ours.getstate() == ref.getstate()
-                assert counts == codims
+    for seed in range(2):
+        for V in _spaces(m, r, p, t, seed):
+            ours, ref = random.Random(seed), random.Random(seed)
+            codims = []
+            counts.clear()
+            try:
+                want = sorted(reference_split(V, reference_frame(m, p, ref), codims))
+            except StructuralInconsistencyError:
+                want = None
+            if want is None:
+                with pytest.raises(StructuralInconsistencyError):
+                    find_roots(V, ours)
+            else:
+                assert sorted(find_roots(V, ours).points) == want
+            assert ours.getstate() == ref.getstate()
+            assert counts == codims
 
 
 @pytest.mark.parametrize("m,r,p,t", SHAPES)
