@@ -104,9 +104,10 @@ def build_parser() -> _Parser:
                           "(jennrich axis, polyspace det)")
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--ext-degree", type=int, default=None,
-                     help="extension degree for the tensor decoder (default: over "
-                          "F_2 the least D > 6m with an irreducible trinomial, 73 at "
-                          "m = 12; over odd p, 10m)")
+                     help="extension degree for the tensor decoder (default: the "
+                          "least D with an irreducible trinomial above m for derand, "
+                          "14 at m = 12, and above 6m for rand over F_2, 73 at "
+                          "m = 12; rand over odd p, 10m)")
     dec.add_argument("--dump-space", default=None,
                      help="also write the recovered vanishing space as JSON")
     dec.add_argument("--out", required=True)

@@ -24,10 +24,12 @@ packed product.
 Failure modes (repeated eigenvalues, a singular minor, coordinates that
 do not lie in the base field) trigger a resample in randomized mode and
 are reported as decoding failures in derandomized mode.  That mode weights
-with powers of z = X mod the modulus of F_{2^D}: the guarantee needs only a
-minimal polynomial of degree D > 6m, the modulus, so nothing is factored.
-Over F_2 D defaults to the least degree above 6m with an irreducible
-trinomial, the modulus that extension_field then takes.
+with powers of z = X mod the modulus of F_{2^D}.  Squaring is Frobenius, so
+<x, b> = z^{3m} <x, a>^2 for x in F_2^{m+1}, and the guarantee needs only
+that no nonzero F_2 polynomial of degree <= m vanishes at z: D > m, z's
+minimal polynomial being the modulus, so nothing is factored.  D defaults
+there to the least degree above m with an irreducible trinomial, the
+modulus that extension_field then takes.
 
 axis_decompose, the library's default decoder, takes the weightings to be
 the constant slice and each coordinate axis in turn.  The quotients
@@ -121,11 +123,15 @@ def derandomized_flattening_vectors(F, alpha: int, m: int) -> tuple[tuple, tuple
     """The fixed weighting vectors a = (1, a, a^2, ..., a^m) and
     b = (a^{3m}, a^{3m+2}, ..., a^{5m}) for an element a of F_{2^D}.
 
-    When the minimal polynomial of a has degree D > 6m these satisfy the
-    distinctness conditions for every error set: the discriminating
-    polynomials have degree <= 6m with F_2 coefficients, so they cannot
-    vanish at a.  That is the only property used: a primitive element has
-    it, and so does decompose's z, the residue of X, with no factoring.
+    For x in F_2^{m+1} put alpha_x = <x, a> = sum_v x_v a^v.  Squaring
+    is the Frobenius map and fixes each x_v, so <x, b> = a^{3m} alpha_x^2
+    and <x, a> / <x, b> = a^{-3m} / alpha_x.  Every <x, b> is nonzero and
+    the ratios are distinct, the conditions for every error set, exactly
+    when the alpha_x, x != 0, are nonzero and distinct: when no nonzero
+    F_2 polynomial of degree <= m vanishes at a, i.e. when the minimal
+    polynomial of a has degree D > m (and not for D <= m).  That is the
+    only property used: a primitive element has it, and so does
+    decompose's z, the residue of X, with no factoring.
     Both are running products: each entry of a is the one before times
     a, each entry of b the one before times a^2.
     """
@@ -148,17 +154,18 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     "derandomized" (F_2 only) makes one fixed draw from z = X mod the
     modulus of F_{2^D} (derandomized_flattening_vectors) and is
     bit-reproducible: z's minimal polynomial, the modulus, has degree D,
-    so D > 6m guarantees the draw with no factoring of 2^D - 1.
-    ext_degree D defaults, over F_2 in both modes, to the least D > 6m
-    with an irreducible trinomial X^D + X^j + 1 (_default_ext_degree), and
-    over odd p to 10m.  The front half (_constant_slice), the
-    slice minors T_v[K, K] and the columns H[K, 0..m] are built once
-    per call; each draw only flattens them.
+    so D > m guarantees the draw with no factoring of 2^D - 1.
+    ext_degree D defaults (_default_ext_degree) in derandomized mode to the
+    least D > m with an irreducible trinomial X^D + X^j + 1; in randomized
+    mode to the least such D > 6m over F_2, and to 10m over odd p.  The
+    front half (_constant_slice), the slice minors T_v[K, K] and the
+    columns H[K, 0..m] are built once per call; each draw only flattens
+    them.
 
     The recovered set is checked against the syndrome before it is
     returned.  A set that fails the check raises DecodingFailure; on a
     valid syndrome that means an error set whose tensor powers are not
-    independent, or, in derandomized mode, D <= 6m.
+    independent, or, in derandomized mode, D <= m.
     """
     params = S.params
     if mode not in ("randomized", "derandomized"):
@@ -174,7 +181,7 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     minors = [moment_matrix(S, K, K, v) for v in range(m + 1)]
     # H[K, 0..m]: the columns of degree <= 1, which T_0 lacks when r = 0
     cols = moment_matrix(S, K, range(m + 1)).transpose().rows()
-    D = ext_degree if ext_degree is not None else _default_ext_degree(params.p, m)
+    D = ext_degree if ext_degree is not None else _default_ext_degree(params.p, m, mode)
     F = extension_field(params.p, D)
     if mode == "randomized":
         draws = (tuple(tuple(F.random_element(rng) for _ in range(m + 1)) for _ in range(2))
@@ -182,7 +189,7 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
         failure = f"decomposition failed after {MAX_DRAWS} flattening draws: {{}}"
     else:  # z = X mod the modulus: the int 2, or the constant term when D = 1
         draws = [derandomized_flattening_vectors(F, 2 if D > 1 else F.modulus.coeffs[0], m)]
-        failure = "derandomized decomposition failed: {} (dependent tensor powers, or D <= 6m)"
+        failure = "derandomized decomposition failed: {} (dependent tensor powers, or D <= m)"
     for a, b in draws:
         try:
             return _attempt(S, minors, cols, F, a, b)
@@ -192,16 +199,19 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
 
 
 @lru_cache(maxsize=None)
-def _default_ext_degree(p: int, m: int) -> int:
+def _default_ext_degree(p: int, m: int, mode: str = "randomized") -> int:
     """decompose's extension degree D when none is given.  Over F_2 it is
-    the least D > 6m with an irreducible trinomial X^D + X^j + 1: D > 6m
-    is all the derandomized weights need, and extension_field(2, D) then
-    takes that trinomial as its modulus, so each fold of a product in
-    F_{2^D} is two shifts.  Over odd p it is 10m: over F_3 every such
-    trinomial has the root 1, so no trinomial search is made."""
+    the least D above a bound with an irreducible trinomial X^D + X^j + 1,
+    which extension_field(2, D) then takes as its modulus, so each fold of
+    a product in F_{2^D} is two shifts.  The bound is m in derandomized
+    mode, all the fixed weights need (derandomized_flattening_vectors),
+    and 6m in randomized mode, where a draw fails with probability about
+    t^2 / 2^D (Schwartz-Zippel), which D > m does not control.  Over odd p
+    it is 10m: over F_3 every such trinomial has the root 1, so no
+    trinomial search is made."""
     if p != 2:
         return 10 * m
-    D = 6 * m + 1
+    D = (m if mode == "derandomized" else 6 * m) + 1
     while irreducible_trinomial(prime_field(2), D) is None:
         D += 1
     return D

@@ -356,6 +356,10 @@ class _PrimeSlots(_EntrySlots):
         p = self.p
         return self.pack([s % p for s in self._slots(x, n)])
 
+    def axpy(self, y: int, c: int, x: int) -> int:
+        # a reduced slot plus c times one holds (p - 1) + (p - 1)^2: no carry
+        return self.reduce(y + c * x)
+
     def dot(self, vectors, x: int) -> int:
         terms = [c * v for c, v in zip(self._slots(x), vectors) if c]
         acc, cap = 0, self.capacity

@@ -74,20 +74,18 @@ def test_criterion_01_jennrich_round_trip():
 def test_criterion_02_polyspace_round_trip():
     details = []
     ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        for m, r in GRID:
-            params = CodeParams(m, r)
-            rand_hits = 0
-            det_hits = 0
-            for trial in range(TRIALS):
-                rng = substream_rng(202, 10_000 * m + trial)
-                E = sample_error_set(params, T_PLANTED, rng)
-                V = space_roots(syndrome_from_errors(E))
-                rand_hits += find_roots(V, rng).points == E.points
-                det_hits += det_find_roots(V).points == E.points
-            ok &= rand_hits >= 99 and det_hits == TRIALS
-            details.append(f"(m={m},r={r}): rand {rand_hits}/100, det {det_hits}/100")
+    for m, r in GRID:
+        params = CodeParams(m, r)
+        rand_hits = 0
+        det_hits = 0
+        for trial in range(TRIALS):
+            rng = substream_rng(202, 10_000 * m + trial)
+            E = sample_error_set(params, T_PLANTED, rng)
+            V = space_roots(syndrome_from_errors(E))
+            rand_hits += find_roots(V, rng).points == E.points
+            det_hits += det_find_roots(V).points == E.points
+        ok &= rand_hits >= 99 and det_hits == TRIALS
+        details.append(f"(m={m},r={r}): rand {rand_hits}/100, det {det_hits}/100")
     _report(2, "polynomial-space round trip", ok, "; ".join(details))
 
 

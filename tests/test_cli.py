@@ -220,8 +220,8 @@ def test_experiment_derand_decodes_where_the_field_order_does_not_factor(
         tmp_path, monkeypatch, m, r, t):
     # the derandomized vectors need no factoring of 2^D - 1 at any D, so
     # the experiment decodes with factorize and find_primitive_element
-    # raising, in this process; the default D, the least degree above 6m
-    # with an irreducible trinomial, is 103 and 140 here
+    # raising, in this process; the default D, the least degree above m
+    # with an irreducible trinomial, is 18 and 25 here
     def no_factoring(*args, **kwargs):
         raise AssertionError("a derandomized decode factored the field order")
 

@@ -8,7 +8,6 @@ default, so their failures are exercised too.
 """
 
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +16,7 @@ from helpers import full_system_explains
 from rmsyndrome.code import (CodeParams, DecodingFailure, Syndrome, sample_error_set,
                              syndrome_from_weighted_errors)
 from rmsyndrome.polynomials import monomial_count
-from rmsyndrome.polyspace import (DECODER_MODES, IsolationBoundWarning,
-                                  locate_and_correct, run_decoder)
+from rmsyndrome.polyspace import DECODER_MODES, locate_and_correct, run_decoder
 
 PAIRS = [(algo, mode) for algo, modes in DECODER_MODES.items() for mode in modes]
 
@@ -41,17 +39,15 @@ def _decode_both(S, algo, mode, ext_degree, seed):
     """run_decoder's set, or None on DecodingFailure, after checking that
     locate_and_correct, from the same rng, agrees and leaves the zero
     residual."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        try:
-            E = run_decoder(S, algo, mode, random.Random(seed), ext_degree)
-        except DecodingFailure:
-            E = None
-        try:
-            got, residual = locate_and_correct(S, algo, mode, random.Random(seed), ext_degree)
-        except DecodingFailure:
-            assert E is None
-            return None
+    try:
+        E = run_decoder(S, algo, mode, random.Random(seed), ext_degree)
+    except DecodingFailure:
+        E = None
+    try:
+        got, residual = locate_and_correct(S, algo, mode, random.Random(seed), ext_degree)
+    except DecodingFailure:
+        assert E is None
+        return None
     assert E is not None and got.points == E.points
     assert residual == Syndrome(S.params, (0,) * len(S.entries))
     return E

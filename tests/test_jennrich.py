@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -284,9 +285,9 @@ def test_derandomized_vectors_are_powers_of_x(monkeypatch, rng):
         assert decompose(S, "derandomized", ext_degree=31).points == E.points
         with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
             decompose(S, "derandomized", ext_degree=1)
-    # the default D at m = 4 is 25, the least degree above 24 with an
-    # irreducible trinomial (X^25 + X^3 + 1)
-    assert seen == [(25, 2), (31, 2), (1, 0)] * 2
+    # the derandomized default D at m = 4 is 5, the least degree above m
+    # with an irreducible trinomial (X^5 + X^2 + 1)
+    assert seen == [(5, 2), (31, 2), (1, 0)] * 2
 
 
 def test_default_extension_degree_for_every_m_up_to_64():
@@ -300,6 +301,23 @@ def test_default_extension_degree_for_every_m_up_to_64():
             assert jennrich._default_ext_degree(p, m) == 10 * m
     assert [jennrich._default_ext_degree(2, m) for m in (12, 20, 64)] == [73, 121, 385]
     assert extension_field(2, 73).modulus == UniPoly(prime_field(2), [1] + [0] * 24 + [1] + [0] * 47 + [1])
+
+
+def test_derandomized_default_extension_degree_for_every_m_up_to_64():
+    # the least D > m with an irreducible trinomial, which extension_field
+    # takes as the modulus; each degree skipped has no irreducible
+    # X^d + X^j + 1 by is_irreducible over every j
+    def trinomials(d):
+        return [UniPoly(prime_field(2), [int(i in (0, j, d)) for i in range(d + 1)])
+                for j in range(1, d)]
+    for m in range(1, 65):
+        D = jennrich._default_ext_degree(2, m, "derandomized")
+        assert D > m
+        assert not any(map(fields.is_irreducible, itertools.chain.from_iterable(
+            trinomials(d) for d in range(m + 1, D))))
+        assert sum(map(bool, extension_field(2, D).modulus.coeffs)) == 3
+    assert [jennrich._default_ext_degree(2, m, "derandomized")
+            for m in (12, 20, 64)] == [14, 21, 65]
 
 
 def test_decompose_takes_the_default_extension_degree(monkeypatch, rng):
@@ -319,14 +337,49 @@ def test_decompose_takes_the_default_extension_degree(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("degree", [lambda m: 10 * m, lambda m: 6 * m + 1],
-                         ids=["D=10m", "D=6m+1"])
+@pytest.mark.parametrize("degree", [lambda m: 10 * m, lambda m: 6 * m + 1, lambda m: m + 1],
+                         ids=["D=10m", "D=6m+1", "D=m+1"])
 def test_generator_ratios_distinct_exhaustive(m, degree):
     # the pair separation of test_derandomized_ratios_distinct_exhaustive_m3
-    # for the vectors of z = X, down to the guarantee's least D = 6m + 1
+    # for the vectors of z = X, down to the guarantee's least D = m + 1
     F = extension_field(2, degree(m))
     a, b = derandomized_flattening_vectors(F, 2, m)
     assert len(_lifted_ratios(F, a, b, m)) == 2 ** (m + 1) - 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_derandomized_weights_are_frobenius_images(m):
+    # <x, b> = z^{3m} <x, a>^2 for every x in F_2^{m+1}: squaring fixes
+    # the F_2 entries of x, so the ratio is z^{-3m} / <x, a>, and distinct
+    # nonzero <x, a> (D > m) are all the guarantee needs
+    for D in sorted({m + 1, m + 2, 2 * m + 1, 6 * m + 1}):
+        F = extension_field(2, D)
+        a, b = derandomized_flattening_vectors(F, 2, m)
+        shift = F.pow(2, 3 * m)
+        for x in range(2 ** (m + 1)):
+            ax = bx = 0
+            for v in range(m + 1):
+                if x >> v & 1:
+                    ax, bx = F.add(ax, a[v]), F.add(bx, b[v])
+            assert bx == F.mul(shift, F.square(ax))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+def test_derandomized_bound_is_tight(m, rng):
+    # at D = m the modulus c_0 + c_1 X + ... + X^m vanishes at z, so the
+    # weights of x = (c_0, ..., c_m) are zero, and so are those of the
+    # error point e = (c_1, ..., c_m): a set holding it does not decode
+    F = extension_field(2, m)
+    a, b = derandomized_flattening_vectors(F, 2, m)
+    c = F.modulus.coeffs
+    assert c[0] == c[m] == 1
+    for w in (a, b):
+        assert functools.reduce(F.add, [wv for cv, wv in zip(c, w) if cv]) == 0
+    E = ErrorSet(CodeParams(m, int(m >= 4)), (tuple(c[1:]),))
+    S = syndrome_from_errors(E)
+    with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
+        decompose(S, "derandomized", ext_degree=m)
+    assert decompose(S, "derandomized").points == E.points
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -762,7 +815,9 @@ def test_randomized_readout_matches_planted_and_axis(p, seed, data):
 
 @given(st.sampled_from(READOUT_GRID[2]), st.integers(0, 2**32), st.data())
 def test_derandomized_readout_at_the_guarantee_degree(mr, seed, data):
-    # D = 6m + 1 is the smallest extension degree the fixed weights cover
+    # D = 6m + 1, the generic bound of the guarantee (each pair polynomial
+    # of the weights has degree <= 6m); the default, the least trinomial
+    # degree above m, is below it
     m, r = mr
     params = CodeParams(m, r)
     t = data.draw(st.integers(0, monomial_index(m, r, 2).size))
@@ -773,3 +828,50 @@ def test_derandomized_readout_at_the_guarantee_degree(mr, seed, data):
     S = syndrome_from_errors(E)
     got = decompose(S, "derandomized", ext_degree=6 * m + 1)
     assert got.points == axis_decompose(S).points == E.points
+
+
+def _derandomized_outcome(S, ext_degree):
+    try:
+        return decompose(S, "derandomized", ext_degree=ext_degree).points
+    except DecodingFailure:
+        return None
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 10), st.sampled_from(["planted", "dependent", "changed"]),
+       st.integers(0, 2**32), st.data())
+def test_derandomized_default_degree_matches_the_generic_degree(m, kind, seed, data):
+    # the default D, the least trinomial degree above m, against D = 6m + 1:
+    # the same points or DecodingFailure on both sides, for planted sets,
+    # sets holding an affine (r + 1)-flat (whose degree-r tensor powers
+    # sum to 0) and syndromes with 1 to 3 entries changed; r = 0 where
+    # m < 4 leaves no other
+    r = data.draw(st.sampled_from([r for r in (1, 2) if m >= 2 * r + 2] or [0]))
+    params, rng = CodeParams(m, r), random.Random(seed)
+    t = data.draw(st.integers(0, monomial_index(m, r, 2).size))
+    try:
+        E = sample_error_set(params, t, rng)
+    except SamplingError:
+        reject()
+    S = syndrome_from_errors(E)
+    if kind == "dependent":
+        while True:
+            dirs = [rng.randrange(1, 2 ** m) for _ in range(r + 1)]
+            if rank(FFMatrix(slot_layout(prime_field(2)), r + 1, m, dirs)) == r + 1:
+                break
+        origin, flat = rng.randrange(2 ** m), set()
+        for x in range(2 ** (r + 1)):
+            q = origin
+            for i, d in enumerate(dirs):
+                q ^= d if x >> i & 1 else 0
+            flat.add(int_to_point(q, m, 2))
+        S = syndrome_from_errors(ErrorSet(params, tuple(flat | set(E.points))))
+    elif kind == "changed":
+        entries = list(S.entries)
+        for i in data.draw(st.sets(st.integers(0, len(entries) - 1), min_size=1, max_size=3)):
+            entries[i] ^= 1
+        S = Syndrome(params, tuple(entries))
+    got = _derandomized_outcome(S, None)
+    assert got == _derandomized_outcome(S, 6 * m + 1)
+    if kind == "planted":
+        assert got == E.points

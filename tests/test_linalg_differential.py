@@ -1,5 +1,6 @@
 """rref, inverse, nullspace_basis, @ and mat_vec on packed rows against
-the schoolbook reference in helpers, which makes one field call per entry.
+the schoolbook reference in helpers, which makes one field call per entry;
+the layouts' axpy against y + c x entry by entry.
 
 The fields cover every row layout of linalg.slot_layout: byte slots over
 F_3, F_5 and F_7 (at any rank), 2-byte slots over F_13, 8-byte slots over
@@ -215,6 +216,20 @@ def test_rref_slots_hold_the_worst_case_sums(p, R):
     rows.append([1] * R + [0, 0])
     R_, rk, pivots = rref(FFMatrix.from_rows(F, rows))
     assert (R_.rows(), rk, pivots) == schoolbook_rref(F, rows, R + 2)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(FIELDS + [prime_field(2)]), st.data())
+def test_axpy_matches_schoolbook(F, data):
+    # y + c x, reduced, on rows that are sparse, dense or mostly p - 1;
+    # also the worst case of a prime slot, (p - 1) + (p - 1)^2, in every
+    # slot, and c = 0
+    layout, rng = slot_layout(F), random.Random(data.draw(st.integers(0, 2 ** 32)))
+    (y, x), ncols = _rows(F, data, 2)
+    top = [F.order - 1] * ncols
+    for y, c, x in [(y, F.random_element(rng), x), (top, F.order - 1, top), (y, 0, x)]:
+        expect = [F.add(a, F.mul(c, b)) for a, b in zip(y, x)]
+        assert layout.axpy(layout.pack(y), c, layout.pack(x)) == layout.pack(expect)
 
 
 KERNEL_FIELDS = [prime_field(2), prime_field(3), prime_field(5), extension_field(2, 2)]

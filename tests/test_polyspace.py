@@ -274,12 +274,10 @@ def test_find_roots_returns_only_common_zeroes_of_a_partial_space(m, r, p, t, rn
                          ids=["8-1-5", "10-1-8", "12-1-8", "8-2-6", "6-1-3-4"])
 def test_find_roots_round_trip(m, r, p, t, rng):
     params = CodeParams(m, r, p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        for _ in range(3):
-            E = sample_error_set(params, t, rng)
-            V = space_roots(syndrome_from_errors(E))
-            assert find_roots(V, rng).points == E.points
+    for _ in range(3):
+        E = sample_error_set(params, t, rng)
+        V = space_roots(syndrome_from_errors(E))
+        assert find_roots(V, rng).points == E.points
 
 
 def test_det_find_roots_trivial_and_single():
@@ -406,13 +404,11 @@ def test_locate_and_correct_all_decoders(rng):
     params = CodeParams(8, 1)
     E = sample_error_set(params, 4, rng)
     S = syndrome_from_errors(E)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        for algo, mode in [("polyspace", "det"), ("polyspace", "rand"),
-                           ("jennrich", "rand"), ("jennrich", "derand")]:
-            got, res = locate_and_correct(S, algorithm=algo, mode=mode,
-                                          rng=random.Random(7), ext_degree=32)
-            assert got.points == E.points and res.is_zero()
+    for algo, mode in [("polyspace", "det"), ("polyspace", "rand"),
+                       ("jennrich", "rand"), ("jennrich", "derand")]:
+        got, res = locate_and_correct(S, algorithm=algo, mode=mode,
+                                      rng=random.Random(7), ext_degree=32)
+        assert got.points == E.points and res.is_zero()
 
 
 def test_check_ur_preserved(rng):
@@ -432,16 +428,14 @@ def test_check_ur_preserved(rng):
 
 def test_decoders_agree_with_each_other(rng):
     params = CodeParams(10, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        for _ in range(4):
-            E = sample_error_set(params, 6, rng)
-            S = syndrome_from_errors(E)
-            V = space_roots(S)
-            a = decompose(S, "randomized", rng, ext_degree=40)
-            b = det_find_roots(V)
-            c = find_roots(V, rng)
-            assert a.points == b.points == c.points == E.points
+    for _ in range(4):
+        E = sample_error_set(params, 6, rng)
+        S = syndrome_from_errors(E)
+        V = space_roots(S)
+        a = decompose(S, "randomized", rng, ext_degree=40)
+        b = det_find_roots(V)
+        c = find_roots(V, rng)
+        assert a.points == b.points == c.points == E.points
 
 
 def test_find_roots_seed_invariance_of_result(rng):
@@ -449,9 +443,7 @@ def test_find_roots_seed_invariance_of_result(rng):
     params = CodeParams(10, 1)
     E = sample_error_set(params, 5, rng)
     V = space_roots(syndrome_from_errors(E))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        results = {find_roots(V, random.Random(seed)).points for seed in range(5)}
+    results = {find_roots(V, random.Random(seed)).points for seed in range(5)}
     assert results == {E.points}
 
 
@@ -478,12 +470,10 @@ def test_isolation_over_large_fields_recovers_every_set(m, r, p, t):
     # one constraint isolates a point over F_31 about 1 draw in 16; the
     # F_2 constraint count, two, made that 1 in 500
     params = CodeParams(m, r, p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IsolationBoundWarning)
-        for seed in range(5):
-            rng = random.Random(seed)
-            E = sample_error_set(params, t, rng)
-            assert run_decoder(syndrome_from_errors(E), "polyspace", "rand", rng) == E
+    for seed in range(5):
+        rng = random.Random(seed)
+        E = sample_error_set(params, t, rng)
+        assert run_decoder(syndrome_from_errors(E), "polyspace", "rand", rng) == E
 
 
 def test_run_decoder_rejects_a_partial_isolation(monkeypatch, rng):
@@ -516,8 +506,6 @@ def test_no_decode_path_builds_exponent_tuples(monkeypatch):
         assert syndrome_streaming(params, word.iter_values()) == S
         for algorithm, names in modes.items():
             for mode in names:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", IsolationBoundWarning)
-                    located, _ = locate_and_correct(S, algorithm, mode, rng,
-                                                    ext_degree=24)
+                located, _ = locate_and_correct(S, algorithm, mode, rng,
+                                                ext_degree=24)
                 assert located.points == E.points
