@@ -353,6 +353,24 @@ def moment_matrix(S: Syndrome, rows, cols, v: int = 0) -> FFMatrix:
                                              for row in map(table.__getitem__, rows)])
 
 
+def constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
+    """T_0 = H[:, :|M_r|] in full and K, the pivot columns of one rref of
+    T_0: the front half every decoder shares.
+
+    T_0 is symmetric (a moment matrix), so K indexes a column basis and,
+    by symmetry, a row basis, and T_0[K, K] is invertible: with
+    T_0 = T_0[:, K] X, the rows T_0[K, :] = T_0[K, K] X are the transpose
+    of the independent columns T_0[:, K], so they have rank t = |K|, and
+    so do the rows H[K, :].  Raises DecodingFailure for a zero T_0 of a
+    nonzero syndrome."""
+    square = range(monomial_count(S.params.m, S.params.r, S.params.p))
+    T0 = moment_matrix(S, square, square)
+    K = rref(T0)[2]
+    if not K and not S.is_zero():
+        raise DecodingFailure("zero constant slice of a nonzero syndrome")
+    return T0, K
+
+
 def syndrome_from_errors(E: ErrorSet) -> Syndrome:
     """Sum of the degree <= 2r+1 tensor powers of the error locations."""
     return syndrome_from_weighted_errors(E, [1] * E.t)

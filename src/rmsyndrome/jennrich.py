@@ -10,16 +10,16 @@ T_v = H[:, shift_v], shift_v(j) the position of reduce(M_j x_v)
 (code.moment_matrix).  Two random (or derandomized) weightings of the
 degree-1 axis flatten T into S^a, S^b over an extension field.  Every
 slice is symmetric, so the pivot columns K of one rref of T_0 index a
-row basis too and T_0[K,K] is invertible (_constant_slice, the front
-half both decoders share).  On that minor, M = S^a[K,K] (S^b[K,K])^{-1}
-has the tensor-power columns as eigenvectors.  The decoder never computes
-an eigenvalue: one rref of the Krylov columns of y = T_0[K, 0] against the
-coordinate columns H[K, x_v] gives the characteristic polynomial chi of
-M and polynomials g_v with g_v(lambda_e) = e_v (a rational univariate
-representation).  Splitting chi by gcd(h, g_v - c), c in F_p, one
-variable at a time until every factor is linear, X - lambda, leaves one
-factor per error point, whose coordinates are read off at lambda in one
-packed product.
+row basis too and T_0[K,K] is invertible (code.constant_slice, the front
+half every decoder shares: polyspace's decode splits the rows H[K, :]).
+On that minor, M = S^a[K,K] (S^b[K,K])^{-1} has the tensor-power columns
+as eigenvectors.  The decoder never computes an eigenvalue: one rref of
+the Krylov columns of y = T_0[K, 0] against the coordinate columns
+H[K, x_v] gives the characteristic polynomial chi of M and polynomials
+g_v with g_v(lambda_e) = e_v (a rational univariate representation).
+Splitting chi by gcd(h, g_v - c), c in F_p, one variable at a time until
+every factor is linear, X - lambda, leaves one factor per error point,
+whose coordinates are read off at lambda in one packed product.
 
 Failure modes (repeated eigenvalues, a singular minor, coordinates that
 do not lie in the base field) trigger a resample in randomized mode and
@@ -53,7 +53,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .code import DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
+from .code import DecodingFailure, ErrorSet, Syndrome, constant_slice, explains, moment_matrix
 from .fields import (extension_field, irreducible_trinomial, prime_field,
                      split_by_value)
 # rank is not called here; perfbench's tracer rebinds every module's
@@ -77,23 +77,6 @@ def tensor_from_syndrome(S: Syndrome) -> tuple[FFMatrix, ...]:
     entry of reduce(M_i M_j M''_k)."""
     square = range(monomial_count(S.params.m, S.params.r, S.params.p))
     return tuple(moment_matrix(S, square, square, k) for k in range(S.params.m + 1))
-
-
-def _constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
-    """T_0 in full and K, the pivot columns of one rref of T_0: the
-    front half both tensor decoders share.
-
-    T_0 is symmetric (a moment matrix), so K indexes a column basis and,
-    by symmetry, a row basis, and T_0[K, K] is invertible: with
-    T_0 = T_0[:, K] X, the rows T_0[K, :] = T_0[K, K] X are the transpose
-    of the independent columns T_0[:, K], so they have rank t = |K|.
-    Raises DecodingFailure for a zero T_0 of a nonzero syndrome."""
-    square = range(monomial_count(S.params.m, S.params.r, S.params.p))
-    T0 = moment_matrix(S, square, square)
-    K = rref(T0)[2]
-    if not K and not S.is_zero():
-        raise DecodingFailure("zero constant slice of a nonzero syndrome")
-    return T0, K
 
 
 def _flatten(slices, F, weights) -> FFMatrix:
@@ -158,7 +141,7 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     ext_degree D defaults (_default_ext_degree) in derandomized mode to the
     least D > m with an irreducible trinomial X^D + X^j + 1; in randomized
     mode to the least such D > 6m over F_2, and to 10m over odd p.  The
-    front half (_constant_slice), the slice minors T_v[K, K] and the
+    front half (code.constant_slice), the slice minors T_v[K, K] and the
     columns H[K, 0..m] are built once per call; each draw only flattens
     them.
 
@@ -175,7 +158,7 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     if mode == "derandomized" and params.p != 2:
         raise ValueError("derandomized flattening vectors are defined over F_2")
     m = params.m
-    K = _constant_slice(S)[1]
+    K = constant_slice(S)[1]
     if not K:
         return ErrorSet(params, ())
     minors = [moment_matrix(S, K, K, v) for v in range(m + 1)]
@@ -313,7 +296,7 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
     """Recover the error locations from the tensor slices along the
     coordinate axes, over the base field.
 
-    With K the pivots of the constant slice T_0 (_constant_slice), so
+    With K the pivots of the constant slice T_0 (code.constant_slice), so
     that T_0[K, K] is invertible, the matrices
     M_v = T_v[K,K] T_0[K,K]^{-1} equal A D_v A^{-1}, where the columns of A
     are the tensor powers e^{<=r} of the error points at rows K and D_v
@@ -332,7 +315,7 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
     callers check the set against the syndrome (polyspace.run_decoder).
     """
     params = S.params
-    T0, K = _constant_slice(S)
+    T0, K = constant_slice(S)
     if not K:
         return ErrorSet(params, ())
     points = _axis_points(S, T0, K, inverse(T0.submatrix(K, K)))

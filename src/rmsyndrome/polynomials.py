@@ -363,23 +363,17 @@ def _affine_map(index: MonomialIndex, mat, b):
 
 class PolySpace:
     """A linear space of reduced polynomials; basis rows kept in rref.
+    No decode builds one: polyspace.run_decoder splits a basis of the
+    vanishing space's annihilator read off the syndrome."""
 
-    annihilator, when given, is a basis of the space's annihilator as
-    packed rows over the index, one per free column of the basis in
-    increasing order, as linalg.rref_nullspace lays it out: a space that
-    its builder read off its annihilator keeps it (polyspace.space_roots),
-    and polyspace._annihilator computes it for any other."""
+    __slots__ = ("index", "basis", "pivots")
 
-    __slots__ = ("index", "basis", "pivots", "annihilator")
-
-    def __init__(self, index: MonomialIndex, basis: FFMatrix, pivots,
-                 annihilator: list[int] | None = None):
+    def __init__(self, index: MonomialIndex, basis: FFMatrix, pivots):
         if basis.ncols != index.size:
             raise ValueError("basis width does not match the index")
         self.index = index
         self.basis = basis
         self.pivots = tuple(pivots)
-        self.annihilator = annihilator
 
     @classmethod
     def from_matrix(cls, index, mat: FFMatrix) -> "PolySpace":

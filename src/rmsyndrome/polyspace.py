@@ -12,9 +12,11 @@ The error set is the set of common zeroes of V, and both root finders
 find it on V's annihilator V^perp, the functionals on polynomials of
 degree <= r+1 that vanish on V: H's row space, spanned by the t
 evaluations at the error points (the inverse-system view; Moller and
-Stetter 1995).  A t-row basis Phi of it is read once off V's rref
-(_annihilator), so a restriction works on t rows, where V's basis has
-N - t rows of N = |M_{r+1}| entries.
+Stetter 1995).  A restriction works on a t-row basis Phi of it, where
+V's basis has N - t rows of N = |M_{r+1}| entries.  run_decoder builds
+no V: its Phi is H[K, :], K the pivots of the constant slice's rref
+(code.constant_slice, the tensor decoders' front half).  Given V, the
+root finders read Phi off V's rref (_annihilator).
 
 Restricting to the affine subspace A = {x : C x = c} keeps the
 functionals alpha^T Phi that vanish on every reduce((C_j x - c_j) B),
@@ -39,7 +41,8 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
-from .code import CodeParams, DecodingFailure, ErrorSet, Syndrome, explains, moment_matrix
+from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, constant_slice, explains,
+                   moment_matrix)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
 from .linalg import FFMatrix, left_kernel, rank, rref, rref_nullspace, slot_layout, tabled_dot
@@ -66,11 +69,7 @@ def space_roots(S: Syndrome) -> PolySpace:
     back in order, each of its t rows is 1 at its last nonzero entry and
     0 at the other rows' last entries, so its nullspace rows
     (linalg.rref_nullspace) are 1 at a free column and nonzero only right
-    of it, V's rref rows.  V's N - t rows are never reduced.
-
-    Those t rows, in reverse, are V's annihilator Phi as _annihilator
-    lays it out, one row per free column of V in increasing order, so V
-    keeps them."""
+    of it, V's rref rows.  V's N - t rows are never reduced."""
     m, r, p = S.params.m, S.params.r, S.params.p
     index = monomial_index(m, r + 1, p)
     n = index.size
@@ -80,7 +79,7 @@ def space_roots(S: Syndrome) -> PolySpace:
     last = [n - 1 - c for c in pivots]
     taken = set(last)
     return PolySpace(index, rref_nullspace(FFMatrix(layout, rk, n, rows), last),
-                     [q for q in range(n) if q not in taken], rows[::-1])
+                     [q for q in range(n) if q not in taken])
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +89,7 @@ def space_roots(S: Syndrome) -> PolySpace:
 def _annihilator(V: PolySpace) -> list[int]:
     """A basis Phi of V^perp as packed rows over V's index, one per free
     column f of V's rref basis: e_f minus column f of the reduced rows at
-    the pivots (linalg.rref_nullspace), or the rows V keeps when it was
-    read off them (space_roots).  Its length is V.codim."""
-    if V.annihilator is not None:
-        return V.annihilator
+    the pivots (linalg.rref_nullspace).  Its length is V.codim."""
     return rref_nullspace(V.basis, V.pivots).packed_rows()
 
 
@@ -145,14 +141,15 @@ def _read_point(phi: int, index, layout) -> tuple | None:
                  for v in range(index.m))
 
 
-def _split(V: PolySpace, forms: list[int]) -> ErrorSet:
-    """All common zeroes of a full vanishing space, by splitting its
-    annihilator over the p cosets {l_j = c} of each linear form l_j in
-    turn (_descend).  A node at depth j, a coset of l_0, ..., l_{j-1},
-    holds the alpha whose alpha^T Phi vanish on it, each packed as
-    [alpha^T Phi[:, M_r] | alpha].  For independent forms the last cosets
-    are points, so on a full vanishing space the answer is exact."""
-    idx, layout, phi = V.index, V.basis.layout, _annihilator(V)
+def _split(phi: list[int], idx, forms: list[int]) -> ErrorSet:
+    """All common zeroes of a full vanishing space V, by splitting Phi, any
+    basis of V^perp packed over idx, over the p cosets {l_j = c} of each
+    linear form l_j in turn (_descend).  A node at depth j, a coset of
+    l_0, ..., l_{j-1}, holds the alpha whose alpha^T Phi vanish on it,
+    each packed as [alpha^T Phi[:, M_r] | alpha].  For independent forms
+    the last cosets are points, so on a full vanishing space the answer
+    is exact."""
+    layout = slot_layout(prime_field(idx.p))
     low = monomial_count(idx.m, idx.t - 1, idx.p)
     nodes, product = phi, None
     if len(phi) > 1:  # t <= |M_r|, so here r >= 1 and Phi[:, M_r] holds every x_v
@@ -192,12 +189,22 @@ def _descend(nodes: list[int], forms: list[int], product, idx, low: int, layout)
     return out
 
 
+def _forms(idx, rng=None) -> list[int]:
+    """The linear forms of the split, packed: x_{m-1}, ..., x_0 for det
+    (rng None), else the linear parts of m random independent forms, one
+    _draw_forms draw."""
+    m, layout = idx.m, slot_layout(prime_field(idx.p))
+    if rng is None:
+        return [1 << k * layout.bits for k in reversed(range(m))]
+    linear = (1 << m * layout.bits) - 1
+    return [form & linear for form in _draw_forms(m, m, rng, layout)]
+
+
 def det_find_roots(V: PolySpace) -> ErrorSet:
     """All common zeroes of a full vanishing space, deterministically: the
     split (_split) on the last unfixed variable's value, x_{m-1}, ...,
     x_0, each branch x_k = c one restriction of V's annihilator."""
-    bits = V.basis.layout.bits
-    return _split(V, [1 << k * bits for k in reversed(range(V.index.m))])
+    return _split(_annihilator(V), V.index, _forms(V.index))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +257,10 @@ def vv_sample(m: int, t: int, rng, p: int = 2):
 
 def find_roots(V: PolySpace, rng) -> ErrorSet:
     """All common zeroes of a full vanishing space, by the split (_split)
-    on m random independent forms, one _draw_forms draw: the random
-    affine hyperplanes of Valiant-Vazirani isolation, one per level, with
-    every coset kept, so no draw is wasted and the answer is exact."""
-    layout, m = V.basis.layout, V.index.m
-    linear = (1 << m * layout.bits) - 1
-    return _split(V, [form & linear for form in _draw_forms(m, m, rng, layout)])
+    on m random independent forms (_forms): the random affine
+    hyperplanes of Valiant-Vazirani isolation, one per level, with every
+    coset kept, so no draw is wasted and the answer is exact."""
+    return _split(_annihilator(V), V.index, _forms(V.index, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +293,11 @@ def resolve_mode(algorithm: str, mode: str | None = None) -> str:
 def locate_and_correct(S: Syndrome, algorithm: str = "jennrich",
                        mode: str | None = None, rng=None,
                        ext_degree: int | None = None) -> tuple[ErrorSet, Syndrome]:
-    """Locate the error set and cancel it from the syndrome.
-
-    Over F_2 the located tensor powers are subtracted directly; over odd
-    fields the unknown error magnitudes are solved first, on the t x t
-    minor of the located degree <= r tensor powers (unique, since those
-    are independent), and must all be nonzero.  run_decoder certifies
-    that the located set explains S, so the residual is the zero
-    syndrome."""
+    """Locate the error set (run_decoder) and return it with the residual
+    syndrome.  run_decoder returns only a set that explains S
+    (code.explains: over odd p with nonzero magnitudes), so the located
+    errors cancel S exactly and the residual is the zero syndrome; no
+    tensor power is subtracted and no magnitude is kept."""
     E = run_decoder(S, algorithm, mode, rng, ext_degree)
     return E, Syndrome(S.params, (0,) * len(S.entries))
 
@@ -311,12 +313,10 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
         raise ValueError(f"p = {S.params.p} is above MAX_PRIME = {MAX_PRIME}")
     if mode == "rand" and rng is None:
         raise ValueError(f"randomized {algorithm} decoding needs an rng")
-    if algorithm == "polyspace":
-        V = space_roots(S)
-        if mode == "det":
-            E = det_find_roots(V)
-        else:
-            E = find_roots(V, rng)
+    if algorithm == "polyspace":  # Phi = H[K, :], a basis of V^perp on a valid S
+        index = monomial_index(S.params.m, S.params.r + 1, S.params.p)
+        phi = moment_matrix(S, constant_slice(S)[1], range(index.size)).packed_rows()
+        E = _split(phi, index, _forms(index, rng if mode == "rand" else None))
     elif mode == "axis":
         E = axis_decompose(S)
     else:  # decompose checks each draw against S before it returns

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rmsyndrome import fields, polyspace
+from rmsyndrome import cli, fields, polyspace
 from rmsyndrome.cli import main, substream_rng, substream_seed
 from rmsyndrome.code import (CodeParams, ErrorSet, corrupt, encode,
                              read_word_file, sample_error_set,
@@ -171,6 +171,24 @@ def test_decode_dump_space(tmp_path, rng):
         assert all(P.evaluate(e) == 0 for e in E.points)
 
 
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_decode_dump_space_builds_the_space_once(mode, tmp_path, rng, monkeypatch):
+    # the dump is the one space_roots call: the polyspace decode builds no space
+    _, E, _, spath = _setup_corrupted(tmp_path, rng, t=3)
+    calls, inner = [], polyspace.space_roots
+
+    def counted(S):
+        calls.append(S)
+        return inner(S)
+    monkeypatch.setattr(cli, "space_roots", counted)
+    monkeypatch.setattr(polyspace, "space_roots", counted)
+    out = tmp_path / "locs.json"
+    assert main(["decode", "--syndrome", str(spath), "--out", str(out), "--algo", "polyspace",
+                 "--mode", mode, "--dump-space", str(tmp_path / "space.json")]) == 0
+    assert len(calls) == 1
+    assert tuple(tuple(e) for e in json.loads(out.read_text())) == E.points
+
+
 def test_decode_failure_exit_code(tmp_path, rng):
     params = CodeParams(8, 1)
     E = sample_error_set(params, 2, rng)
@@ -248,8 +266,8 @@ def test_experiment_never_records_a_partial_isolation_as_ok(tmp_path, monkeypatc
     trials = [row for row in csv.DictReader(out.read_text().splitlines())
               if row["record"] == "trial"]
     assert [(row["status"], row["success"]) for row in trials] == [("ok", "1")] * 5
-    monkeypatch.setattr(polyspace, "find_roots",
-                        lambda V, rng: ErrorSet(CodeParams(4, 1, 31), ()))
+    monkeypatch.setattr(polyspace, "_split",
+                        lambda phi, index, forms: ErrorSet(CodeParams(4, 1, 31), ()))
     assert main(args) == 0
     trials = [row for row in csv.DictReader(out.read_text().splitlines())
               if row["record"] == "trial"]

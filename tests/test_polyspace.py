@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from helpers import check_ur_preserved, subspace_parametrization, unique_root
-from rmsyndrome import code, polynomials, polyspace
+from rmsyndrome import code, linalg, polynomials, polyspace
 from rmsyndrome.code import (CodeParams, DecodingFailure, ErrorSet,
                              SamplingError, Syndrome, corrupt, encode, explains,
                              sample_error_set, solve_error_magnitudes,
@@ -66,24 +66,6 @@ def test_space_roots_matches_nullspace_oracle(p, rng):
         assert V.codim == len(E)  # codimension identity
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_space_roots_keeps_the_annihilator_rref_nullspace_builds(p, rng):
-    # on planted syndromes and on ones with an entry changed, whose space
-    # is no full vanishing space, the rows space_roots keeps are the ones
-    # rref_nullspace rebuilds from V's rref, in the same order
-    for _ in range(8):
-        params, E = _sample_instance(rng, p)
-        entries = list(syndrome_from_errors(E).entries)
-        for S in (Syndrome(params, tuple(entries)),
-                  Syndrome(params, tuple(entries[:-1]) + ((entries[-1] + 1) % p,))):
-            V = space_roots(S)
-            rebuilt = rref_nullspace(V.basis, V.pivots).packed_rows()
-            assert V.annihilator == rebuilt == _annihilator(V)
-    V = vanishing_space([(1, 0, 1), (0, 1, 1)], 1, 3)
-    assert V.annihilator is None
-    assert _annihilator(V) == rref_nullspace(V.basis, V.pivots).packed_rows()
-
-
 def _read_off(V):
     """The point read off V's annihilator, which must have one row."""
     phi = _annihilator(V)
@@ -94,6 +76,8 @@ def _read_off(V):
 def test_codim_1_read_off_examples():
     V = vanishing_space([(1, 0, 1)], 1, 3)
     assert _read_off(V) == unique_root(V) == (1, 0, 1)
+    V = vanishing_space([(1, 0, 1), (0, 1, 1)], 1, 3)
+    assert _annihilator(V) == rref_nullspace(V.basis, V.pivots).packed_rows()
     V2 = vanishing_space([(0, 0, 0), (1, 1, 0)], 1, 3)
     assert len(_annihilator(V2)) == 2 and unique_root(V2) is None
     assert _annihilator(PolySpace.full(monomial_index(3, 1, 2))) == []
@@ -481,9 +465,25 @@ def test_run_decoder_rejects_a_partial_isolation(monkeypatch, rng):
     E = sample_error_set(params, 6, rng)
     S = syndrome_from_errors(E)
     partial = ErrorSet(params, E.points[:4])
-    monkeypatch.setattr(polyspace, "find_roots", lambda V, rng: partial)
-    with pytest.raises(DecodingFailure, match="nonzero residual after correction"):
-        run_decoder(S, "polyspace", "rand", rng)
+    monkeypatch.setattr(polyspace, "_split", lambda phi, index, forms: partial)
+    for mode in ("det", "rand"):
+        with pytest.raises(DecodingFailure, match="nonzero residual after correction"):
+            run_decoder(S, "polyspace", mode, rng)
+
+
+def test_polyspace_decodes_build_no_vanishing_space(monkeypatch, rng):
+    # run_decoder splits the rows H[K, :] of the constant slice's pivots:
+    # no decode reduces all of H or builds V's basis
+    def unreachable(*args):
+        raise AssertionError("a polyspace decode built the vanishing space")
+
+    monkeypatch.setattr(polyspace, "space_roots", unreachable)
+    monkeypatch.setattr(polyspace, "rref_nullspace", unreachable)
+    monkeypatch.setattr(linalg, "rref_nullspace", unreachable)
+    for m, r, p, t in ((8, 1, 2, 6), (8, 2, 2, 10), (6, 1, 3, 4), (4, 1, 5, 3)):
+        E = sample_error_set(CodeParams(m, r, p), t, rng)
+        for mode in ("det", "rand"):
+            assert run_decoder(syndrome_from_errors(E), "polyspace", mode, rng) == E
 
 
 def test_no_decode_path_builds_exponent_tuples(monkeypatch):

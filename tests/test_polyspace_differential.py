@@ -8,7 +8,9 @@ restricted space (helpers.unique_root).  Over F_2, F_3 and F_5, on full
 vanishing spaces and on the spaces of corrupted syndromes, both must see
 the same codimension under every restriction of the random frame and
 every det branch, leave the rng in the same state and return the same
-points or the same failure.
+points or the same failure.  The decode path (run_decoder) splits another
+basis of the annihilator, the rows H[K, :] at the constant slice's
+pivots, and must match the root finders on V's in the same three ways.
 """
 
 import random
@@ -21,7 +23,7 @@ from rmsyndrome.code import CodeParams, Syndrome, sample_error_set, syndrome_fro
 from rmsyndrome.fields import prime_field
 from rmsyndrome.linalg import FFMatrix, rank
 from rmsyndrome.polyspace import (StructuralInconsistencyError, det_find_roots,
-                                  find_roots, space_roots)
+                                  find_roots, run_decoder, space_roots)
 
 SHAPES = [(6, 1, 2, 4), (8, 1, 2, 6), (8, 2, 2, 5), (4, 1, 3, 3), (6, 1, 3, 4),
           (4, 1, 5, 3), (6, 2, 5, 2)]
@@ -161,3 +163,22 @@ def test_det_branches_have_the_codimensions_of_the_restricted_spaces(m, r, p, t,
             else:
                 assert sorted(det_find_roots(V).points) == want
             assert counts == codims
+
+
+@pytest.mark.parametrize("m,r,p,t", SHAPES)
+def test_the_decode_splits_the_rows_of_H_as_the_finders_split_V(m, r, p, t, monkeypatch):
+    counts = _recording_restrict(monkeypatch)
+    finders = {"det": lambda V, rng: det_find_roots(V), "rand": find_roots}
+    for seed in range(4):
+        E = sample_error_set(CodeParams(m, r, p), t, random.Random(seed))
+        S = syndrome_from_errors(E)
+        V = space_roots(S)
+        for mode, find in finders.items():
+            ours, ref = random.Random(seed), random.Random(seed)
+            counts.clear()
+            got = run_decoder(S, "polyspace", mode, ours).points
+            decoded = list(counts)
+            counts.clear()
+            assert find(V, ref).points == got == E.points
+            assert counts == decoded and (decoded or t == 1)
+            assert ours.getstate() == ref.getstate()
