@@ -7,45 +7,55 @@ slices are column selections of the syndrome's one moment (Hankel)
 matrix H[i, j] = S[reduce(M_i M_j)], M_j of degree <= r + 1, whose
 nullspace is polyspace's vanishing space: T_0 = H[:, :|M_r|] and
 T_v = H[:, shift_v], shift_v(j) the position of reduce(M_j x_v)
-(code.moment_matrix).  Two random (or derandomized) weightings of the
-degree-1 axis flatten T into S^a, S^b over an extension field.  Every
-slice is symmetric, so the pivot columns K of one rref of T_0 index a
-row basis too and T_0[K,K] is invertible (code.constant_slice, the front
-half every decoder shares: polyspace's decode splits the rows H[K, :]).
-On that minor, M = S^a[K,K] (S^b[K,K])^{-1} has the tensor-power columns
-as eigenvectors.  The decoder never computes an eigenvalue: one rref of
-the Krylov columns of y = T_0[K, 0] against the coordinate columns
-H[K, x_v] gives the characteristic polynomial chi of M and polynomials
-g_v with g_v(lambda_e) = e_v (a rational univariate representation).
-Splitting chi by gcd(h, g_v - c), c in F_p, one variable at a time until
-every factor is linear, X - lambda, leaves one factor per error point,
-whose coordinates are read off at lambda in one packed product.
+(code.moment_matrix).  Every slice is symmetric, so the pivot columns K
+of one rref of T_0 index a row basis too and T_0[K,K] is invertible
+(code.constant_slice, the front half every decoder shares: polyspace's
+decode splits the rows H[K, :]).
 
-Failure modes (repeated eigenvalues, a singular minor, coordinates that
-do not lie in the base field) trigger a resample in randomized mode and
-are reported as decoding failures in derandomized mode.  That mode weights
-with powers of z = X mod the modulus of F_{2^D}.  Squaring is Frobenius, so
-<x, b> = z^{3m} <x, a>^2 for x in F_2^{m+1}, and the guarantee needs only
-that no nonzero F_2 polynomial of degree <= m vanishes at z: D > m, z's
-minimal polynomial being the modulus, so nothing is factored.  D defaults
-there to the least degree above m with an irreducible trinomial, the
-modulus that extension_field then takes.
+Jennrich's method diagonalizes S^a (S^b)^{-1} for two flattenings
+S^a = sum_v a_v T_v, S^b of the degree-1 axis.  Every lifted point
+(1, e) is 1 at coordinate 0, so T_0 is a valid S^b (b = e_0) that stays
+over F_p: on the minor, A = S^a[K,K] T_0[K,K]^{-1} = sum_v a_v M_v for
+the axis quotients M_v = T_v[K,K] T_0[K,K]^{-1} (M_0 = I), whose common
+eigenvectors are the tensor powers at K, with eigenvalue <(1, e), a>
+(the eigenvalue method of Moeller & Stetter 1995).  decompose reads the
+M_v^T off the stacked minor once per call (_axis_quotients); a draw of a
+over an extension field F_{p^D} only flattens them, with no inverse or
+matrix product over F_{p^D}.  The decoder never computes an eigenvalue:
+one rref of the Krylov columns of y = T_0[K, 0] against the coordinate
+columns H[K, x_v] gives the characteristic polynomial chi of A and
+polynomials g_v with g_v(lambda_e) = e_v (a rational univariate
+representation).  Splitting chi by gcd(h, g_v - c), c in F_p, one
+variable at a time until every factor is linear, X - lambda, leaves one
+factor per error point, whose coordinates are read off at lambda in one
+packed product.
+
+Failure modes (repeated eigenvalues, coordinates that do not lie in the
+base field) trigger a resample in randomized mode and are reported as
+decoding failures in derandomized mode.  That mode weights with
+a = (1, z, ..., z^m), z = X mod the modulus of F_{2^D}, so two points
+share an eigenvalue exactly when a nonzero F_2 polynomial of degree < m
+vanishes at z, whose minimal polynomial is the modulus: D >= m separates
+every error set, and nothing is factored.  D defaults there to the least
+degree above m with an irreducible trinomial, the modulus that
+extension_field then takes.  The paper's b = (z^{3m}, ..., z^{5m}) is
+implied: by Frobenius S^b T_0[K,K]^{-1} = z^{3m} A^2, so its quotient
+S^a (S^b)^{-1} = z^{-3m} A^{-1}, defined only for D > m, has A's
+eigenvectors.
 
 axis_decompose, the library's default decoder, takes the weightings to be
 the constant slice and each coordinate axis in turn.  The quotients
-M_v = T_v[K,K] T_0[K,K]^{-1} then stay over F_p and commute, and their
-eigenvalues are the v-th coordinates of the error points, so splitting one
-vector by the eigenspace idempotents 1 - (M_v - c)^{p-1} separates the
-points with no extension field, characteristic polynomial or eigenvector
-solve.  This is the eigenvalue method for zero-dimensional systems
-(Moeller & Stetter 1995), i.e. solution extraction from moment matrices
-(Henrion & Lasserre 2005).  It reads only T_0 in full and the other
-slices at [K, K], and forms no M_v, over any p: a vector is one int in
-the F_p row layout that every FFMatrix row uses (linalg.slot_layout: a
-bit per entry over F_2, a byte over F_3, ..., F_11), the stacked minor
-[T_1; ...; T_m][K, K] is one int per column, and one product with it,
-after z = T_0[K,K]^{-1} y, gives M_v y for every v at once, so a split
-by M_v costs p - 1 products.
+M_v then stay over F_p, and their eigenvalues are the v-th coordinates of
+the error points, so splitting one vector by the eigenspace idempotents
+1 - (M_v - c)^{p-1} separates the points with no extension field,
+characteristic polynomial or eigenvector solve (Moeller & Stetter 1995;
+solution extraction from moment matrices, Henrion & Lasserre 2005).  It
+reads only T_0 in full and the other slices at [K, K], and forms no M_v,
+over any p: a vector is one int in the F_p row layout that every FFMatrix
+row uses (linalg.slot_layout: a bit per entry over F_2, a byte over F_3,
+..., F_11), the stacked minor [T_1; ...; T_m][K, K] is one int per
+column, and one product with it, after z = T_0[K,K]^{-1} y, gives M_v y
+for every v at once, so a split by M_v costs p - 1 products.
 """
 
 from __future__ import annotations
@@ -58,8 +68,7 @@ from .fields import (extension_field, irreducible_trinomial, prime_field,
                      split_by_value)
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
-from .linalg import (FFMatrix, SingularMatrixError, inverse,  # noqa: F401
-                     rank, rref, slot_layout)
+from .linalg import FFMatrix, inverse, rank, rref, slot_layout  # noqa: F401
 from .polynomials import moment_positions, monomial_count, monomial_index
 
 
@@ -107,13 +116,15 @@ def derandomized_flattening_vectors(F, alpha: int, m: int) -> tuple[tuple, tuple
     b = (a^{3m}, a^{3m+2}, ..., a^{5m}) for an element a of F_{2^D}.
 
     For x in F_2^{m+1} put alpha_x = <x, a> = sum_v x_v a^v.  Squaring
-    is the Frobenius map and fixes each x_v, so <x, b> = a^{3m} alpha_x^2
-    and <x, a> / <x, b> = a^{-3m} / alpha_x.  Every <x, b> is nonzero and
-    the ratios are distinct, the conditions for every error set, exactly
-    when the alpha_x, x != 0, are nonzero and distinct: when no nonzero
-    F_2 polynomial of degree <= m vanishes at a, i.e. when the minimal
-    polynomial of a has degree D > m (and not for D <= m).  That is the
-    only property used: a primitive element has it, and so does
+    is the Frobenius map and fixes each x_v, so <x, b> = a^{3m} alpha_x^2.
+    decompose flattens by a alone, against the constant slice: its
+    eigenvalue at a point e is alpha_x for the lifted x = (1, e), and
+    these are distinct for every error set exactly when no nonzero F_2
+    polynomial of degree < m vanishes at a, i.e. when the minimal
+    polynomial of a has degree D >= m.  b is the paper's second
+    weighting: the ratios <x, a> / <x, b> = a^{-3m} / alpha_x order the
+    same eigenvectors, but need every alpha_x, x != 0, nonzero too, so
+    D > m.  A primitive element has the property, and so does
     decompose's z, the residue of X, with no factoring.
     Both are running products: each entry of a is the one before times
     a, each entry of b the one before times a^2.
@@ -132,23 +143,26 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
               ext_degree: int | None = None) -> ErrorSet:
     """Recover the error locations from a syndrome.
 
-    mode "randomized" draws the weighting vectors a, then b, from rng and
+    A draw is the weighting a alone: the second flattening is T_0
+    (b = e_0, as every lifted point is 1 at coordinate 0), so the quotient
+    is A = sum_v a_v M_v.  Mode "randomized" draws a from rng and
     retries on unlucky draws, up to MAX_DRAWS draws in all.  Mode
-    "derandomized" (F_2 only) makes one fixed draw from z = X mod the
-    modulus of F_{2^D} (derandomized_flattening_vectors) and is
-    bit-reproducible: z's minimal polynomial, the modulus, has degree D,
-    so D > m guarantees the draw with no factoring of 2^D - 1.
-    ext_degree D defaults (_default_ext_degree) in derandomized mode to the
-    least D > m with an irreducible trinomial X^D + X^j + 1; in randomized
-    mode to the least such D > 6m over F_2, and to 10m over odd p.  The
-    front half (code.constant_slice), the slice minors T_v[K, K] and the
-    columns H[K, 0..m] are built once per call; each draw only flattens
-    them.
+    "derandomized" (F_2 only) makes one fixed draw, the a of
+    derandomized_flattening_vectors at z = X mod the modulus of F_{2^D},
+    and is bit-reproducible: z's minimal polynomial, the modulus, has
+    degree D, so D >= m guarantees the draw with no factoring of
+    2^D - 1.  ext_degree D defaults (_default_ext_degree) in derandomized
+    mode to the least D > m with an irreducible trinomial
+    X^D + X^j + 1; in randomized mode to the least such D > 6m over F_2,
+    and to 10m over odd p.  The front half (code.constant_slice), the one
+    inverse T_0[K,K]^{-1} over F_p, the transposed quotients M_v^T
+    (_axis_quotients) and the columns H[K, 0..m] are built once per call;
+    each draw only flattens the M_v^T.
 
     The recovered set is checked against the syndrome before it is
     returned.  A set that fails the check raises DecodingFailure; on a
     valid syndrome that means an error set whose tensor powers are not
-    independent, or, in derandomized mode, D <= m.
+    independent, or, in derandomized mode, D < m.
     """
     params = S.params
     if mode not in ("randomized", "derandomized"):
@@ -158,24 +172,23 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     if mode == "derandomized" and params.p != 2:
         raise ValueError("derandomized flattening vectors are defined over F_2")
     m = params.m
-    K = constant_slice(S)[1]
+    T0, K = constant_slice(S)
     if not K:
         return ErrorSet(params, ())
-    minors = [moment_matrix(S, K, K, v) for v in range(m + 1)]
+    quotients = _axis_quotients(S, K, inverse(T0.submatrix(K, K)))
     # H[K, 0..m]: the columns of degree <= 1, which T_0 lacks when r = 0
     cols = moment_matrix(S, K, range(m + 1)).transpose().rows()
     D = ext_degree if ext_degree is not None else _default_ext_degree(params.p, m, mode)
     F = extension_field(params.p, D)
     if mode == "randomized":
-        draws = (tuple(tuple(F.random_element(rng) for _ in range(m + 1)) for _ in range(2))
-                 for _ in range(MAX_DRAWS))  # a, then b
+        draws = (tuple(F.random_element(rng) for _ in range(m + 1)) for _ in range(MAX_DRAWS))
         failure = f"decomposition failed after {MAX_DRAWS} flattening draws: {{}}"
     else:  # z = X mod the modulus: the int 2, or the constant term when D = 1
-        draws = [derandomized_flattening_vectors(F, 2 if D > 1 else F.modulus.coeffs[0], m)]
-        failure = "derandomized decomposition failed: {} (dependent tensor powers, or D <= m)"
-    for a, b in draws:
+        draws = [derandomized_flattening_vectors(F, 2 if D > 1 else F.modulus.coeffs[0], m)[0]]
+        failure = "derandomized decomposition failed: {} (dependent tensor powers, or D < m)"
+    for a in draws:
         try:
-            return _attempt(S, minors, cols, F, a, b)
+            return _attempt(S, quotients, cols, F, a)
         except _RetryableFailure as exc:
             last = exc
     raise DecodingFailure(failure.format(last)) from last
@@ -187,11 +200,11 @@ def _default_ext_degree(p: int, m: int, mode: str = "randomized") -> int:
     the least D above a bound with an irreducible trinomial X^D + X^j + 1,
     which extension_field(2, D) then takes as its modulus, so each fold of
     a product in F_{2^D} is two shifts.  The bound is m in derandomized
-    mode, all the fixed weights need (derandomized_flattening_vectors),
-    and 6m in randomized mode, where a draw fails with probability about
-    t^2 / 2^D (Schwartz-Zippel), which D > m does not control.  Over odd p
-    it is 10m: over F_3 every such trinomial has the root 1, so no
-    trinomial search is made."""
+    mode, where the fixed weights separate every error set once D >= m
+    (derandomized_flattening_vectors), and 6m in randomized mode, where a
+    draw fails with probability about t^2 / 2^D (Schwartz-Zippel), which
+    D >= m does not control.  Over odd p it is 10m: over F_3 every such
+    trinomial has the root 1, so no trinomial search is made."""
     if p != 2:
         return 10 * m
     D = (m if mode == "derandomized" else 6 * m) + 1
@@ -200,14 +213,29 @@ def _default_ext_degree(p: int, m: int, mode: str = "randomized") -> int:
     return D
 
 
-def _attempt(S: Syndrome, minors, cols, F, a, b) -> ErrorSet:
-    """One flattening draw: the points read off the slice minors
-    T_v[K, K] and the columns H[K, 0..m], checked against S."""
-    try:
-        M = _flatten(minors, F, a) @ inverse(_flatten(minors, F, b))
-    except SingularMatrixError:
-        raise _RetryableFailure("singular minor in the second flattening")
-    chi, gs = _krylov_readout(M, cols[0], cols[1:])
+def _axis_quotients(S: Syndrome, K, B: FFMatrix) -> list[FFMatrix]:
+    """The transposed axis quotients M_v^T, v = 0..m, over F_p, from
+    B = T_0[K,K]^{-1}.
+
+    As in _axis_points, the stacked minor combined by column j of B
+    (B is symmetric, so its row j) is [M_1 e_j; ...; M_m e_j] in blocks
+    of t slots; below it e_j = M_0 e_j.  Block v of that product is
+    column j of M_v, so it is row j of M_v^T."""
+    layout, m, t = B.layout, S.params.m, len(K)
+    width = t * layout.bits
+    stacked = _stacked_minor(S, K, layout.pack)
+    prods = [layout.dot(stacked, B.packed_row(j)) << width | 1 << j * layout.bits
+             for j in range(t)]
+    mask = (1 << width) - 1
+    return [FFMatrix.from_packed_rows(B.field, [prod >> shift & mask for prod in prods], t)
+            for shift in range(0, (m + 1) * width, width)]
+
+
+def _attempt(S: Syndrome, quotients, cols, F, a) -> ErrorSet:
+    """One flattening draw: A^T = sum_v a_v M_v^T over F, whose rows are
+    the columns of A, read out against the columns H[K, 0..m], and the
+    points checked against S."""
+    chi, gs = _krylov_readout(_flatten(quotients, F, a), cols[0], cols[1:])
     try:
         E = ErrorSet(S.params, _split_points(chi, gs, F))
     except ValueError as exc:
@@ -217,10 +245,11 @@ def _attempt(S: Syndrome, minors, cols, F, a, b) -> ErrorSet:
     return E
 
 
-def _krylov_readout(M: FFMatrix, y: tuple, cols) -> tuple[list, list[list]]:
+def _krylov_readout(MT: FFMatrix, y: tuple, cols) -> tuple[list, list[list]]:
     """The characteristic polynomial chi of M and polynomials g_v with
     g_v(M) y = cols[v], as coefficient lists (lowest degree first), read
-    off one rref of [y, My, ..., M^{t-1} y | M^t y | cols].
+    off one rref of [y, My, ..., M^{t-1} y | M^t y | cols].  MT is M's
+    transpose: its rows are M's columns, so a step is one dot.
 
     With M = A diag(lambda_e) A^{-1} and y = A w for some w with no zero
     entry, the first t columns are A diag(w) V for the Vandermonde matrix
@@ -230,8 +259,8 @@ def _krylov_readout(M: FFMatrix, y: tuple, cols) -> tuple[list, list[list]]:
     and a column A diag(w) u solves to the g with g(lambda_e) = u_e: the
     rational univariate representation (Rouillier 1999).
     """
-    F, t, layout = M.field, M.nrows, M.layout
-    mcols = layout.vectors(M.transpose().packed_rows())  # once: a step is one dot
+    F, t, layout = MT.field, MT.nrows, MT.layout
+    mcols = layout.vectors(MT.packed_rows())
     krylov = [layout.pack(y)]
     for _ in range(t):
         krylov.append(layout.dot(mcols, krylov[-1]))

@@ -269,8 +269,9 @@ def test_derandomized_decode_factors_nothing(monkeypatch, rng):
 
 def test_derandomized_vectors_are_powers_of_x(monkeypatch, rng):
     # z = X mod the modulus: the int 2, or 0 at D = 1, where the modulus
-    # is X; the all-zero b then flattens to a singular matrix, which is a
-    # decoding failure, not an out-of-field error
+    # is X; a = (1, 0, ..., 0) then flattens to A = I, which decodes one
+    # point (A = [1]) and fails, as a decoding failure and not an
+    # out-of-field error, on three, whose eigenvalues all equal 1
     seen = []
 
     def spy(F, alpha, m):
@@ -283,6 +284,9 @@ def test_derandomized_vectors_are_powers_of_x(monkeypatch, rng):
         S = syndrome_from_errors(E)
         assert decompose(S, "derandomized").points == E.points
         assert decompose(S, "derandomized", ext_degree=31).points == E.points
+        if t == 1:
+            assert decompose(S, "derandomized", ext_degree=1).points == E.points
+            continue
         with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
             decompose(S, "derandomized", ext_degree=1)
     # the derandomized default D at m = 4 is 5, the least degree above m
@@ -341,7 +345,8 @@ def test_decompose_takes_the_default_extension_degree(monkeypatch, rng):
                          ids=["D=10m", "D=6m+1", "D=m+1"])
 def test_generator_ratios_distinct_exhaustive(m, degree):
     # the pair separation of test_derandomized_ratios_distinct_exhaustive_m3
-    # for the vectors of z = X, down to the guarantee's least D = m + 1
+    # for the vectors of z = X, down to D = m + 1, the least D at which
+    # every <x, b> is nonzero
     F = extension_field(2, degree(m))
     a, b = derandomized_flattening_vectors(F, 2, m)
     assert len(_lifted_ratios(F, a, b, m)) == 2 ** (m + 1) - 1
@@ -350,8 +355,8 @@ def test_generator_ratios_distinct_exhaustive(m, degree):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_derandomized_weights_are_frobenius_images(m):
     # <x, b> = z^{3m} <x, a>^2 for every x in F_2^{m+1}: squaring fixes
-    # the F_2 entries of x, so the ratio is z^{-3m} / <x, a>, and distinct
-    # nonzero <x, a> (D > m) are all the guarantee needs
+    # the F_2 entries of x, so S^b T_0[K,K]^{-1} = z^{3m} A^2 and the
+    # paper's quotient S^a (S^b)^{-1} = z^{-3m} A^{-1} has A's eigenvectors
     for D in sorted({m + 1, m + 2, 2 * m + 1, 6 * m + 1}):
         F = extension_field(2, D)
         a, b = derandomized_flattening_vectors(F, 2, m)
@@ -364,21 +369,38 @@ def test_derandomized_weights_are_frobenius_images(m):
             assert bx == F.mul(shift, F.square(ax))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
-def test_derandomized_bound_is_tight(m, rng):
-    # at D = m the modulus c_0 + c_1 X + ... + X^m vanishes at z, so the
-    # weights of x = (c_0, ..., c_m) are zero, and so are those of the
-    # error point e = (c_1, ..., c_m): a set holding it does not decode
+def _lifted_eigenvalue(F, a, e):
+    """<(1, e), a>: A's eigenvalue at the error point e."""
+    return functools.reduce(F.add, [w for x, w in zip((1,) + tuple(e), a) if x])
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+def test_derandomized_bound_is_tight(m):
+    # A's eigenvalue at e is 1 + sum_v e_v z^v, so two points collide
+    # exactly when a nonzero F_2 polynomial of degree < m vanishes at z.
+    # At D = m the modulus c_0 + c_1 X + ... + X^m vanishes at z, so
+    # <(1, c[1:]), b> = 0 and the paper's S^b is singular on the set
+    # {c[1:]}; A needs no inverse, and the set, even beside the origin,
+    # decodes.
+    params = CodeParams(m, 1)
     F = extension_field(2, m)
-    a, b = derandomized_flattening_vectors(F, 2, m)
+    _, b = derandomized_flattening_vectors(F, 2, m)
     c = F.modulus.coeffs
-    assert c[0] == c[m] == 1
-    for w in (a, b):
-        assert functools.reduce(F.add, [wv for cv, wv in zip(c, w) if cv]) == 0
-    E = ErrorSet(CodeParams(m, int(m >= 4)), (tuple(c[1:]),))
+    assert c[0] == c[m] == 1 and _lifted_eigenvalue(F, b, c[1:]) == 0
+    for points in ((tuple(c[1:]),), ((0,) * m, tuple(c[1:]))):
+        E = ErrorSet(params, points)
+        assert decompose(syndrome_from_errors(E), "derandomized", ext_degree=m).points == E.points
+    # at D = m - 1 the modulus c_0 + ... + X^{m-1} vanishes at z, and the
+    # points 0 and (c_0, ..., c_{m-1}) share the eigenvalue 1 + z c(z) = 1
+    F = extension_field(2, m - 1)
+    a, _ = derandomized_flattening_vectors(F, 2, m)
+    c = F.modulus.coeffs
+    origin = (0,) * m
+    assert _lifted_eigenvalue(F, a, origin) == _lifted_eigenvalue(F, a, c) == 1
+    E = ErrorSet(params, (origin, tuple(c)))
     S = syndrome_from_errors(E)
     with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
-        decompose(S, "derandomized", ext_degree=m)
+        decompose(S, "derandomized", ext_degree=m - 1)
     assert decompose(S, "derandomized").points == E.points
 
 
@@ -670,8 +692,8 @@ def _coordinate_outside_base_field(F):
 
 
 def _repeated_eigenvalue(F):
-    # M = diag(lam, lam, mu): no vector is cyclic, so the Krylov columns of
-    # any start vector have rank < 3
+    # M = diag(lam, lam, mu), its own transpose: no vector is cyclic, so
+    # the Krylov columns of any start vector have rank < 3
     M = FFMatrix.diagonal(F, [7, 7, 9])
     return M, (1, 1, 1), [(0, 1, 1)] * READOUT_M
 
@@ -697,8 +719,8 @@ def test_repeated_eigenvalue_is_a_retry():
 
 
 def test_krylov_readout_of_a_simple_spectrum():
-    # M = diag(lam_e) and y = (1, ..., 1): chi has the lam_e as roots and
-    # g(lam_e) = u_e for the column u
+    # M = diag(lam_e), its own transpose, and y = (1, ..., 1): chi has the
+    # lam_e as roots and g(lam_e) = u_e for the column u
     F = extension_field(3, 4)
     lams, u = [4, 17, 30], (1, 0, 2)
     chi, (g,) = _krylov_readout(FFMatrix.diagonal(F, lams), (1,) * 3, [u])
@@ -716,10 +738,10 @@ def test_unlucky_readout_retries_when_randomized_and_fails_when_derandomized(
     real_readout = _krylov_readout
     calls = []
 
-    def first_attempt_unlucky(M, y, cols):
-        calls.append(M)
+    def first_attempt_unlucky(MT, y, cols):
+        calls.append(MT)
         if len(calls) > 1:
-            return real_readout(M, y, cols)
+            return real_readout(MT, y, cols)
         if isinstance(crafted[0], FFMatrix):
             return real_readout(*crafted)
         return crafted
@@ -733,6 +755,39 @@ def test_unlucky_readout_retries_when_randomized_and_fails_when_derandomized(
     with pytest.raises(DecodingFailure):
         decompose(S, "derandomized", ext_degree=READOUT_D)
     assert len(calls) == 1
+
+
+def test_decompose_inverts_over_the_base_field_and_reads_the_minor_once(
+        monkeypatch, rng):
+    # the one inverse is T_0[K,K]^{-1} over F_2, and the stacked minor is
+    # read once per call, not once per draw: the randomized call's first
+    # draw is forced to fail, so it makes two
+    inverted, minors, readouts = [], [], []
+    real_inverse, real_minor = jennrich.inverse, jennrich._stacked_minor
+
+    def inverse_spy(M):
+        inverted.append(M.field)
+        return real_inverse(M)
+
+    def minor_spy(*args):
+        minors.append(args)
+        return real_minor(*args)
+
+    def unlucky_once(MT, y, cols):
+        readouts.append(MT.field)
+        if len(readouts) == 1:
+            raise _RetryableFailure("forced redraw")
+        return _krylov_readout(MT, y, cols)
+
+    monkeypatch.setattr(jennrich, "inverse", inverse_spy)
+    monkeypatch.setattr(jennrich, "_stacked_minor", minor_spy)
+    monkeypatch.setattr(jennrich, "_krylov_readout", unlucky_once)
+    E = sample_error_set(CodeParams(READOUT_M, 1), 5, rng)
+    S = syndrome_from_errors(E)
+    assert decompose(S, "randomized", rng, ext_degree=READOUT_D).points == E.points
+    assert (len(readouts), len(minors), inverted) == (2, 1, [prime_field(2)])
+    assert decompose(S, "derandomized").points == E.points
+    assert (len(readouts), len(minors), inverted) == (3, 2, [prime_field(2)] * 2)
 
 
 def _interpolate(F, xs, ys) -> list:
@@ -793,7 +848,7 @@ def test_split_matches_the_reference_split(p, k, rng):
 
 
 # Fields and sizes for the readout property tests.
-READOUT_GRID = {2: [(4, 1), (6, 1), (6, 2)], 3: [(4, 1), (5, 1)]}
+READOUT_GRID = {2: [(4, 0), (4, 1), (6, 1), (6, 2)], 3: [(4, 1), (5, 1)], 5: [(4, 1)]}
 
 
 @given(st.sampled_from(sorted(READOUT_GRID)), st.integers(0, 2**32), st.data())
@@ -815,9 +870,9 @@ def test_randomized_readout_matches_planted_and_axis(p, seed, data):
 
 @given(st.sampled_from(READOUT_GRID[2]), st.integers(0, 2**32), st.data())
 def test_derandomized_readout_at_the_guarantee_degree(mr, seed, data):
-    # D = 6m + 1, the generic bound of the guarantee (each pair polynomial
-    # of the weights has degree <= 6m); the default, the least trinomial
-    # degree above m, is below it
+    # D = 6m + 1, the randomized default's bound, well above the D >= m
+    # that A's eigenvalues need; the derandomized default, the least
+    # trinomial degree above m, is below it
     m, r = mr
     params = CodeParams(m, r)
     t = data.draw(st.integers(0, monomial_index(m, r, 2).size))
