@@ -13,11 +13,15 @@ in a single int.
 Word syndromes, batch and streaming, and encoding share one packed
 per-axis moment transform (_power_transform): 1-bit slots added by xor
 over F_2, byte slots over odd p.  The batch syndrome is the one-run case
-of the streaming fold (_fold); encode runs the transpose.  Error-set
-syndromes, tensor powers and tensor-power matrices read monomial values
-off one walk down the monomial index (MonomialIndex.values), all points
-at once: t-bit point masks combined by and over F_2, per-point tuples
-over odd p.
+of the streaming fold (_fold); encode runs the transpose.  Over F_2 a
+point's tensor power is one packed |M|-bit row, the and of the index's
+absent-variable masks (MonomialIndex.absent_masks) over the coordinates
+where the point is 0 (_bit_rows): an error-set syndrome is the xor of
+the rows of the points of odd weight, and a tensor-power matrix takes the
+rows as they are.  Over odd p they read monomial values off one walk down
+the monomial index (MonomialIndex.values), all points at once as
+per-point tuples; tensor_power, one point at a time, walks it over every
+p.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import compress, islice
 from math import lcm
-from operator import and_, mul, xor
+from operator import and_, itemgetter, mul, not_, xor
 from pathlib import Path
 
 from .fields import is_prime, prime_field
@@ -107,6 +111,9 @@ class CodeParams:
         return cls(d["m"], d["r"], d["p"])
 
 
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
 @dataclass(frozen=True)
 class ErrorSet:
     """Distinct error locations, stored sorted in point-enumeration order."""
@@ -116,13 +123,14 @@ class ErrorSet:
     resamples: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        pts = sorted(self.points, key=lambda e: point_to_int(e, self.params.p))
+        # for entries in [0, p) the reversed tuples sort in point_to_int order
+        pts = tuple(sorted(map(tuple, self.points), key=_REVERSED))
         if len(set(pts)) != len(pts):
             raise ValueError("error locations must be distinct")
-        for e in pts:
-            if len(e) != self.params.m or any(not 0 <= c < self.params.p for c in e):
-                raise ValueError("point outside F_p^m")
-        object.__setattr__(self, "points", tuple(tuple(e) for e in pts))
+        if pts and (set(map(len, pts)) != {self.params.m} or min(map(min, pts)) < 0
+                    or max(map(max, pts)) >= self.params.p):
+            raise ValueError("point outside F_p^m")
+        object.__setattr__(self, "points", pts)
 
     @property
     def t(self) -> int:
@@ -233,16 +241,20 @@ def tensor_power(point, t: int, p: int = 2) -> tuple[int, ...]:
     return tuple([v % p for v in monomial_index(len(point), t, p).values(1, point, mul)])
 
 
+def _bit_rows(points, index) -> list[int]:
+    """Over F_2, the tensor powers of the points on the index, each packed
+    as one |M|-bit int with bit i the value of monomial i: a monomial is 1
+    at e exactly when it lacks every x_v with e_v = 0, so the row is the
+    and of those variables' absent masks (MonomialIndex.absent_masks)."""
+    masks, full = index.absent_masks(), (1 << index.size) - 1
+    return [reduce(and_, compress(masks, map(not_, e)), full) for e in points]
+
+
 def _point_columns(points, weights, index) -> list:
-    """Per monomial of the index, its weighted values at the points, by
-    one walk down the index (MonomialIndex.values) with one value per
-    point in each step: over F_2 the t-bit mask of the points of odd
-    weight where the monomial is 1, over odd p the tuple of w_e e^a,
-    unreduced."""
+    """Over odd p, per monomial of the index, the tuple of its weighted
+    values w_e e^a at the points, unreduced, by one walk down the index
+    (MonomialIndex.values) with one value per point in each step."""
     cols = list(zip(*points)) or [()] * index.m
-    if index.p == 2:
-        return index.values(pack_bits([w & 1 for w in weights]),
-                            list(map(pack_bits, cols)), and_)
     return index.values(tuple(weights), cols, lambda a, b: tuple(map(mul, a, b)))
 
 
@@ -253,12 +265,13 @@ def tensor_power_matrix(points, t: int, p: int = 2, m: int | None = None) -> FFM
         if not points:
             raise ValueError("empty point list needs an explicit m")
         m = len(points[0])
-    f = prime_field(p)
+    f, index = prime_field(p), monomial_index(m, t, p)
+    if p == 2:
+        return FFMatrix.from_packed_rows(f, _bit_rows(points, index), index.size)
     if not points:
-        return FFMatrix.zeros(f, 0, monomial_count(m, t, p))
-    cols = _point_columns(points, [1] * len(points), monomial_index(m, t, p))
-    if p != 2:  # unreduced per-point tuples; F_2 columns come packed
-        cols = [slot_layout(f).pack([v % p for v in col]) for col in cols]
+        return FFMatrix.zeros(f, 0, index.size)
+    cols = _point_columns(points, [1] * len(points), index)
+    cols = [slot_layout(f).pack([v % p for v in col]) for col in cols]
     return FFMatrix.from_packed_rows(f, cols, len(points)).transpose()
 
 
@@ -325,8 +338,9 @@ def explains(S: "Syndrome", E: ErrorSet) -> bool:
     """Does E explain S?  True iff S = sum_e w_e e^{<= 2r+1} with every
     magnitude w_e nonzero (solve_error_magnitudes, so over odd p E's
     degree <= r tensor powers must be independent).  Over F_2 the only
-    nonzero magnitudes are w = 1, so E's syndrome must be S and no system
-    is solved."""
+    nonzero magnitudes are w = 1, so E's syndrome, the xor of its packed
+    tensor-power rows (syndrome_from_errors), must equal S in every entry,
+    and no system is solved."""
     if S.params.p == 2:
         return syndrome_from_errors(E).entries == tuple(S.entries)
     w = solve_error_magnitudes(S, E)
@@ -345,12 +359,24 @@ def moment_matrix(S: Syndrome, rows, cols, v: int = 0) -> FFMatrix:
     products, so T_v[rows, cols] = H[rows, shift_v(cols)], with shift_v
     the map M_j -> reduce(M_j x_v) on columns of degree <= r."""
     params = S.params
-    table, e = moment_positions(params.m, params.r, params.p), S.entries
+    table = moment_positions(params.m, params.r, params.p)
+    cols = list(cols)
     if v:
         shift = monomial_index(params.m, params.r + 1, params.p).var_mul(v - 1)
         cols = [shift[j] for j in cols]
-    return FFMatrix.from_rows(params.field, [[e[row[j]] for j in cols]
-                                             for row in map(table.__getitem__, rows)])
+    # each row gathered by itemgetter at C speed and packed once
+    pick, pack = _picker(cols), slot_layout(params.field).pack
+    return FFMatrix.from_packed_rows(params.field, [
+        pack(_picker(pick(table[i]))(S.entries)) for i in rows], len(cols))
+
+
+def _picker(idx):
+    """seq -> the tuple of seq's entries at idx: itemgetter, except for
+    fewer than two indices, where itemgetter returns a bare entry or
+    cannot be built."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple([seq[i] for i in idx])
 
 
 def constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
@@ -379,10 +405,13 @@ def syndrome_from_errors(E: ErrorSet) -> Syndrome:
 def syndrome_from_weighted_errors(E: ErrorSet, weights) -> Syndrome:
     """Sum of weighted tensor powers: the syndrome of a word whose error at
     each location has the given magnitude."""
-    p = E.params.p
-    cols = _point_columns(E.points, weights, E.params.syndrome_index)
-    return Syndrome(E.params, tuple([c.bit_count() & 1 for c in cols] if p == 2
-                                    else [sum(c) % p for c in cols]))
+    p, index = E.params.p, E.params.syndrome_index
+    if p == 2:
+        odd = [e for e, w in zip(E.points, weights) if w & 1]
+        packed = reduce(xor, _bit_rows(odd, index), 0)
+        return Syndrome(E.params, slot_layout(E.params.field).unpack(packed, index.size))
+    cols = _point_columns(E.points, weights, index)
+    return Syndrome(E.params, tuple([sum(c) % p for c in cols]))
 
 
 def _slot_bits(m: int, p: int) -> int:

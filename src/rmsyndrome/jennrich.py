@@ -90,25 +90,27 @@ def tensor_from_syndrome(S: Syndrome) -> tuple[FFMatrix, ...]:
 
 def _flatten(slices, F, weights) -> FFMatrix:
     """The flattening sum_k weights[k] slices[k] over the field F, packed
-    as it is built; over odd p row i combines the rows i of the slices."""
-    s = slices[0].nrows
+    as it is built; over odd p row i combines the rows i of the slices.
+    Over F_2 the slices are 0/1, so row i is the xor of w << k bits over
+    the set bits k of the slices' rows i, one packed int per row: a slot
+    holds a reduced element, and xor keeps it reduced."""
+    s, layout = slices[0].nrows, slot_layout(F)
     if F.p != 2:
-        layout = slot_layout(F)
         w = layout.pack(weights)
         return FFMatrix.from_packed_rows(F, [layout.dot(layout.vectors(
             [layout.pack(sl.row(i)) for sl in slices]), w) for i in range(s)], s)
-    rows = [[0] * s for _ in range(s)]
+    bits, rows = layout.bits, [0] * s
     for w, sl in zip(weights, slices):
         if not w:
             continue
         for i in range(s):
-            rk = sl.packed_row(i)
-            row = rows[i]
+            rk, acc = sl.packed_row(i), 0
             while rk:
                 lsb = rk & -rk
-                row[lsb.bit_length() - 1] ^= w
+                acc ^= w << (lsb.bit_length() - 1) * bits
                 rk ^= lsb
-    return FFMatrix.from_rows(F, rows)
+            rows[i] ^= acc
+    return FFMatrix.from_packed_rows(F, rows, s)
 
 
 def derandomized_flattening_vectors(F, alpha: int, m: int) -> tuple[tuple, tuple]:

@@ -17,7 +17,7 @@ row echelon form, so equal spaces compare equal.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import comb
 from operator import mul
 
@@ -55,10 +55,11 @@ class MonomialIndex:
     Monomial i is keyed by keys[i], its exponent vector read as a
     little-endian base-p number (point_to_int): x_v has key p^v, and over
     F_2 the key is the support mask.  position maps a key back to i.  The
-    exponent tuples themselves (monomials) are built on first read."""
+    exponent tuples themselves (monomials) are built on first read, as
+    are the tables var_mul, parents and absent_masks."""
 
     __slots__ = ("m", "t", "p", "keys", "position", "_monomials",
-                 "_var_mul", "_parents")
+                 "_var_mul", "_parents", "_absent")
 
     def __init__(self, m: int, t: int, p: int = 2):
         if m < 0 or t < 0:
@@ -84,6 +85,7 @@ class MonomialIndex:
         self._monomials = None
         self._var_mul: dict[int, tuple] = {}
         self._parents = None
+        self._absent = None
 
     @property
     def monomials(self) -> tuple:
@@ -128,6 +130,26 @@ class MonomialIndex:
             self._parents = (None, *[(pos[key - p ** v], v) for key, v in zip(keys, low)])
         return self._parents
 
+    def absent_masks(self) -> tuple[int, ...]:
+        """Over F_2, per variable v the |M|-bit mask of the monomials that
+        lack x_v: bit i is set iff bit v of keys[i] is clear.  Built at C
+        speed: every key as `width` little-endian bytes, then per key byte
+        one stride slice, read back to front so that monomial 0 comes
+        last, and per bit of it one table translation to ASCII digits and
+        one int(..., 2)."""
+        if self._absent is None:
+            if self.p != 2:
+                raise ValueError("absent-variable masks are defined over F_2")
+            width = (self.m + 7) // 8
+            data = b"".join(map(int.to_bytes, self.keys, repeat(width), repeat("little")))
+            masks = []
+            for j in range(width):
+                column = data[j::width][::-1]
+                masks.extend(int(column.translate(table), 2)
+                             for table in _ABSENT_DIGITS[:self.m - 8 * j])
+            self._absent = tuple(masks)
+        return self._absent
+
     def values(self, one, var, prod) -> list:
         """One value per monomial by one walk down parents(): entry 0 is
         `one`, entry i is prod(values[parent_i], var[v_i]).  With a point
@@ -148,6 +170,10 @@ class MonomialIndex:
 
     def __repr__(self) -> str:
         return f"MonomialIndex(m={self.m}, t={self.t}, p={self.p})"
+
+
+# per bit b, the byte table to b"1" where bit b is clear, else to b"0"
+_ABSENT_DIGITS = tuple(bytes(49 - (x >> b & 1) for x in range(256)) for b in range(8))
 
 
 @lru_cache(maxsize=None)

@@ -122,6 +122,20 @@ def direct_tensor_power(point, t: int, p: int = 2) -> tuple[int, ...]:
                  for mono in monomial_index(len(point), t, p).monomials)
 
 
+def reference_bit_rows(points, m: int, t: int) -> list[int]:
+    """Over F_2, the degree <= t tensor powers of the points, each packed
+    with bit i for monomial i of the index: monomial a, its key the
+    support mask, is 1 at e iff a & ~mask(e) == 0, where mask(e) is the
+    support of e.  The reference for code._bit_rows and its readers (the
+    keys themselves are checked against reference_monomials)."""
+    keys = monomial_index(m, t).keys
+    rows = []
+    for e in points:
+        absent = ~point_to_int(e, 2)
+        rows.append(sum(1 << i for i, a in enumerate(keys) if not a & absent))
+    return rows
+
+
 def reference_monomials(m: int, t: int, p: int = 2) -> list[tuple[int, ...]]:
     """The exponent tuples of the reduced monomials of degree <= t, listed
     graded by degree and in descending lex order within a degree (over

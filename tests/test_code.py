@@ -3,6 +3,7 @@ import operator
 import random
 import sys
 import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +18,10 @@ from rmsyndrome.code import (CodeParams, DegreeError, ErrorSet,
                              syndrome_from_errors, syndrome_from_weighted_errors,
                              syndrome_of_word, syndrome_streaming, tensor_power,
                              tensor_power_matrix, write_word_file)
-from rmsyndrome.code import _fold, _pack, _power_transform, _slots
-from helpers import direct_tensor_power, full_system_magnitudes
+from rmsyndrome.code import _bit_rows, _fold, _pack, _power_transform, _slots
+from helpers import direct_tensor_power, full_system_magnitudes, reference_bit_rows
 from rmsyndrome.linalg import rank
-from rmsyndrome.polynomials import MultilinearPoly, monomial_index
+from rmsyndrome.polynomials import MonomialIndex, MultilinearPoly, monomial_index
 
 
 def test_params_validation():
@@ -43,10 +44,15 @@ def test_error_set_sorted_and_distinct():
     params = CodeParams(4, 1)
     E = ErrorSet(params, ((1, 1, 0, 0), (0, 0, 0, 0)))
     assert E.points == ((0, 0, 0, 0), (1, 1, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct"):
         ErrorSet(params, ((0, 0, 0, 0), (0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        ErrorSet(params, ((0, 0, 0, 2),))
+    for bad in ((0, 0, 0, 2), (0, 0, -1, 0), (0, 0, 0), (0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="outside F_p"):
+            ErrorSet(params, ((1, 0, 0, 0), bad))
+    # lists are stored as tuples, in point_to_int order
+    pts = [list(int_to_point(x, 5, 3)) for x in random.Random(1).sample(range(3 ** 5), 20)]
+    got = ErrorSet(CodeParams(5, 1, 3), pts).points
+    assert got == tuple(sorted(map(tuple, pts), key=lambda e: point_to_int(e, 3)))
 
 
 def test_tensor_power_example():
@@ -111,6 +117,51 @@ def test_monomial_walk_matches_the_direct_definition(p, r, rng):
         for e in E.points:
             want = sum(map(operator.mul, P.coeffs, direct_tensor_power(e, r + 1, p)))
             assert P.evaluate(e) == want % p
+
+
+@pytest.mark.parametrize("m", [2, 7, 8, 9, 17, 64, 65, 70])
+def test_packed_f2_tensor_powers_match_the_support_reference(m, rng):
+    # keys of 1, 2, 8 and 9 bytes: masks cross byte and 64-bit widths
+    for d in range(6 if m < 10 else 4):
+        index = monomial_index(m, d)
+        for t in (0, 1, 5):
+            pts = {(0,) * m, (1,) * m} if t == 5 else set()
+            while len(pts) < min(t, 2 ** m):
+                pts.add(tuple(rng.randrange(2) for _ in range(m)))
+            pts = sorted(pts, key=lambda e: point_to_int(e, 2))
+            want = reference_bit_rows(pts, m, d)
+            assert _bit_rows(pts, index) == want
+            mat = tensor_power_matrix(pts, d, 2, m)
+            assert (mat.ncols, mat.packed_rows()) == (index.size, want)
+            assert [tensor_power(e, d) for e in pts] == mat.rows()
+            if d % 2 == 0 or m < d + 1:
+                continue
+            # the syndrome of degree d = 2r + 1: the xor of the odd-weight rows
+            params = CodeParams(m, d // 2)
+            weights = [(1, 2, 3, 0, -1)[i] for i in range(len(pts))]
+            E = ErrorSet(params, pts)
+            assert E.points == tuple(pts)
+            for w in (weights, [1] * len(pts)):
+                odd = [row for row, we in zip(want, w) if we & 1]
+                packed = reduce(operator.xor, odd, 0)
+                assert syndrome_from_weighted_errors(E, w).entries == tuple(
+                    packed >> i & 1 for i in range(index.size))
+
+
+def test_f2_certificate_walks_no_monomial_index(monkeypatch, rng):
+    # explains, syndromes and tensor-power matrices over F_2 and cached
+    # absent-variable masks: no walk down the syndrome index, no parents()
+    def walk(*args):
+        raise AssertionError("walked the monomial index")
+
+    params = CodeParams(9, 2)
+    E = sample_error_set(params, 6, rng)
+    S = syndrome_from_errors(E)
+    monkeypatch.setattr(MonomialIndex, "values", walk)
+    monkeypatch.setattr(MonomialIndex, "parents", walk)
+    assert explains(S, E)
+    assert not explains(S, ErrorSet(params, E.points[1:]))
+    assert tensor_power_matrix(E.points, 5, 2).nrows == E.t
 
 
 def test_property_ur_examples():
@@ -500,9 +551,11 @@ def test_explains_a_planted_syndrome_and_not_one_flipped_entry(p, m, rng):
     E = sample_error_set(params, 3, rng)
     S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(3)])
     assert explains(S, E)
-    entries = list(S.entries)
-    entries[-1] = (entries[-1] + 1) % p
-    assert not explains(Syndrome(params, tuple(entries)), E)
+    # over F_2 every entry of the certificate's packed row sum is compared
+    for i in range(len(S.entries)) if p == 2 else [-1]:
+        entries = list(S.entries)
+        entries[i] = (entries[i] + 1) % p
+        assert not explains(Syndrome(params, tuple(entries)), E)
 
 
 def test_dependent_low_degree_tensor_powers_give_no_magnitudes():

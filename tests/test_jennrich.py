@@ -491,6 +491,11 @@ def test_moment_matrix_reads_the_tensor_slices(S, data):
         for v in range(m + 1):
             want = [[entry(i, j, v) for j in K] for i in K]
             assert moment_matrix(S, K, K, v).to_lists() == want
+    # one column gathers a bare entry per row; no column, none
+    one = moment_matrix(S, subset, subset[:1])
+    assert one.to_lists() == [[entry(i, subset[0], 0)] for i in subset]
+    empty = moment_matrix(S, subset, ())
+    assert (empty.nrows, empty.ncols, empty.is_zero()) == (len(subset), 0, True)
 
 
 @given(planted_syndromes())
