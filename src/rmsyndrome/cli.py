@@ -281,6 +281,8 @@ def _cmd_experiment(args) -> int:
         if hi < lo:
             raise ValueError("empty --t-range")
         t_values = list(range(lo, hi + 1))
+    if t_values[0] < 0:
+        raise ValueError("need t >= 0")
     if args.trials < 1:
         raise ValueError("need trials >= 1")
     CodeParams(args.m, args.r, args.p)  # validate bounds before spawning work

@@ -360,7 +360,6 @@ def moment_matrix(S: Syndrome, rows, cols, v: int = 0) -> FFMatrix:
     the map M_j -> reduce(M_j x_v) on columns of degree <= r."""
     params = S.params
     table = moment_positions(params.m, params.r, params.p)
-    cols = list(cols)
     if v:
         shift = monomial_index(params.m, params.r + 1, params.p).var_mul(v - 1)
         cols = [shift[j] for j in cols]
@@ -371,9 +370,11 @@ def moment_matrix(S: Syndrome, rows, cols, v: int = 0) -> FFMatrix:
 
 
 def _picker(idx):
-    """seq -> the tuple of seq's entries at idx: itemgetter, except for
-    fewer than two indices, where itemgetter returns a bare entry or
-    cannot be built."""
+    """seq -> the tuple of seq's entries at idx: a slice for a prefix
+    range(n), else itemgetter, except for fewer than two indices, where
+    itemgetter returns a bare entry or cannot be built."""
+    if isinstance(idx, range) and idx == range(len(idx)):
+        return itemgetter(slice(len(idx)))
     if len(idx) > 1:
         return itemgetter(*idx)
     return lambda seq: tuple([seq[i] for i in idx])

@@ -18,17 +18,19 @@ S^a = sum_v a_v T_v, S^b of the degree-1 axis.  Every lifted point
 over F_p: on the minor, A = S^a[K,K] T_0[K,K]^{-1} = sum_v a_v M_v for
 the axis quotients M_v = T_v[K,K] T_0[K,K]^{-1} (M_0 = I), whose common
 eigenvectors are the tensor powers at K, with eigenvalue <(1, e), a>
-(the eigenvalue method of Moeller & Stetter 1995).  decompose reads the
-M_v^T off the stacked minor once per call (_axis_quotients); a draw of a
-over an extension field F_{p^D} only flattens them, with no inverse or
-matrix product over F_{p^D}.  The decoder never computes an eigenvalue:
-one rref of the Krylov columns of y = T_0[K, 0] against the coordinate
-columns H[K, x_v] gives the characteristic polynomial chi of A and
-polynomials g_v with g_v(lambda_e) = e_v (a rational univariate
-representation).  Splitting chi by gcd(h, g_v - c), c in F_p, one
-variable at a time until every factor is linear, X - lambda, leaves one
-factor per error point, whose coordinates are read off at lambda in one
-packed product.
+(the eigenvalue method of Moeller & Stetter 1995).  Both decoders read
+the quotients from one stack Q = [I; M_1; ...; M_m] over F_p, built once
+per call from one inverse of T_0[K,K] and one read of the stacked minor
+[T_1; ...; T_m][K, K] (_quotient_stack).  decompose takes the M_v^T as
+its blocks; a draw of a over an extension field F_{p^D} only flattens
+them, with no inverse or matrix product over F_{p^D}.  The decoder never
+computes an eigenvalue: one rref of the Krylov columns of y = T_0[K, 0]
+against the coordinate columns M_v y, the blocks of Q y, gives the
+characteristic polynomial chi of A and polynomials g_v with
+g_v(lambda_e) = e_v (a rational univariate representation).  Splitting
+chi by gcd(h, g_v - c), c in F_p, one variable at a time until every
+factor is linear, X - lambda, leaves one factor per error point, whose
+coordinates are read off at lambda in one packed product.
 
 Failure modes (repeated eigenvalues, coordinates that do not lie in the
 base field) trigger a resample in randomized mode and are reported as
@@ -50,18 +52,16 @@ the error points, so splitting one vector by the eigenspace idempotents
 1 - (M_v - c)^{p-1} separates the points with no extension field,
 characteristic polynomial or eigenvector solve (Moeller & Stetter 1995;
 solution extraction from moment matrices, Henrion & Lasserre 2005).  It
-reads only T_0 in full and the other slices at [K, K], and forms no M_v,
-over any p: a vector is one int in the F_p row layout that every FFMatrix
-row uses (linalg.slot_layout: a bit per entry over F_2, a byte over F_3,
-..., F_11), the stacked minor [T_1; ...; T_m][K, K] is one int per
-column, and one product with it, after z = T_0[K,K]^{-1} y, gives M_v y
-for every v at once, so a split by M_v costs p - 1 products.
+reads only T_0 in full and the other slices at [K, K], over any p: a
+vector is one int in the F_p row layout that every FFMatrix row uses
+(linalg.slot_layout: a bit per entry over F_2, a byte over F_3, ...,
+F_11), Q is one int per column, and one product with it gives
+[y; M_1 y; ...; M_m y] at once, so a split by M_v costs p - 1 products.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 
 from .code import DecodingFailure, ErrorSet, Syndrome, constant_slice, explains, moment_matrix
 from .fields import (extension_field, irreducible_trinomial, prime_field,
@@ -69,7 +69,7 @@ from .fields import (extension_field, irreducible_trinomial, prime_field,
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
 from .linalg import FFMatrix, inverse, rank, rref, slot_layout  # noqa: F401
-from .polynomials import moment_positions, monomial_count, monomial_index
+from .polynomials import monomial_count, monomial_index
 
 
 # Flattening draws in randomized mode before decompose gives up.
@@ -156,10 +156,10 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     2^D - 1.  ext_degree D defaults (_default_ext_degree) in derandomized
     mode to the least D > m with an irreducible trinomial
     X^D + X^j + 1; in randomized mode to the least such D > 6m over F_2,
-    and to 10m over odd p.  The front half (code.constant_slice), the one
-    inverse T_0[K,K]^{-1} over F_p, the transposed quotients M_v^T
-    (_axis_quotients) and the columns H[K, 0..m] are built once per call;
-    each draw only flattens the M_v^T.
+    and to 10m over odd p.  The quotient stack (_quotient_stack) is built
+    once per call; the transposed quotients M_v^T are its blocks, and the
+    coordinate columns M_v y its product with y.  Each draw only flattens
+    the M_v^T.
 
     The recovered set is checked against the syndrome before it is
     returned.  A set that fails the check raises DecodingFailure; on a
@@ -174,12 +174,18 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     if mode == "derandomized" and params.p != 2:
         raise ValueError("derandomized flattening vectors are defined over F_2")
     m = params.m
-    T0, K = constant_slice(S)
+    K, y, Q = _quotient_stack(S)
     if not K:
         return ErrorSet(params, ())
-    quotients = _axis_quotients(S, K, inverse(T0.submatrix(K, K)))
-    # H[K, 0..m]: the columns of degree <= 1, which T_0 lacks when r = 0
-    cols = moment_matrix(S, K, range(m + 1)).transpose().rows()
+    # block v of column j of Q is row j of M_v^T; block v of Q y is M_v y,
+    # which is H[K, x_v] on a valid syndrome
+    layout, t = slot_layout(params.field), len(K)
+    width = t * layout.bits
+    mask, shifts = (1 << width) - 1, range(0, (m + 1) * width, width)
+    quotients = [FFMatrix.from_packed_rows(params.field, [col >> shift & mask for col in Q], t)
+                 for shift in shifts]
+    Qy = layout.dot(Q, layout.pack(y))
+    cols = [layout.unpack(Qy >> shift & mask, t) for shift in shifts]
     D = ext_degree if ext_degree is not None else _default_ext_degree(params.p, m, mode)
     F = extension_field(params.p, D)
     if mode == "randomized":
@@ -215,27 +221,36 @@ def _default_ext_degree(p: int, m: int, mode: str = "randomized") -> int:
     return D
 
 
-def _axis_quotients(S: Syndrome, K, B: FFMatrix) -> list[FFMatrix]:
-    """The transposed axis quotients M_v^T, v = 0..m, over F_p, from
-    B = T_0[K,K]^{-1}.
+def _quotient_stack(S: Syndrome) -> tuple[tuple, tuple, list[int]]:
+    """The front half of both tensor decoders: the pivots K of the
+    constant slice (code.constant_slice), y = T_0[K, 0], and the t
+    columns of the quotient stack Q = [I; M_1; ...; M_m] over F_p, each
+    one int in F_p's row layout (linalg.slot_layout), block v in slots
+    v t .. v t + t - 1.  K is empty for the zero syndrome; a zero T_0 of
+    a nonzero syndrome, or a zero y, raises DecodingFailure.
 
-    As in _axis_points, the stacked minor combined by column j of B
-    (B is symmetric, so its row j) is [M_1 e_j; ...; M_m e_j] in blocks
-    of t slots; below it e_j = M_0 e_j.  Block v of that product is
-    column j of M_v, so it is row j of M_v^T."""
-    layout, m, t = B.layout, S.params.m, len(K)
-    width = t * layout.bits
-    stacked = _stacked_minor(S, K, layout.pack)
-    prods = [layout.dot(stacked, B.packed_row(j)) << width | 1 << j * layout.bits
-             for j in range(t)]
-    mask = (1 << width) - 1
-    return [FFMatrix.from_packed_rows(B.field, [prod >> shift & mask for prod in prods], t)
-            for shift in range(0, (m + 1) * width, width)]
+    Column l of the stacked minor [T_1; ...; T_m][K, K], read in one
+    moment_matrix call, holds T_{v+1}[K[k], K[l]] in slot v t + k (T_v
+    is symmetric, so that is H[K[l], shift_{v+1}(K[k])]).  Combined by
+    column j of B = T_0[K,K]^{-1} (B is symmetric, so its row j) it is
+    [M_1 e_j; ...; M_m e_j]; below it e_j = M_0 e_j."""
+    params = S.params
+    T0, K = constant_slice(S)
+    if not K:
+        return K, (), []
+    y = _start_vector(T0, K)
+    B = inverse(T0.submatrix(K, K))
+    index = monomial_index(params.m, params.r + 1, params.p)
+    stacked = moment_matrix(S, K, [shift[k] for shift in map(index.var_mul, range(params.m))
+                                   for k in K]).packed_rows()
+    layout, t = B.layout, len(K)
+    return K, y, [layout.dot(stacked, B.packed_row(j)) << t * layout.bits | 1 << j * layout.bits
+                  for j in range(t)]
 
 
 def _attempt(S: Syndrome, quotients, cols, F, a) -> ErrorSet:
     """One flattening draw: A^T = sum_v a_v M_v^T over F, whose rows are
-    the columns of A, read out against the columns H[K, 0..m], and the
+    the columns of A, read out against the columns M_v y, v = 0..m, and the
     points checked against S."""
     chi, gs = _krylov_readout(_flatten(quotients, F, a), cols[0], cols[1:])
     try:
@@ -337,19 +352,19 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
     column of A, so splitting it one variable at a time into its
     eigencomponents under each M_v leaves one eigenvector per error point,
     whose eigenvalues are that point's coordinates.  Only T_0 is built in
-    full; each T_v is read off the syndrome at [K, K] alone, and no M_v is
-    formed: the split runs on packed vectors against the stacked minor
-    [T_1; ...; T_m][K, K] (_axis_points), the same loop for every p.
+    full; each T_v is read off the syndrome at [K, K] alone, and the split
+    runs on packed vectors against the quotient stack [I; M_1; ...; M_m]
+    (_quotient_stack, _axis_points), the same loop for every p.
 
     Raises DecodingFailure unless the splits end in exactly rank(T_0)
     common eigenvectors of every M_v with distinct eigenvalue tuples;
     callers check the set against the syndrome (polyspace.run_decoder).
     """
     params = S.params
-    T0, K = constant_slice(S)
+    K, y, Q = _quotient_stack(S)
     if not K:
         return ErrorSet(params, ())
-    points = _axis_points(S, T0, K, inverse(T0.submatrix(K, K)))
+    points = _axis_points(S, y, Q)
     try:
         return ErrorSet(params, points)
     except ValueError as exc:
@@ -376,17 +391,12 @@ _NOT_ONE_DIMENSIONAL = "a joint eigenspace of the axis matrices is not one-dimen
 _NOT_COMMON = "a split component is not a common eigenvector of the axis matrices"
 
 
-def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
+def _axis_points(S: Syndrome, y: tuple, Q: list[int]) -> list[tuple]:
     """axis_decompose's split, on vectors packed one entry per slot of an
-    int (slot k is row K[k]) in the field's row layout, the one format of
-    FFMatrix rows (linalg.slot_layout), so B's rows serve as they are
-    stored; the layout's dot reduces its sums as often as its slots need.
-
-    Column l of the stacked minor holds T_{v+1}[K[k], K[l]] in slot
-    v t + k, so B's columns combined by y (z = B y), then the stacked
-    columns combined by z, give [M_1 y; ...; M_m y] in blocks of t slots.
-    The product of y is [y; M_1 y; ...; M_m y]: linear in y, and y is its
-    block 0.  B = T_0[K,K]^{-1} is symmetric, so its columns are its rows.
+    int (slot k is row K[k]) in the layout of the quotient stack
+    Q = [I; M_1; ...; M_m] (_quotient_stack).  The product of a vector y
+    is one dot, Q y = [y; M_1 y; ...; M_m y] in blocks of t slots: linear
+    in y, and y is its block 0.
 
     A leaf is the product of its vector y and the multiples c y, c in
     F_p.  When block v of the product is one of them, y already lies in
@@ -399,22 +409,17 @@ def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
     product.  A leaf's coordinate v is the c with block v equal to c y;
     anything else is not an eigenvector.
     """
-    m, p, t = S.params.m, S.params.p, len(K)
-    layout = B.layout
+    m, p, t = S.params.m, S.params.p, len(y)
+    layout = slot_layout(S.params.field)
     bits, dot = layout.bits, layout.dot
     mask = (1 << bits * t) - 1
     shifts = range(t * bits, (m + 1) * t * bits, t * bits)
-    bcols = [B.packed_row(j) for j in range(t)]
-    stacked = _stacked_minor(S, K, layout.pack)
     idempotents = _idempotents(p)
 
     multiples_of = ((lambda y: (0, y)) if p == 2
                     else (lambda y: tuple(dot((y,), c) for c in range(p))))
 
-    def product(y: int) -> int:
-        return dot(stacked, dot(bcols, y)) << t * bits | y
-
-    prod = product(layout.pack(_start_vector(T0, K)))
+    prod = dot(Q, layout.pack(y))
     leaves = [(prod, multiples_of(prod & mask))]
     for shift in shifts:
         if len(leaves) == t:
@@ -426,7 +431,7 @@ def _axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tuple]:
                 continue
             prods = [prod]
             for _ in range(p - 1):
-                prods.append(product(prods[-1] >> shift & mask))
+                prods.append(dot(Q, prods[-1] >> shift & mask))
             for coefs in idempotents:
                 part = dot(prods, coefs)
                 if part & mask:
@@ -450,19 +455,3 @@ def _idempotents(p: int) -> tuple[int, ...]:
     pack = slot_layout(prime_field(p)).pack
     return tuple(pack([((k == 0) - pow(c, p - 1 - k, p)) % p for k in range(p)])
                  for c in range(p))
-
-
-def _stacked_minor(S: Syndrome, K, pack) -> list[int]:
-    """The columns of [T_1; ...; T_m][K, K], each packed by pack: slot
-    v t + k of column l is T_{v+1}[K[k], K[l]].
-
-    T_{v+1} is symmetric, so that entry is T_{v+1}[K[l], K[k]] =
-    H[K[l], shift_{v+1}(K[k])] (code.moment_matrix): column l picks the
-    m t shifted columns of row K[l] of moment_positions, and reads and
-    packs their syndrome entries, by itemgetter at C speed."""
-    params = S.params
-    table = moment_positions(params.m, params.r, params.p)
-    cols = monomial_index(params.m, params.r + 1, params.p)
-    pick = itemgetter(*[shift[k] for shift in map(cols.var_mul, range(params.m))
-                        for k in K])
-    return [pack(itemgetter(*pick(table[l]))(S.entries)) for l in K]

@@ -285,6 +285,10 @@ def test_exit_codes_for_bad_input(tmp_path):
     assert main(["experiment", "--m", "8", "--r", "1", "--t", "2",
                  "--algo", "jennrich", "--mode", "det", "--trials", "1",
                  "--out", str(tmp_path / "e.csv")]) == 4  # invalid combo
+    for t in (["--t", "-1"], ["--t-range=-1:2"]):  # negative t
+        assert main(["experiment", "--m", "4", "--r", "1", *t, "--trials", "2",
+                     "--out", str(tmp_path / "neg.csv")]) == 4
+    assert not (tmp_path / "neg.csv").exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -496,6 +496,39 @@ def test_moment_matrix_reads_the_tensor_slices(S, data):
     assert one.to_lists() == [[entry(i, subset[0], 0)] for i in subset]
     empty = moment_matrix(S, subset, ())
     assert (empty.nrows, empty.ncols, empty.is_zero()) == (len(subset), 0, True)
+    # a prefix range of the columns is sliced off each row, any other
+    # selection picked: both read the same minor
+    n = data.draw(st.integers(0, len(monos)))
+    assert moment_matrix(S, subset, range(n)) == moment_matrix(S, subset, list(range(n)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_quotient_stack_against_the_formed_quotients(r, p, rng):
+    # block v of Q = [I; M_1; ...; M_m] is T_v[K,K] T_0[K,K]^{-1} formed
+    # from the full slices, and on planted syndromes with random nonzero
+    # magnitudes the blocks of Q y are the coordinate columns H[K, 0..m]
+    m = max(4, 2 * r + 2)
+    params = CodeParams(m, r, p)
+    layout = slot_layout(params.field)
+    for _ in range(3):
+        t = rng.randrange(1, monomial_index(m, r, p).size + 1)
+        E = sample_error_set(params, t, rng)
+        S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
+        K, y, Q = jennrich._quotient_stack(S)
+        T = tensor_from_syndrome(S)
+        B = inverse(T[0].submatrix(K, K))
+        width = t * layout.bits
+
+        def block(x, v):
+            return list(layout.unpack(x >> v * width & (1 << width) - 1, t))
+
+        assert (len(K), y) == (t, tuple(T[0].at(k, 0) for k in K))
+        for v in range(m + 1):
+            assert [block(col, v) for col in Q] == (T[v].submatrix(K, K) @ B).transpose().to_lists()
+        Qy = layout.dot(Q, layout.pack(y))
+        H = moment_matrix(S, K, range(m + 1)).transpose().to_lists()
+        assert [block(Qy, v) for v in range(m + 1)] == H
 
 
 @given(planted_syndromes())
@@ -558,6 +591,14 @@ def _syndrome_with_one_entry(params, exponents):
     return Syndrome(params, tuple(entries))
 
 
+def _packed_split(S, T0, K):
+    return jennrich._axis_points(S, *jennrich._quotient_stack(S)[1:])
+
+
+def _tuple_split(S, T0, K):
+    return reference_axis_points(S, T0, K, inverse(T0.submatrix(K, K)))
+
+
 def _axis_outcome(split, S):
     """What one axis kernel makes of S past the shared rank-revealing
     front: its list of points, the DecodingFailure message, or None for
@@ -567,7 +608,7 @@ def _axis_outcome(split, S):
     if not K:
         return None
     try:
-        return split(S, T0, K, inverse(T0.submatrix(K, K)))
+        return split(S, T0, K)
     except DecodingFailure as exc:
         return str(exc)
 
@@ -583,7 +624,7 @@ def test_zero_start_vector_is_a_decoding_failure():
     # vector needs rank >= 2: the syndrome 1 at x_1 x_2 has K = {x_1, x_2}
     S = _syndrome_with_one_entry(CodeParams(4, 1), (1, 1, 0, 0))
     assert full_rank_submatrix(tensor_from_syndrome(S)[0])[0] == (1, 2)
-    for split in (jennrich._axis_points, reference_axis_points):
+    for split in (_packed_split, _tuple_split):
         assert _axis_outcome(split, S).startswith("zero start vector")
 
 
@@ -599,7 +640,7 @@ def test_more_eigencomponents_than_the_rank_is_a_decoding_failure():
     message = "8 eigencomponents for a rank-5 constant slice"
     with pytest.raises(DecodingFailure, match=message):
         axis_decompose(S)
-    for split in (jennrich._axis_points, reference_axis_points):
+    for split in (_packed_split, _tuple_split):
         assert _axis_outcome(split, S) == message
 
 
@@ -625,8 +666,7 @@ def axis_syndromes(draw, primes=tuple(AXIS_GRID)):
 def test_axis_kernel_matches_the_tuple_reference(S):
     # the packed split against the tuple split that forms each M_v: the
     # same points in the same order, or the same failure message
-    assert (_axis_outcome(jennrich._axis_points, S)
-            == _axis_outcome(reference_axis_points, S))
+    assert _axis_outcome(_packed_split, S) == _axis_outcome(_tuple_split, S)
 
 
 @settings(max_examples=100)
@@ -764,15 +804,21 @@ def test_unlucky_readout_retries_when_randomized_and_fails_when_derandomized(
 
 def test_decompose_inverts_over_the_base_field_and_reads_the_minor_once(
         monkeypatch, rng):
-    # the one inverse is T_0[K,K]^{-1} over F_2, and the stacked minor is
-    # read once per call, not once per draw: the randomized call's first
-    # draw is forced to fail, so it makes two
-    inverted, minors, readouts = [], [], []
-    real_inverse, real_minor = jennrich.inverse, jennrich._stacked_minor
+    # the one inverse is T_0[K,K]^{-1} over F_2, and the quotient stack,
+    # with its one read of the stacked minor, is built once per call, not
+    # once per draw: the randomized call's first draw is forced to fail,
+    # so it makes two
+    inverted, stacks, minors, readouts = [], [], [], []
+    real_inverse, real_stack = jennrich.inverse, jennrich._quotient_stack
+    real_minor = jennrich.moment_matrix
 
     def inverse_spy(M):
         inverted.append(M.field)
         return real_inverse(M)
+
+    def stack_spy(S):
+        stacks.append(S)
+        return real_stack(S)
 
     def minor_spy(*args):
         minors.append(args)
@@ -785,14 +831,17 @@ def test_decompose_inverts_over_the_base_field_and_reads_the_minor_once(
         return _krylov_readout(MT, y, cols)
 
     monkeypatch.setattr(jennrich, "inverse", inverse_spy)
-    monkeypatch.setattr(jennrich, "_stacked_minor", minor_spy)
+    monkeypatch.setattr(jennrich, "_quotient_stack", stack_spy)
+    monkeypatch.setattr(jennrich, "moment_matrix", minor_spy)
     monkeypatch.setattr(jennrich, "_krylov_readout", unlucky_once)
     E = sample_error_set(CodeParams(READOUT_M, 1), 5, rng)
     S = syndrome_from_errors(E)
     assert decompose(S, "randomized", rng, ext_degree=READOUT_D).points == E.points
-    assert (len(readouts), len(minors), inverted) == (2, 1, [prime_field(2)])
+    assert (len(readouts), len(stacks), len(minors), inverted) == (2, 1, 1, [prime_field(2)])
     assert decompose(S, "derandomized").points == E.points
-    assert (len(readouts), len(minors), inverted) == (3, 2, [prime_field(2)] * 2)
+    assert (len(readouts), len(stacks), len(minors), inverted) == (3, 2, 2, [prime_field(2)] * 2)
+    assert axis_decompose(S).points == E.points
+    assert (len(stacks), len(minors), inverted) == (3, 3, [prime_field(2)] * 3)
 
 
 def _interpolate(F, xs, ys) -> list:
