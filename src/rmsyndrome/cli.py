@@ -30,7 +30,7 @@ from .code import (CodeParams, DecodingFailure, LengthMismatchError,
                    syndrome_of_word, syndrome_streaming, encode as encode_word,
                    write_syndrome_file, write_word_file)
 from .polynomials import monomial_index, poly_from_obj, space_to_obj
-from .polyspace import (DECODER_MODES, locate_and_correct, resolve_mode,
+from .polyspace import (DECODER_MODES, MAX_PRIME, locate_and_correct, resolve_mode,
                         run_decoder, space_roots)
 
 EXIT_OK = 0
@@ -104,10 +104,10 @@ def build_parser() -> _Parser:
                           "(jennrich axis, polyspace det)")
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--ext-degree", type=int, default=None,
-                     help="extension degree for the tensor decoder (default: the "
-                          "least D with an irreducible trinomial above m for derand, "
-                          "14 at m = 12, and above 6m for rand over F_2, 73 at "
-                          "m = 12; rand over odd p, 10m)")
+                     help="extension degree D >= 1 for the tensor decoder "
+                          "(default: the least D above m for derand and above 6m "
+                          "for rand, over every p; over F_2 the least such D with "
+                          "an irreducible trinomial, 14 and 73 at m = 12)")
     dec.add_argument("--dump-space", default=None,
                      help="also write the recovered vanishing space as JSON")
     dec.add_argument("--out", required=True)
@@ -205,7 +205,13 @@ def _stream_values(path, params: CodeParams):
                     yield byte
 
 
+def _check_ext_degree(ext_degree: int | None) -> None:
+    if ext_degree is not None and ext_degree < 1:
+        raise ValueError("need --ext-degree >= 1")
+
+
 def _cmd_decode(args) -> int:
+    _check_ext_degree(args.ext_degree)
     syndrome = read_syndrome_file(args.syndrome)
     rng = substream_rng(args.seed, 0)
     if args.dump_space is not None:
@@ -285,6 +291,9 @@ def _cmd_experiment(args) -> int:
         raise ValueError("need t >= 0")
     if args.trials < 1:
         raise ValueError("need trials >= 1")
+    if args.p > MAX_PRIME:
+        raise ValueError(f"p = {args.p} is above MAX_PRIME = {MAX_PRIME}")
+    _check_ext_degree(args.ext_degree)
     CodeParams(args.m, args.r, args.p)  # validate bounds before spawning work
     args.mode = resolve_mode(args.algo, args.mode)
     workers = max(1, int(os.environ.get("RMS_THREADS", "1")))

@@ -35,15 +35,16 @@ coordinates are read off at lambda in one packed product.
 Failure modes (repeated eigenvalues, coordinates that do not lie in the
 base field) trigger a resample in randomized mode and are reported as
 decoding failures in derandomized mode.  That mode weights with
-a = (1, z, ..., z^m), z = X mod the modulus of F_{2^D}, so two points
-share an eigenvalue exactly when a nonzero F_2 polynomial of degree < m
-vanishes at z, whose minimal polynomial is the modulus: D >= m separates
-every error set, and nothing is factored.  D defaults there to the least
-degree above m with an irreducible trinomial, the modulus that
-extension_field then takes.  The paper's b = (z^{3m}, ..., z^{5m}) is
-implied: by Frobenius S^b T_0[K,K]^{-1} = z^{3m} A^2, so its quotient
-S^a (S^b)^{-1} = z^{-3m} A^{-1}, defined only for D > m, has A's
-eigenvectors.
+a = (1, z, ..., z^m), z = X mod the modulus of F_{p^D}, over every p, so
+two points share an eigenvalue exactly when z f(z) = 0 for a nonzero
+F_p polynomial f of degree < m.  z's minimal polynomial is the modulus,
+so any D >= m with D > 1 separates every error set, and nothing is
+factored.  D defaults there to the least degree above m; over F_2, to
+the least with an irreducible trinomial, the modulus that
+extension_field then takes.  Over F_2 the paper's
+b = (z^{3m}, ..., z^{5m}) is implied: by Frobenius
+S^b T_0[K,K]^{-1} = z^{3m} A^2, so its quotient S^a (S^b)^{-1} =
+z^{-3m} A^{-1}, defined only for D > m, has A's eigenvectors.
 
 axis_decompose, the library's default decoder, takes the weightings to be
 the constant slice and each coordinate axis in turn.  The quotients
@@ -114,31 +115,22 @@ def _flatten(slices, F, weights) -> FFMatrix:
 
 
 def derandomized_flattening_vectors(F, alpha: int, m: int) -> tuple[tuple, tuple]:
-    """The fixed weighting vectors a = (1, a, a^2, ..., a^m) and
+    """The paper's fixed weighting vectors a = (1, a, a^2, ..., a^m) and
     b = (a^{3m}, a^{3m+2}, ..., a^{5m}) for an element a of F_{2^D}.
 
     For x in F_2^{m+1} put alpha_x = <x, a> = sum_v x_v a^v.  Squaring
     is the Frobenius map and fixes each x_v, so <x, b> = a^{3m} alpha_x^2.
-    decompose flattens by a alone, against the constant slice: its
-    eigenvalue at a point e is alpha_x for the lifted x = (1, e), and
-    these are distinct for every error set exactly when no nonzero F_2
-    polynomial of degree < m vanishes at a, i.e. when the minimal
-    polynomial of a has degree D >= m.  b is the paper's second
-    weighting: the ratios <x, a> / <x, b> = a^{-3m} / alpha_x order the
-    same eigenvectors, but need every alpha_x, x != 0, nonzero too, so
-    D > m.  A primitive element has the property, and so does
-    decompose's z, the residue of X, with no factoring.
-    Both are running products: each entry of a is the one before times
-    a, each entry of b the one before times a^2.
+    The ratios <x, a> / <x, b> = a^{-3m} / alpha_x order the eigenvectors
+    of the paper's quotient S^a (S^b)^{-1}; they are distinct for every
+    pair of lifted points when the minimal polynomial of a has degree
+    D >= m, and need every alpha_x, x != 0, nonzero too, so D > m.  A
+    primitive element has the property, and so does the residue of X.
+    decompose draws a alone, as F.powers(z, m + 1), and needs no b; b is
+    a^{3m} times the powers of a^2.
     """
-    a = [1]
-    for _ in range(m):
-        a.append(F.mul(a[-1], alpha))
-    step = F.square(alpha)
-    b = [F.mul(F.square(a[m]), a[m])]
-    for _ in range(m):
-        b.append(F.mul(b[-1], step))
-    return tuple(a), tuple(b)
+    a = F.powers(alpha, m + 1)
+    shift = F.mul(F.square(a[m]), a[m])
+    return tuple(a), tuple(F.mul(shift, x) for x in F.powers(F.square(alpha), m + 1))
 
 
 def decompose(S: Syndrome, mode: str = "randomized", rng=None,
@@ -149,14 +141,12 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     (b = e_0, as every lifted point is 1 at coordinate 0), so the quotient
     is A = sum_v a_v M_v.  Mode "randomized" draws a from rng and
     retries on unlucky draws, up to MAX_DRAWS draws in all.  Mode
-    "derandomized" (F_2 only) makes one fixed draw, the a of
-    derandomized_flattening_vectors at z = X mod the modulus of F_{2^D},
-    and is bit-reproducible: z's minimal polynomial, the modulus, has
-    degree D, so D >= m guarantees the draw with no factoring of
-    2^D - 1.  ext_degree D defaults (_default_ext_degree) in derandomized
-    mode to the least D > m with an irreducible trinomial
-    X^D + X^j + 1; in randomized mode to the least such D > 6m over F_2,
-    and to 10m over odd p.  The quotient stack (_quotient_stack) is built
+    "derandomized" makes one fixed draw, a = (1, z, ..., z^m) for
+    z = X mod the modulus of F_{p^D} (the int p, or the root of the
+    linear modulus when D = 1), and is bit-reproducible: z's minimal
+    polynomial, the modulus, has degree D, so D >= m guarantees the draw
+    with no factoring of p^D - 1.  ext_degree D defaults to
+    _default_ext_degree.  The quotient stack (_quotient_stack) is built
     once per call; the transposed quotients M_v^T are its blocks, and the
     coordinate columns M_v y its product with y.  Each draw only flattens
     the M_v^T.
@@ -171,8 +161,6 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "randomized" and rng is None:
         raise ValueError("randomized mode needs an rng")
-    if mode == "derandomized" and params.p != 2:
-        raise ValueError("derandomized flattening vectors are defined over F_2")
     m = params.m
     K, y, Q = _quotient_stack(S)
     if not K:
@@ -191,8 +179,8 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
     if mode == "randomized":
         draws = (tuple(F.random_element(rng) for _ in range(m + 1)) for _ in range(MAX_DRAWS))
         failure = f"decomposition failed after {MAX_DRAWS} flattening draws: {{}}"
-    else:  # z = X mod the modulus: the int 2, or the constant term when D = 1
-        draws = [derandomized_flattening_vectors(F, 2 if D > 1 else F.modulus.coeffs[0], m)[0]]
+    else:  # z = X mod the modulus: the int p, or the root of X + c_0 when D = 1
+        draws = [F.powers(params.p if D > 1 else F.neg(F.modulus.coeffs[0]), m + 1)]
         failure = "derandomized decomposition failed: {} (dependent tensor powers, or D < m)"
     for a in draws:
         try:
@@ -204,19 +192,17 @@ def decompose(S: Syndrome, mode: str = "randomized", rng=None,
 
 @lru_cache(maxsize=None)
 def _default_ext_degree(p: int, m: int, mode: str = "randomized") -> int:
-    """decompose's extension degree D when none is given.  Over F_2 it is
-    the least D above a bound with an irreducible trinomial X^D + X^j + 1,
-    which extension_field(2, D) then takes as its modulus, so each fold of
-    a product in F_{2^D} is two shifts.  The bound is m in derandomized
-    mode, where the fixed weights separate every error set once D >= m
-    (derandomized_flattening_vectors), and 6m in randomized mode, where a
-    draw fails with probability about t^2 / 2^D (Schwartz-Zippel), which
-    D >= m does not control.  Over odd p it is 10m: over F_3 every such
-    trinomial has the root 1, so no trinomial search is made."""
-    if p != 2:
-        return 10 * m
+    """decompose's extension degree D when none is given: the least D
+    above m in derandomized mode, where the fixed weights separate every
+    error set once D >= m, and above 6m in randomized mode, where a draw
+    fails with probability at most C(t, 2) / p^D, which D >= m does not
+    control: points e, e' share an eigenvalue where the nonzero linear
+    form <(0, e - e'), a> vanishes, at one uniform a in p^D.  Over F_2, D
+    steps up to the next degree with an irreducible trinomial
+    X^D + X^j + 1, which extension_field(2, D) then takes as its modulus,
+    so each fold of a product in F_{2^D} is two shifts."""
     D = (m if mode == "derandomized" else 6 * m) + 1
-    while irreducible_trinomial(prime_field(2), D) is None:
+    while p == 2 and irreducible_trinomial(prime_field(2), D) is None:
         D += 1
     return D
 

@@ -158,6 +158,15 @@ def test_decode_all_algorithms_identical_files(tmp_path, rng):
     assert tuple(located) == E.points  # sorted in point-enumeration order
 
 
+def test_decode_derand_over_f3(tmp_path, rng):
+    # the derandomized tensor decoder runs over every prime
+    _, E, _, spath = _setup_corrupted(tmp_path, rng, m=5, t=4, p=3)
+    out = tmp_path / "locs.json"
+    assert main(["decode", "--syndrome", str(spath), "--algo", "jennrich",
+                 "--mode", "derand", "--out", str(out)]) == 0
+    assert tuple(tuple(e) for e in json.loads(out.read_text())) == E.points
+
+
 def test_decode_dump_space(tmp_path, rng):
     params, E, _, spath = _setup_corrupted(tmp_path, rng, t=3)
     out = tmp_path / "locs.json"
@@ -289,6 +298,16 @@ def test_exit_codes_for_bad_input(tmp_path):
         assert main(["experiment", "--m", "4", "--r", "1", *t, "--trials", "2",
                      "--out", str(tmp_path / "neg.csv")]) == 4
     assert not (tmp_path / "neg.csv").exists()
+    # p above MAX_PRIME, or an extension degree below 1, before any trial
+    for extra in (["--p", "257"], ["--algo", "jennrich", "--mode", "rand", "--ext-degree", "0"]):
+        assert main(["experiment", "--m", "4", "--r", "1", "--t", "1", "--trials", "2",
+                     *extra, "--out", str(tmp_path / "bounds.csv")]) == 4
+    assert not (tmp_path / "bounds.csv").exists()
+    spath = tmp_path / "s.json"
+    write_syndrome_file(syndrome_from_errors(ErrorSet(CodeParams(4, 1), ())), spath)
+    assert main(["decode", "--syndrome", str(spath), "--ext-degree", "-5",
+                 "--out", str(tmp_path / "o.json")]) == 4  # even for a decoder that ignores it
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -213,11 +213,10 @@ def test_decompose_odd_field(rng):
         assert decompose(S, "randomized", rng, ext_degree=8).points == E.points
 
 
-def test_derandomized_rejects_odd_fields(rng):
+def test_derandomized_decodes_odd_fields(rng):
     params = CodeParams(5, 1, 3)
-    S = syndrome_from_errors(sample_error_set(params, 2, rng))
-    with pytest.raises(ValueError):
-        decompose(S, "derandomized", ext_degree=8)
+    E = sample_error_set(params, 2, rng)
+    assert decompose(syndrome_from_errors(E), "derandomized", ext_degree=8).points == E.points
 
 
 def test_decompose_failure_on_inconsistent_syndrome(rng):
@@ -268,41 +267,46 @@ def test_derandomized_decode_factors_nothing(monkeypatch, rng):
 
 
 def test_derandomized_vectors_are_powers_of_x(monkeypatch, rng):
-    # z = X mod the modulus: the int 2, or 0 at D = 1, where the modulus
-    # is X; a = (1, 0, ..., 0) then flattens to A = I, which decodes one
-    # point (A = [1]) and fails, as a decoding failure and not an
-    # out-of-field error, on three, whose eigenvalues all equal 1
+    # the draw is a = (1, z, ..., z^m) for z = X mod the modulus: the int
+    # p, or 0 at D = 1, where the modulus is X; a = (1, 0, ..., 0) then
+    # flattens to A = I, which decodes one point (A = [1]) and fails, as
+    # a decoding failure and not an out-of-field error, on three, whose
+    # eigenvalues all equal 1
     seen = []
+    real_attempt = jennrich._attempt
 
-    def spy(F, alpha, m):
-        seen.append((F.k, alpha))
-        return derandomized_flattening_vectors(F, alpha, m)
+    def spy(S, quotients, cols, F, a):
+        seen.append((F.k, a[1]))
+        assert list(a) == F.powers(a[1], S.params.m + 1)
+        return real_attempt(S, quotients, cols, F, a)
 
-    monkeypatch.setattr(jennrich, "derandomized_flattening_vectors", spy)
-    for t in (1, 3):
-        E = sample_error_set(CodeParams(4, 1), t, rng)
-        S = syndrome_from_errors(E)
-        assert decompose(S, "derandomized").points == E.points
-        assert decompose(S, "derandomized", ext_degree=31).points == E.points
-        if t == 1:
-            assert decompose(S, "derandomized", ext_degree=1).points == E.points
-            continue
-        with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
-            decompose(S, "derandomized", ext_degree=1)
-    # the derandomized default D at m = 4 is 5, the least degree above m
-    # with an irreducible trinomial (X^5 + X^2 + 1)
-    assert seen == [(5, 2), (31, 2), (1, 0)] * 2
+    monkeypatch.setattr(jennrich, "_attempt", spy)
+    for p in (2, 3):
+        seen.clear()
+        for t in (1, 3):
+            E = sample_error_set(CodeParams(4, 1, p), t, rng)
+            S = syndrome_from_errors(E)
+            assert decompose(S, "derandomized").points == E.points
+            assert decompose(S, "derandomized", ext_degree=31).points == E.points
+            if t == 1:
+                assert decompose(S, "derandomized", ext_degree=1).points == E.points
+                continue
+            with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
+                decompose(S, "derandomized", ext_degree=1)
+        # the derandomized default D at m = 4 is 5, the least degree above
+        # m (over F_2 X^5 + X^2 + 1 is an irreducible trinomial)
+        assert seen == [(5, p), (31, p), (1, 0)] * 2
 
 
 def test_default_extension_degree_for_every_m_up_to_64():
     # over F_2 the least D > 6m with an irreducible trinomial, which
-    # extension_field takes as the modulus; over odd p, 10m
+    # extension_field takes as the modulus; over odd p, 6m + 1
     for m in range(1, 65):
         D = jennrich._default_ext_degree(2, m)
         assert D > 6 * m
         assert sum(map(bool, extension_field(2, D).modulus.coeffs)) == 3
         for p in (3, 5):
-            assert jennrich._default_ext_degree(p, m) == 10 * m
+            assert jennrich._default_ext_degree(p, m) == 6 * m + 1
     assert [jennrich._default_ext_degree(2, m) for m in (12, 20, 64)] == [73, 121, 385]
     assert extension_field(2, 73).modulus == UniPoly(prime_field(2), [1] + [0] * 24 + [1] + [0] * 47 + [1])
 
@@ -337,7 +341,7 @@ def test_decompose_takes_the_default_extension_degree(monkeypatch, rng):
         E = sample_error_set(CodeParams(4, 1, p), 3, rng)
         S = syndrome_from_errors(E)
         assert decompose(S, "randomized", rng).points == E.points
-    assert seen == [(2, 25), (3, 40)]
+    assert seen == [(2, 25), (3, 25)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -404,6 +408,40 @@ def test_derandomized_bound_is_tight(m):
     assert decompose(S, "derandomized").points == E.points
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_derandomized_bound_is_tight_over_odd_p(m, p):
+    # the F_2 argument holds over F_p: at D = m - 1 the modulus
+    # c_0 + ... + X^{m-1} vanishes at z, so the origin and c share the
+    # eigenvalue 1 + z c(z) = 1, while D = m separates them
+    c = tuple(extension_field(p, m - 1).modulus.coeffs)
+    E = ErrorSet(CodeParams(m, 1, p), ((0,) * m, c))
+    S = syndrome_from_errors(E)
+    with pytest.raises(DecodingFailure, match="derandomized decomposition failed"):
+        decompose(S, "derandomized", ext_degree=m - 1)
+    assert decompose(S, "derandomized", ext_degree=m).points == E.points
+
+
+# (m, r) per odd field for the derandomized property test, r in {0, 1, 2}
+ODD_DERAND_GRID = {p: [(2, 0), (4, 1), (6, 2)] for p in (3, 5, 7)}
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(ODD_DERAND_GRID)), st.integers(0, 2**32), st.data())
+def test_derandomized_decodes_odd_p_at_the_default_degree_and_at_m(p, seed, data):
+    m, r = data.draw(st.sampled_from(ODD_DERAND_GRID[p]))
+    params, rng = CodeParams(m, r, p), random.Random(seed)
+    t = data.draw(st.integers(0, monomial_index(m, r, p).size))
+    try:
+        E = sample_error_set(params, t, rng)
+    except SamplingError:
+        reject()
+    S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
+    for D in (None, m):
+        assert decompose(S, "derandomized", ext_degree=D).points == E.points
+    assert axis_decompose(S).points == E.points
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_paper_decoder_at_r_0(p, rng):
     # T_0 is 1 x 1 at r = 0: the degree-1 columns H[K, 0..m] lie outside it
@@ -421,9 +459,8 @@ def test_bad_mode_is_rejected_before_any_work(monkeypatch, rng):
 
     monkeypatch.setattr(jennrich, "moment_matrix", unreachable)
     monkeypatch.setattr(jennrich, "extension_field", unreachable)
-    S2 = syndrome_from_errors(sample_error_set(CodeParams(6, 1), 3, rng))
-    S3 = syndrome_from_errors(sample_error_set(CodeParams(5, 1, 3), 2, rng))
-    for S, mode in ((S2, "sideways"), (S3, "derandomized"), (S2, "randomized")):
+    S = syndrome_from_errors(sample_error_set(CodeParams(6, 1), 3, rng))
+    for mode in ("sideways", "randomized"):
         with pytest.raises(ValueError):
             decompose(S, mode)
 
