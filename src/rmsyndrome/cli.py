@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -30,8 +29,8 @@ from .code import (CodeParams, DecodingFailure, LengthMismatchError,
                    syndrome_of_word, syndrome_streaming, encode as encode_word,
                    write_syndrome_file, write_word_file)
 from .polynomials import monomial_index, poly_from_obj, space_to_obj
-from .polyspace import (DECODER_MODES, MAX_PRIME, locate_and_correct, resolve_mode,
-                        run_decoder, space_roots)
+from .polyspace import (DECODER_MODES, locate_and_correct, resolve_mode, run_decoder,
+                        space_roots)
 
 EXIT_OK = 0
 EXIT_DECODE_FAILURE = 2
@@ -213,11 +212,12 @@ def _check_ext_degree(ext_degree: int | None) -> None:
 def _cmd_decode(args) -> int:
     _check_ext_degree(args.ext_degree)
     syndrome = read_syndrome_file(args.syndrome)
+    mode = resolve_mode(args.algo, args.mode, syndrome.params.p)
     rng = substream_rng(args.seed, 0)
-    if args.dump_space is not None:
+    if args.dump_space is not None:  # before the decode, which may fail
         Path(args.dump_space).write_text(json.dumps(space_to_obj(space_roots(syndrome))))
     errors, _residual = locate_and_correct(
-        syndrome, algorithm=args.algo, mode=args.mode, rng=rng,
+        syndrome, algorithm=args.algo, mode=mode, rng=rng,
         ext_degree=args.ext_degree)
     Path(args.out).write_text(json.dumps([list(e) for e in errors.points]))
     return EXIT_OK
@@ -291,11 +291,9 @@ def _cmd_experiment(args) -> int:
         raise ValueError("need t >= 0")
     if args.trials < 1:
         raise ValueError("need trials >= 1")
-    if args.p > MAX_PRIME:
-        raise ValueError(f"p = {args.p} is above MAX_PRIME = {MAX_PRIME}")
+    args.mode = resolve_mode(args.algo, args.mode, args.p)
     _check_ext_degree(args.ext_degree)
     CodeParams(args.m, args.r, args.p)  # validate bounds before spawning work
-    args.mode = resolve_mode(args.algo, args.mode)
     workers = max(1, int(os.environ.get("RMS_THREADS", "1")))
     jobs = []
     index = 0
@@ -310,9 +308,12 @@ def _cmd_experiment(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         try:
+            context = nullcontext()
+            if workers > 1:  # multiprocessing is slow to load: import it only for a pool
+                from concurrent.futures import ProcessPoolExecutor
+                context = ProcessPoolExecutor(max_workers=workers)
             # rows come back in job order, one process or a pool alike
-            with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-                  else nullcontext()) as pool:
+            with context as pool:
                 for row in (map if pool is None else pool.map)(_trial_worker, jobs):
                     rows_by_t[row["t"]].append(row)
                     writer.writerow(row)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .fields import UniPoly, berlekamp_roots
 
@@ -212,24 +212,6 @@ def slot_layout(field):
     if field.order > field.char:
         return _EntrySlots(field)
     return _PrimeSlots(field)
-
-
-def tabled_dot(layout, vectors):
-    """x -> layout.dot(layout.vectors(vectors), x), for many x; over F_2 one
-    lookup per 4 entries of x in tables of the xors of all subsets of each 4
-    vectors, built once (Method of Four Russians; Arlazarov et al. 1970)."""
-    if layout.field.order != 2:
-        return partial(layout.dot, layout.vectors(vectors))
-    tables = [[0] for _ in range(0, len(vectors), 4)]
-    for i, v in enumerate(vectors):
-        tables[i // 4] += [u ^ v for u in tables[i // 4]]
-
-    def dot(x: int) -> int:
-        out = 0
-        for table in tables:
-            out, x = out ^ table[x & 15], x >> 4
-        return out
-    return dot
 
 
 class _EntrySlots:

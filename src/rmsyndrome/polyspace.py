@@ -37,7 +37,7 @@ hyperplanes of Valiant-Vazirani isolation with every coset kept.
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from operator import itemgetter
 
@@ -45,7 +45,7 @@ from .code import (CodeParams, DecodingFailure, ErrorSet, Syndrome, constant_sli
                    moment_matrix)
 from .fields import prime_field
 from .jennrich import axis_decompose, decompose
-from .linalg import FFMatrix, left_kernel, rank, rref, rref_nullspace, slot_layout, tabled_dot
+from .linalg import FFMatrix, left_kernel, rank, rref, rref_nullspace, slot_layout
 from .polynomials import PolySpace, monomial_count, monomial_index
 
 
@@ -94,12 +94,12 @@ def _annihilator(V: PolySpace) -> list[int]:
 
 
 def _products(phi: list[int], idx, low: int, layout):
-    """form -> the product x -> x^T G_l, tabled (linalg.tabled_dot), for
-    the t x |M_r| matrix G_l whose column B is Phi at reduce(l B), for the
-    linear form l = C x given by its row C.  G_l is sum_v C_v G_{x_v},
-    each G_{x_v} Phi's entries at the shift var_mul(v) of the B < low, row
-    i's at slot i low; each G_{x_v}, and each form's table, is built once,
-    when first asked for."""
+    """form -> the product x -> x^T G_l, the layout's dot with G_l's t
+    rows, for the t x |M_r| matrix G_l whose column B is Phi at
+    reduce(l B), for the linear form l = C x given by its row C.  G_l is
+    sum_v C_v G_{x_v}, each G_{x_v} Phi's entries at the shift var_mul(v)
+    of the B < low, row i's at slot i low; each G_{x_v}, and each form's
+    product, is built once, when first asked for."""
     t, width = len(phi), low * layout.bits
     mask, rows = (1 << width) - 1, [layout.unpack(row, idx.size) for row in phi]
 
@@ -112,7 +112,7 @@ def _products(phi: list[int], idx, low: int, layout):
     def product(form: int):
         blocks = [shifted(v) if c else 0 for v, c in enumerate(layout.unpack(form, idx.m))]
         g = layout.dot(layout.vectors(blocks), form)
-        return tabled_dot(layout, [g >> i * width & mask for i in range(t)])
+        return partial(layout.dot, layout.vectors([g >> i * width & mask for i in range(t)]))
     return product
 
 
@@ -276,9 +276,12 @@ DECODER_MODES = {"jennrich": ("axis", "rand", "derand"),
                  "polyspace": ("det", "rand")}
 
 
-def resolve_mode(algorithm: str, mode: str | None = None) -> str:
-    """The mode a decoder runs in: the given one, checked against the
-    algorithm, or its deterministic default when mode is None."""
+def resolve_mode(algorithm: str, mode: str | None, p: int) -> str:
+    """The mode a decoder runs in over F_p: the given one, checked against
+    the algorithm, or its deterministic default when mode is None.
+    Raises ValueError for p above MAX_PRIME."""
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} is above MAX_PRIME = {MAX_PRIME}")
     modes = DECODER_MODES.get(algorithm)
     if modes is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -308,9 +311,7 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
     algorithm's deterministic mode (jennrich axis, polyspace det).
     Returns only a set that explains S (code.explains), else raises
     DecodingFailure.  Raises ValueError for p above MAX_PRIME."""
-    mode = resolve_mode(algorithm, mode)
-    if S.params.p > MAX_PRIME:
-        raise ValueError(f"p = {S.params.p} is above MAX_PRIME = {MAX_PRIME}")
+    mode = resolve_mode(algorithm, mode, S.params.p)
     if mode == "rand" and rng is None:
         raise ValueError(f"randomized {algorithm} decoding needs an rng")
     if algorithm == "polyspace":  # Phi = H[K, :], a basis of V^perp on a valid S

@@ -308,6 +308,13 @@ def test_exit_codes_for_bad_input(tmp_path):
     assert main(["decode", "--syndrome", str(spath), "--ext-degree", "-5",
                  "--out", str(tmp_path / "o.json")]) == 4  # even for a decoder that ignores it
     assert not (tmp_path / "o.json").exists()
+    # p above MAX_PRIME, or a mode the algorithm lacks, before --dump-space writes
+    big = tmp_path / "big.json"
+    write_syndrome_file(syndrome_from_errors(ErrorSet(CodeParams(2, 0, 257), ())), big)
+    for path, extra in ((big, []), (spath, ["--algo", "polyspace", "--mode", "axis"])):
+        assert main(["decode", "--syndrome", str(path), "--dump-space", str(tmp_path / "V.json"),
+                     *extra, "--out", str(tmp_path / "o.json")]) == 4
+        assert not (tmp_path / "V.json").exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from rmsyndrome.code import (CodeParams, DegreeError, ErrorSet,
                              syndrome_of_word, syndrome_streaming, tensor_power,
                              tensor_power_matrix, write_word_file)
 from rmsyndrome.code import _bit_rows, _fold, _pack, _power_transform, _slots
-from helpers import direct_tensor_power, full_system_magnitudes, reference_bit_rows
+from helpers import (direct_tensor_power, full_system_explains, full_system_magnitudes,
+                     reference_bit_rows)
 from rmsyndrome.linalg import rank
 from rmsyndrome.polynomials import MonomialIndex, MultilinearPoly, monomial_index
 
@@ -545,17 +547,26 @@ def test_power_transform_every_slot_at_full_width(m, p, rng):
                 values, m, p, moments)
 
 
-@pytest.mark.parametrize("p,m", [(2, 8), (3, 6), (5, 4)])
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 6), (5, 4), (7, 4)])
 def test_explains_a_planted_syndrome_and_not_one_flipped_entry(p, m, rng):
+    # every entry flipped by every nonzero offset, against the full system;
+    # over odd p a set with the origin still explains S after entry 0 is
+    # flipped by d whenever w_0 + d != 0, so some flips are explained
     params = CodeParams(m, 1, p)
-    E = sample_error_set(params, 3, rng)
-    S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(3)])
-    assert explains(S, E)
-    # over F_2 every entry of the certificate's packed row sum is compared
-    for i in range(len(S.entries)) if p == 2 else [-1]:
-        entries = list(S.entries)
-        entries[i] = (entries[i] + 1) % p
-        assert not explains(Syndrome(params, tuple(entries)), E)
+    sets = [sample_error_set(params, 3, rng)]
+    if p > 2:
+        sets.append(ErrorSet(params, [(0,) * m, (1,) + (0,) * (m - 1), (0, 1) + (0,) * (m - 2)]))
+    for E in sets:
+        S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(E.t)])
+        assert explains(S, E)
+        found = []
+        for i, d in product(range(len(S.entries)), range(1, p)):
+            entries = list(S.entries)
+            entries[i] = (entries[i] + d) % p
+            flipped = Syndrome(params, tuple(entries))
+            found.append(explains(flipped, E))
+            assert found[-1] == full_system_explains(flipped, E)
+    assert any(found) == (p > 2)  # the last set's flips: the origin's set over odd p
 
 
 def test_dependent_low_degree_tensor_powers_give_no_magnitudes():

@@ -1,6 +1,10 @@
-"""The library's modules reach one another only through public names."""
+"""The library's modules reach one another only through public names, and
+importing the cli loads no process pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rmsyndrome"
@@ -73,3 +77,14 @@ def _factoring_imports(package: Path):
 
 def test_no_decode_path_module_imports_factoring():
     assert list(_factoring_imports(PACKAGE)) == []
+
+
+def test_the_cli_loads_no_process_pool():
+    # every rmsyndrome process and every cold decode imports the cli; the
+    # experiment's pool is imported only when RMS_THREADS asks for workers
+    code = ("import sys, rmsyndrome.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

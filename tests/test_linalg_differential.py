@@ -6,7 +6,7 @@ The fields cover every row layout of linalg.slot_layout: byte slots over
 F_3, F_5 and F_7 (at any rank), 2-byte slots over F_13, 8-byte slots over
 F_{2^31 - 1}, 16-byte slots (no machine word) over F_{2^61 - 1},
 entry-by-entry slots over F_{3^2} and carry-less 2k-bit slots over
-F_{2^8}; rref, the round trip and tabled_dot add F_2's bit rows.  Over
+F_{2^8}; rref and the round trip add F_2's bit rows.  Over
 the extension fields, whose reference arithmetic is slow, large shapes
 get low rank.  left_kernel runs over F_2, F_3, F_5 and F_4 against the
 rows of the rref of [G | I] that are zero on G."""
@@ -20,7 +20,7 @@ from helpers import (schoolbook_dot, schoolbook_inverse, schoolbook_matmul,
                      schoolbook_nullspace, schoolbook_rref)
 from rmsyndrome.fields import extension_field, prime_field
 from rmsyndrome.linalg import (FFMatrix, SingularMatrixError, inverse, left_kernel,
-                               nullspace_basis, rref, slot_layout, tabled_dot)
+                               nullspace_basis, rref, slot_layout)
 
 FIELDS = [prime_field(3), prime_field(5), prime_field(7), prime_field(13),
           extension_field(3, 2), extension_field(2, 8), prime_field(2 ** 31 - 1),
@@ -282,21 +282,3 @@ def test_left_kernel_matches_the_rref_of_g_beside_the_identity(F, kind, data):
     assert schoolbook_rref(F, alphas + reference, t)[1] == len(reference) == len(alphas)
     if F.order > 2:  # the rref's rows themselves
         assert alphas == reference
-
-
-@settings(max_examples=100)
-@given(st.sampled_from(FIELDS + [prime_field(2)]),
-       st.sampled_from([0, 1, 3, 4, 5, 8, 13, 26, 52]), st.data())
-def test_tabled_dot_matches_the_layout_dot(F, k, data):
-    # k vectors, k not always a multiple of 4, so the last table may hold
-    # fewer; x = 0, x with its top entry set, and random x
-    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
-    layout = slot_layout(F)
-    rows, _ = _rows(F, data, k)
-    vectors = list(map(layout.pack, rows))
-    dot, expect = tabled_dot(layout, vectors), layout.vectors(vectors)
-    xs = [[0] * k, [F.random_element(rng) for _ in range(k)]]
-    if k:
-        xs.append([0] * (k - 1) + [F.order - 1])
-    for x in xs:
-        assert dot(layout.pack(x)) == layout.dot(expect, layout.pack(x))
