@@ -23,8 +23,8 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 
-from .code import (CodeParams, DecodingFailure, LengthMismatchError,
-                   MalformedInputError, SamplingError, read_syndrome_file,
+from .code import (CodeParams, DecodingFailure, MalformedInputError, SamplingError,
+                   check_word_length, read_syndrome_file,
                    read_word_file, sample_error_set, syndrome_from_errors,
                    syndrome_of_word, syndrome_streaming, encode as encode_word,
                    write_syndrome_file, write_word_file)
@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
     enc.add_argument("--r", type=int, required=True)
     enc.add_argument("--p", type=int, default=2)
     enc.add_argument("--poly", required=True,
-                     help="JSON list of [exponent-vector, coefficient] pairs")
+                     help="JSON file holding a list of [exponent-vector, coefficient] pairs")
     enc.add_argument("--out", required=True, help="word file (sidecar .json added)")
 
     syn = sub.add_parser("syndrome", help="compute the syndrome of a word file")
@@ -173,6 +173,7 @@ def _cmd_syndrome(args) -> int:
     if args.stream:
         sidecar = Path(args.word + ".json")
         params = CodeParams.from_json_dict(json.loads(sidecar.read_text()))
+        check_word_length(params, os.path.getsize(args.word))
         syndrome = syndrome_streaming(params, _stream_values(args.word, params))
     else:
         word = read_word_file(args.word)
@@ -182,11 +183,9 @@ def _cmd_syndrome(args) -> int:
 
 
 def _stream_values(path, params: CodeParams):
-    """Yield the p^m coordinates of a word file in enumeration order,
-    reading the file in fixed-size chunks."""
+    """Yield the p^m coordinates of a word file of the checked length
+    (check_word_length) in enumeration order, in fixed-size chunks."""
     n, p = params.n, params.p
-    if os.path.getsize(path) != ((n + 7) // 8 if p == 2 else n):
-        raise LengthMismatchError("word file length mismatch")
     emitted = 0
     with open(path, "rb") as fh:
         while chunk := fh.read(4096):

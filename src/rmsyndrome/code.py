@@ -184,14 +184,27 @@ class Syndrome:
             raise MalformedInputError("a syndrome file must be an object with "
                                       "a params object and an entries list")
         params = CodeParams.from_json_dict(d["params"])
-        entries = d["entries"]
-        size = monomial_count(params.m, 2 * params.r + 1, params.p)
+        entries, m, r = d["entries"], params.m, params.r
+        # |M_{2r+1}| >= C(m, k) >= 2^k for k = min(2r + 1, m // 2), checked
+        # at no cost; once it passes, 2r + 1 or m is small and so is the count
+        if min(2 * r + 1, m // 2) >= len(entries).bit_length():
+            raise MalformedInputError(f"a syndrome needs more than {len(entries)} entries")
+        size = monomial_count(m, 2 * r + 1, params.p)
         if len(entries) != size:
             raise MalformedInputError(f"a syndrome needs {size} entries")
         if not all(type(v) is int and 0 <= v < params.p for v in entries):
             raise MalformedInputError(
                 f"syndrome entries must be integers in [0, {params.p})")
         return cls(params, tuple(entries))
+
+
+def check_word_length(params: CodeParams, size: int) -> None:
+    """Raise LengthMismatchError unless a word file of size bytes holds
+    the p^m symbols, a bit each over F_2, else a byte each.  p^m is formed
+    only for an m below the bit length of 8 size + 8, else it is larger."""
+    if params.m >= (8 * size + 8).bit_length() or size != (
+            (params.n + 7) // 8 if params.p == 2 else params.n):
+        raise LengthMismatchError("word file length mismatch")
 
 
 @dataclass(frozen=True)
@@ -214,16 +227,12 @@ class ReceivedWord:
 
     @classmethod
     def from_bytes(cls, params: CodeParams, raw: bytes) -> "ReceivedWord":
-        n = params.n
+        check_word_length(params, len(raw))
         if params.p == 2:
-            if len(raw) != (n + 7) // 8:
-                raise LengthMismatchError("word file length mismatch")
             bits = int.from_bytes(raw, "little")
-            if bits >> n:
+            if bits >> params.n:
                 raise MalformedInputError("padding bits of the last byte must be zero")
             return cls(params, bits)
-        if len(raw) != n:
-            raise LengthMismatchError("word file length mismatch")
         if max(raw) >= params.p:
             raise MalformedInputError(f"word symbols must lie in [0, {params.p})")
         return cls(params, tuple(raw))
@@ -351,18 +360,16 @@ def explains(S: "Syndrome", E: ErrorSet) -> bool:
 # Syndromes.
 
 
-def moment_matrix(S: Syndrome, rows, cols, v: int = 0) -> FFMatrix:
+def moment_matrix(S: Syndrome, rows, cols) -> FFMatrix:
     """The minor H[rows, cols] of the syndrome's moment (Hankel) matrix
     H[i, j] = S[reduce(M_i M_j)], M_i of degree <= r and M_j of degree
-    <= r + 1 (moment_positions); for v > 0, the minor of the tensor slice
-    T_v[i, j] = S[reduce(M_i M_j x_v)].  Reduction commutes with
-    products, so T_v[rows, cols] = H[rows, shift_v(cols)], with shift_v
-    the map M_j -> reduce(M_j x_v) on columns of degree <= r."""
+    <= r + 1 (moment_positions).  Reduction commutes with products, so a
+    tensor slice T_v[i, j] = S[reduce(M_i M_j x_v)] is H at the shifted
+    columns: T_v[rows, cols] = H[rows, shift_v(cols)], with shift_v the
+    map M_j -> reduce(M_j x_v) on columns of degree <= r
+    (MonomialIndex.var_mul of the degree-(r + 1) index)."""
     params = S.params
     table = moment_positions(params.m, params.r, params.p)
-    if v:
-        shift = monomial_index(params.m, params.r + 1, params.p).var_mul(v - 1)
-        cols = [shift[j] for j in cols]
     # each row gathered by itemgetter at C speed and packed once
     pick, pack = _picker(cols), slot_layout(params.field).pack
     return FFMatrix.from_packed_rows(params.field, [
@@ -380,9 +387,9 @@ def _picker(idx):
     return lambda seq: tuple([seq[i] for i in idx])
 
 
-def constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
-    """T_0 = H[:, :|M_r|] in full and K, the pivot columns of one rref of
-    T_0: the front half every decoder shares.
+def constant_slice(S: Syndrome) -> tuple[int, ...]:
+    """K, the pivot columns of one rref of T_0 = H[:, :|M_r|]: the front
+    half every decoder shares.
 
     T_0 is symmetric (a moment matrix), so K indexes a column basis and,
     by symmetry, a row basis, and T_0[K, K] is invertible: with
@@ -391,11 +398,10 @@ def constant_slice(S: Syndrome) -> tuple[FFMatrix, tuple[int, ...]]:
     so do the rows H[K, :].  Raises DecodingFailure for a zero T_0 of a
     nonzero syndrome."""
     square = range(monomial_count(S.params.m, S.params.r, S.params.p))
-    T0 = moment_matrix(S, square, square)
-    K = rref(T0)[2]
+    K = rref(moment_matrix(S, square, square))[2]
     if not K and not S.is_zero():
         raise DecodingFailure("zero constant slice of a nonzero syndrome")
-    return T0, K
+    return K
 
 
 def syndrome_from_errors(E: ErrorSet) -> Syndrome:

@@ -20,17 +20,18 @@ the axis quotients M_v = T_v[K,K] T_0[K,K]^{-1} (M_0 = I), whose common
 eigenvectors are the tensor powers at K, with eigenvalue <(1, e), a>
 (the eigenvalue method of Moeller & Stetter 1995).  Both decoders read
 the quotients from one stack Q = [I; M_1; ...; M_m] over F_p, built once
-per call from one inverse of T_0[K,K] and one read of the stacked minor
-[T_1; ...; T_m][K, K] (_quotient_stack).  decompose takes the M_v^T as
-its blocks; a draw of a over an extension field F_{p^D} only flattens
-them, with no inverse or matrix product over F_{p^D}.  The decoder never
-computes an eigenvalue: one rref of the Krylov columns of y = T_0[K, 0]
-against the coordinate columns M_v y, the blocks of Q y, gives the
-characteristic polynomial chi of A and polynomials g_v with
-g_v(lambda_e) = e_v (a rational univariate representation).  Splitting
-chi by gcd(h, g_v - c), c in F_p, one variable at a time until every
-factor is linear, X - lambda, leaves one factor per error point, whose
-coordinates are read off at lambda in one packed product.
+per call by one read of the minor [T_0 | T_1 | ... | T_m][K, K] and one
+rref of it, [I | M_1^T | ... | M_m^T] (_quotient_stack).  decompose
+takes the M_v^T as its blocks; a draw of a over an extension field
+F_{p^D} only flattens them, with no inverse or matrix product over
+F_{p^D}.  The decoder never computes an eigenvalue: one rref of the
+Krylov columns of y = T_0[K, 0] against the coordinate columns M_v y,
+the blocks of Q y, gives the characteristic polynomial chi of A and
+polynomials g_v with g_v(lambda_e) = e_v (a rational univariate
+representation).  Splitting chi by gcd(h, g_v - c), c in F_p, one
+variable at a time until every factor is linear, X - lambda, leaves one
+factor per error point, whose coordinates are read off at lambda in one
+packed product.
 
 Failure modes (repeated eigenvalues, coordinates that do not lie in the
 base field) trigger a resample in randomized mode and are reported as
@@ -53,10 +54,10 @@ the error points, so splitting one vector by the eigenspace idempotents
 1 - (M_v - c)^{p-1} separates the points with no extension field,
 characteristic polynomial or eigenvector solve (Moeller & Stetter 1995;
 solution extraction from moment matrices, Henrion & Lasserre 2005).  It
-reads only T_0 in full and the other slices at [K, K], over any p: a
-vector is one int in the F_p row layout that every FFMatrix row uses
-(linalg.slot_layout: a bit per entry over F_2, a byte over F_3, ...,
-F_11), Q is one int per column, and one product with it gives
+reads only T_0 in full, for K, and the other slices at [K, K], over any
+p: a vector is one int in the F_p row layout that every FFMatrix row
+uses (linalg.slot_layout: a bit per entry over F_2, a byte over F_3,
+..., F_11), Q is one int per column, and one product with it gives
 [y; M_1 y; ...; M_m y] at once, so a split by M_v costs p - 1 products.
 """
 
@@ -67,9 +68,10 @@ from functools import lru_cache
 from .code import DecodingFailure, ErrorSet, Syndrome, constant_slice, explains, moment_matrix
 from .fields import (extension_field, irreducible_trinomial, prime_field,
                      split_by_value)
+from .linalg import FFMatrix, rref, slot_layout
 # rank is not called here; perfbench's tracer rebinds every module's
 # binding of it, and its self-test expects one in this module.
-from .linalg import FFMatrix, inverse, rank, rref, slot_layout  # noqa: F401
+from .linalg import rank  # noqa: F401
 from .polynomials import monomial_count, monomial_index
 
 
@@ -84,9 +86,11 @@ class _RetryableFailure(Exception):
 def tensor_from_syndrome(S: Syndrome) -> tuple[FFMatrix, ...]:
     """The syndrome reshaped into the 3-tensor, as its m+1 slices along
     the degree-1 axis: the entry (M_i, M_j) of slice k is the syndrome
-    entry of reduce(M_i M_j M''_k)."""
-    square = range(monomial_count(S.params.m, S.params.r, S.params.p))
-    return tuple(moment_matrix(S, square, square, k) for k in range(S.params.m + 1))
+    entry of reduce(M_i M_j M''_k): H at the columns M_r, then at var_mul(v)."""
+    m, r, p = S.params.m, S.params.r, S.params.p
+    square = range(monomial_count(m, r, p))
+    shifts = map(monomial_index(m, r + 1, p).var_mul, range(m))
+    return tuple(moment_matrix(S, square, cols) for cols in (square, *shifts))
 
 
 def _flatten(slices, F, weights) -> FFMatrix:
@@ -215,23 +219,23 @@ def _quotient_stack(S: Syndrome) -> tuple[tuple, tuple, list[int]]:
     v t .. v t + t - 1.  K is empty for the zero syndrome; a zero T_0 of
     a nonzero syndrome, or a zero y, raises DecodingFailure.
 
-    Column l of the stacked minor [T_1; ...; T_m][K, K], read in one
-    moment_matrix call, holds T_{v+1}[K[k], K[l]] in slot v t + k (T_v
-    is symmetric, so that is H[K[l], shift_{v+1}(K[k])]).  Combined by
-    column j of B = T_0[K,K]^{-1} (B is symmetric, so its row j) it is
-    [M_1 e_j; ...; M_m e_j]; below it e_j = M_0 e_j."""
+    One moment_matrix call reads the minor [T_0 | T_1 | ... | T_m][K, K],
+    which is T_0[K,K] [I | M_1^T | ... | M_m^T] (every slice is
+    symmetric), and its rref, pivots 0..t-1, has row j equal to
+    [e_j | M_1 e_j | ... | M_m e_j], column j of Q.  Column 0 of T_0 is a
+    pivot exactly when it is nonzero: y is zero exactly when K[0] != 0,
+    and otherwise it is column 0 of the minor."""
     params = S.params
-    T0, K = constant_slice(S)
+    K = constant_slice(S)
     if not K:
         return K, (), []
-    y = _start_vector(T0, K)
-    B = inverse(T0.submatrix(K, K))
+    if K[0]:
+        raise DecodingFailure(_ZERO_START)
     index = monomial_index(params.m, params.r + 1, params.p)
-    stacked = moment_matrix(S, K, [shift[k] for shift in map(index.var_mul, range(params.m))
-                                   for k in K]).packed_rows()
-    layout, t = B.layout, len(K)
-    return K, y, [layout.dot(stacked, B.packed_row(j)) << t * layout.bits | 1 << j * layout.bits
-                  for j in range(t)]
+    minor = moment_matrix(S, K, [*K, *(shift[k] for shift in map(index.var_mul, range(params.m))
+                                       for k in K)])
+    mask = minor.layout.mask
+    return K, tuple([row & mask for row in minor.packed_rows()]), rref(minor)[0].packed_rows()
 
 
 def _attempt(S: Syndrome, quotients, cols, F, a) -> ErrorSet:
@@ -357,22 +361,12 @@ def axis_decompose(S: Syndrome) -> ErrorSet:
         raise DecodingFailure(f"invalid point set: {exc}") from exc
 
 
-def _start_vector(T0: FFMatrix, K) -> tuple:
-    """y = T_0[K, 0], the vector the axis split starts from; zero only
-    when the syndrome is not that of an error set with independent tensor
-    powers."""
-    y = tuple(T0.at(k, 0) for k in K)
-    if not any(y):
-        raise DecodingFailure("zero start vector: the constant slice's "
-                              "first column vanishes on its row basis")
-    return y
-
-
 def _check_leaf_count(n: int, t: int) -> None:
     if n > t:
         raise DecodingFailure(f"{n} eigencomponents for a rank-{t} constant slice")
 
 
+_ZERO_START = "zero start vector: the constant slice's first column vanishes on its row basis"
 _NOT_ONE_DIMENSIONAL = "a joint eigenspace of the axis matrices is not one-dimensional"
 _NOT_COMMON = "a split component is not a common eigenvector of the axis matrices"
 

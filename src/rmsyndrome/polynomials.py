@@ -103,16 +103,16 @@ class MonomialIndex:
         return sum(int_to_point(self.keys[i], self.m, self.p))
 
     def var_mul(self, v: int) -> tuple:
-        """Map position i to the position of reduce(M_i * X_v), or -1 when
-        the product exceeds the degree bound: X_v adds p^v to the key,
-        except that X_v^(p-1) X_v = X_v subtracts (p-2) p^v (over F_2,
-        key | 1 << v)."""
+        """Map each position i of a monomial M_i of degree < t, a prefix of
+        the graded index, to the position of reduce(M_i * X_v), which is
+        in the index: X_v adds p^v to the key, except that
+        X_v^(p-1) X_v = X_v subtracts (p-2) p^v (over F_2, key | 1 << v)."""
         got = self._var_mul.get(v)
         if got is None:
             p, pos, q = self.p, self.position, self.p ** v
+            low = islice(self.keys, monomial_count(self.m, self.t - 1, p))
             got = self._var_mul[v] = tuple([
-                pos.get(key - (p - 2) * q if key // q % p == p - 1 else key + q, -1)
-                for key in self.keys])
+                pos[key - (p - 2) * q if key // q % p == p - 1 else key + q] for key in low])
         return got
 
     def parents(self) -> tuple:
@@ -365,8 +365,7 @@ def _product_units(target: MonomialIndex) -> tuple:
     layout, n = slot_layout(prime_field(target.p)), target.size
     low = monomial_count(target.m, target.t - 1, target.p)
     maps = [range(low), *map(target.var_mul, range(target.m))]
-    units = [sum(1 << (s * n + j) * layout.bits for s, j in zip(range(low), vm))
-             for vm in maps]
+    units = [sum(1 << (s * n + j) * layout.bits for s, j in enumerate(vm)) for vm in maps]
     return layout.vectors(units), low
 
 

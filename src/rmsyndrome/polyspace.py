@@ -97,15 +97,15 @@ def _products(phi: list[int], idx, low: int, layout):
     """form -> the product x -> x^T G_l, the layout's dot with G_l's t
     rows, for the t x |M_r| matrix G_l whose column B is Phi at
     reduce(l B), for the linear form l = C x given by its row C.  G_l is
-    sum_v C_v G_{x_v}, each G_{x_v} Phi's entries at the shift var_mul(v)
-    of the B < low, row i's at slot i low; each G_{x_v}, and each form's
-    product, is built once, when first asked for."""
+    sum_v C_v G_{x_v}, each G_{x_v} Phi's entries at var_mul(v), the
+    shifts of the low monomials B, row i's at slot i low; each G_{x_v},
+    and each form's product, is built once, when first asked for."""
     t, width = len(phi), low * layout.bits
     mask, rows = (1 << width) - 1, [layout.unpack(row, idx.size) for row in phi]
 
     @lru_cache(maxsize=None)
     def shifted(v: int) -> int:
-        pick = itemgetter(*idx.var_mul(v)[:low])
+        pick = itemgetter(*idx.var_mul(v))
         return layout.pack(list(chain.from_iterable(map(pick, rows))))
 
     @lru_cache(maxsize=None)
@@ -316,7 +316,7 @@ def run_decoder(S: Syndrome, algorithm: str = "jennrich", mode: str | None = Non
         raise ValueError(f"randomized {algorithm} decoding needs an rng")
     if algorithm == "polyspace":  # Phi = H[K, :], a basis of V^perp on a valid S
         index = monomial_index(S.params.m, S.params.r + 1, S.params.p)
-        phi = moment_matrix(S, constant_slice(S)[1], range(index.size)).packed_rows()
+        phi = moment_matrix(S, constant_slice(S), range(index.size)).packed_rows()
         E = _split(phi, index, _forms(index, rng if mode == "rand" else None))
     elif mode == "axis":
         E = axis_decompose(S)

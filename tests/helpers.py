@@ -9,9 +9,8 @@ from math import prod
 from rmsyndrome.code import (DecodingFailure, ErrorSet, Syndrome,
                              moment_matrix, syndrome_from_errors,
                              tensor_power, tensor_power_matrix)
-from rmsyndrome.jennrich import (_NOT_COMMON, _NOT_ONE_DIMENSIONAL,
-                                 _check_leaf_count, _RetryableFailure,
-                                 _start_vector)
+from rmsyndrome.jennrich import (_NOT_COMMON, _NOT_ONE_DIMENSIONAL, _ZERO_START,
+                                 _check_leaf_count, _RetryableFailure)
 from rmsyndrome.fields import poly_divmod, poly_gcd, prime_field
 from rmsyndrome.linalg import FFMatrix, nullspace_basis, rank, solve
 from rmsyndrome.polynomials import (MultilinearPoly, PolySpace, _affine_map,
@@ -200,10 +199,14 @@ def reference_axis_points(S: Syndrome, T0: FFMatrix, K, B: FFMatrix) -> list[tup
     M_v = T_v[K,K] B and splits by its eigenspace idempotents.  The
     reference for jennrich._axis_points, with the same points in the same
     order and the same failure messages."""
-    f = S.params.field
-    t = len(K)
-    mats = [moment_matrix(S, K, K, v) @ B for v in range(1, S.params.m + 1)]
-    leaves = [_start_vector(T0, K)]
+    m, r, p = S.params.m, S.params.r, S.params.p
+    f, t = S.params.field, len(K)
+    shifts = map(monomial_index(m, r + 1, p).var_mul, range(m))
+    mats = [moment_matrix(S, K, [shift[k] for k in K]) @ B for shift in shifts]
+    y = tuple(T0.at(k, 0) for k in K)
+    if not any(y):
+        raise DecodingFailure(_ZERO_START)
+    leaves = [y]
     for M in mats:
         if len(leaves) == t:
             break

@@ -1,7 +1,11 @@
 import csv
 import json
 import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,8 @@ from rmsyndrome.code import (CodeParams, ErrorSet, corrupt, encode,
                              read_word_file, sample_error_set,
                              syndrome_from_errors, write_syndrome_file,
                              write_word_file)
-from rmsyndrome.polynomials import MultilinearPoly, monomial_index, point_to_int
+from rmsyndrome.polynomials import (MultilinearPoly, monomial_count, monomial_index,
+                                    point_to_int)
 
 
 def _write_poly(path, terms):
@@ -408,3 +413,52 @@ def test_experiment_worker_pool_matches_serial(tmp_path):
     finally:
         del os.environ["RMS_THREADS"]
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def _run_cli(args) -> subprocess.CompletedProcess:
+    """The cli in a fresh process, under a 1 GB address-space limit and a
+    30 s timeout: an input bound that fails shows as a timeout or as a
+    MemoryError traceback, not as a stalled machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "rmsyndrome.cli", *args], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.parametrize("stream", [False, True])
+@pytest.mark.parametrize("m,p", [(10 ** 8, 3), (10 ** 10, 2)])
+def test_a_word_sidecar_with_an_oversized_m_exits_3_at_once(tmp_path, m, p, stream):
+    # a 2-byte word holds at most 16 symbols, so the file's size bounds m
+    # before p^m is formed or an index of the syndrome's monomials built
+    word = tmp_path / "w.bits"
+    word.write_bytes(b"\0\0")
+    Path(f"{word}.json").write_text(json.dumps({"m": m, "r": 0, "p": p}))
+    proc = _run_cli(["syndrome", "--word", str(word), *(["--stream"] * stream),
+                     "--out", str(tmp_path / "s.json")])
+    assert (proc.returncode, "Traceback" in proc.stderr) == (3, False)
+    assert "length mismatch" in proc.stderr
+
+
+@pytest.mark.parametrize("m,r,n", [(12000, 5000, 2), (20000, 9999, 20001)])
+def test_a_syndrome_file_with_an_oversized_m_exits_3_at_once(tmp_path, m, r, n):
+    # |M_{2r+1}| is at least C(m, min(2r + 1, m // 2)), so n entries, two
+    # or more than m, reject these before the exact count, and the
+    # message names no count of thousands of digits
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"params": {"m": m, "r": r, "p": 2}, "entries": [0] * n}))
+    proc = _run_cli(["decode", "--syndrome", str(path), "--out", str(tmp_path / "e.json")])
+    assert (proc.returncode, "Traceback" in proc.stderr) == (3, False)
+    assert f"needs more than {n} entries" in proc.stderr and len(proc.stderr) < 200
+
+
+@pytest.mark.parametrize("m,r,p", [(2, 0, 2), (8, 3, 2), (12, 2, 2), (30, 1, 2),
+                                   (5, 1, 3), (4, 1, 5)])
+def test_the_syndrome_size_bounds_never_reject_an_exact_length(tmp_path, m, r, p):
+    # both bounds sit at or below |M_{2r+1}|: a list of exactly that many
+    # entries passes them, and one entry fewer is still refused
+    size = monomial_count(m, 2 * r + 1, p)
+    for n, rc in [(size, 0), (size - 1, 3)]:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"params": {"m": m, "r": r, "p": p}, "entries": [0] * n}))
+        assert main(["decode", "--syndrome", str(path), "--out", str(tmp_path / "e.json")]) == rc

@@ -510,8 +510,9 @@ def test_slices_are_symmetric_and_one_rref_gives_the_minor(S):
 @given(st.one_of(arbitrary_syndromes(), planted_syndromes().map(lambda case: case[1])),
        st.data())
 def test_moment_matrix_reads_the_tensor_slices(S, data):
-    # moment_matrix reads T_v[i, j] as H[i, shift_v(j)]; the definition is
-    # the syndrome entry of reduce(M_i M_j x_v), from exponent tuples
+    # T_v[i, j] is H[i, shift_v(j)], the moment matrix at the columns that
+    # var_mul(v - 1) shifts; the definition is the syndrome entry of
+    # reduce(M_i M_j x_v), from exponent tuples
     m, r, p = S.params.m, S.params.r, S.params.p
     monos = monomial_index(m, r, p).monomials
     position = S.params.syndrome_index.position
@@ -524,10 +525,11 @@ def test_moment_matrix_reads_the_tensor_slices(S, data):
     K0 = rref(moment_matrix(S, range(len(monos)), range(len(monos))))[2]
     subset = data.draw(st.lists(st.integers(0, len(monos) - 1), min_size=1,
                                 max_size=len(monos), unique=True))
+    shifts = [range(len(monos)), *map(monomial_index(m, r + 1, p).var_mul, range(m))]
     for K in {K0, tuple(subset)} - {()}:
-        for v in range(m + 1):
+        for v, shift in enumerate(shifts):
             want = [[entry(i, j, v) for j in K] for i in K]
-            assert moment_matrix(S, K, K, v).to_lists() == want
+            assert moment_matrix(S, K, [shift[k] for k in K]).to_lists() == want
     # one column gathers a bare entry per row; no column, none
     one = moment_matrix(S, subset, subset[:1])
     assert one.to_lists() == [[entry(i, subset[0], 0)] for i in subset]
@@ -542,30 +544,62 @@ def test_moment_matrix_reads_the_tensor_slices(S, data):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_quotient_stack_against_the_formed_quotients(r, p, rng):
-    # block v of Q = [I; M_1; ...; M_m] is T_v[K,K] T_0[K,K]^{-1} formed
-    # from the full slices, and on planted syndromes with random nonzero
-    # magnitudes the blocks of Q y are the coordinate columns H[K, 0..m]
+    # block 0 of Q = [I; M_1; ...; M_m] is I and block v is
+    # T_v[K,K] T_0[K,K]^{-1} formed from the full slices, on planted
+    # syndromes with random nonzero magnitudes and on random ones; y is
+    # T_0[K, 0], and it is zero, a DecodingFailure, exactly when
+    # K[0] != 0 (half the random syndromes vanish on T_0's column 0).  On
+    # the planted ones the blocks of Q y are the coordinate columns
+    # H[K, 0..m]
     m = max(4, 2 * r + 2)
     params = CodeParams(m, r, p)
     layout = slot_layout(params.field)
-    for _ in range(3):
-        t = rng.randrange(1, monomial_index(m, r, p).size + 1)
-        E = sample_error_set(params, t, rng)
-        S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
-        K, y, Q = jennrich._quotient_stack(S)
+    low, size = monomial_index(m, r, p).size, params.syndrome_index.size
+    for case in range(12):
+        if case < 4:
+            t = rng.randrange(1, low + 1)
+            E = sample_error_set(params, t, rng)
+            S = syndrome_from_weighted_errors(E, [rng.randrange(1, p) for _ in range(t)])
+        else:
+            entries = [rng.randrange(p) for _ in range(size)]
+            if case % 2:
+                entries[:low] = [0] * low  # T_0's column 0 is S at M_r
+            S = Syndrome(params, tuple(entries))
         T = tensor_from_syndrome(S)
+        K = rref(T[0])[2]
+        if case < 4:
+            # a planted syndrome of t independent points has rank t, and
+            # T_0's column 0 (the magnitudes' sums) is a pivot
+            assert K and K[0] == 0 and len(K) == t
+        if not K:
+            if S.is_zero():
+                assert jennrich._quotient_stack(S) == ((), (), [])
+            else:
+                with pytest.raises(DecodingFailure, match="zero constant slice"):
+                    jennrich._quotient_stack(S)
+            continue
+        if K[0]:
+            assert not any(T[0].at(k, 0) for k in K)
+            with pytest.raises(DecodingFailure, match="zero start vector"):
+                jennrich._quotient_stack(S)
+            continue
+        t = len(K)
         B = inverse(T[0].submatrix(K, K))
+        stack_K, y, Q = jennrich._quotient_stack(S)
+        assert (stack_K, y) == (K, tuple(T[0].at(k, 0) for k in K))
         width = t * layout.bits
 
         def block(x, v):
             return list(layout.unpack(x >> v * width & (1 << width) - 1, t))
 
-        assert (len(K), y) == (t, tuple(T[0].at(k, 0) for k in K))
-        for v in range(m + 1):
-            assert [block(col, v) for col in Q] == (T[v].submatrix(K, K) @ B).transpose().to_lists()
-        Qy = layout.dot(Q, layout.pack(y))
-        H = moment_matrix(S, K, range(m + 1)).transpose().to_lists()
-        assert [block(Qy, v) for v in range(m + 1)] == H
+        assert [block(col, 0) for col in Q] == FFMatrix.identity(params.field, t).to_lists()
+        for v in range(1, m + 1):
+            formed = T[v].submatrix(K, K) @ B
+            assert [block(col, v) for col in Q] == formed.transpose().to_lists()
+        if case < 4:
+            Qy = layout.dot(Q, layout.pack(y))
+            H = moment_matrix(S, K, range(m + 1)).transpose().to_lists()
+            assert [block(Qy, v) for v in range(m + 1)] == H
 
 
 @given(planted_syndromes())
@@ -841,17 +875,18 @@ def test_unlucky_readout_retries_when_randomized_and_fails_when_derandomized(
 
 def test_decompose_inverts_over_the_base_field_and_reads_the_minor_once(
         monkeypatch, rng):
-    # the one inverse is T_0[K,K]^{-1} over F_2, and the quotient stack,
-    # with its one read of the stacked minor, is built once per call, not
-    # once per draw: the randomized call's first draw is forced to fail,
-    # so it makes two
-    inverted, stacks, minors, readouts = [], [], [], []
-    real_inverse, real_stack = jennrich.inverse, jennrich._quotient_stack
+    # the quotient stack is built once per call, not once per draw, from
+    # one moment_matrix read of the minor and one rref of it over F_2,
+    # the only elimination over the base field: the randomized call's
+    # first draw is forced to fail, so it makes two
+    base_rrefs, stacks, minors, readouts = [], [], [], []
+    real_rref, real_stack = jennrich.rref, jennrich._quotient_stack
     real_minor = jennrich.moment_matrix
 
-    def inverse_spy(M):
-        inverted.append(M.field)
-        return real_inverse(M)
+    def rref_spy(M):
+        if M.field == prime_field(2):
+            base_rrefs.append(M.nrows)
+        return real_rref(M)
 
     def stack_spy(S):
         stacks.append(S)
@@ -867,18 +902,18 @@ def test_decompose_inverts_over_the_base_field_and_reads_the_minor_once(
             raise _RetryableFailure("forced redraw")
         return _krylov_readout(MT, y, cols)
 
-    monkeypatch.setattr(jennrich, "inverse", inverse_spy)
+    monkeypatch.setattr(jennrich, "rref", rref_spy)
     monkeypatch.setattr(jennrich, "_quotient_stack", stack_spy)
     monkeypatch.setattr(jennrich, "moment_matrix", minor_spy)
     monkeypatch.setattr(jennrich, "_krylov_readout", unlucky_once)
     E = sample_error_set(CodeParams(READOUT_M, 1), 5, rng)
     S = syndrome_from_errors(E)
     assert decompose(S, "randomized", rng, ext_degree=READOUT_D).points == E.points
-    assert (len(readouts), len(stacks), len(minors), inverted) == (2, 1, 1, [prime_field(2)])
+    assert (len(readouts), len(stacks), len(minors), base_rrefs) == (2, 1, 1, [5])
     assert decompose(S, "derandomized").points == E.points
-    assert (len(readouts), len(stacks), len(minors), inverted) == (3, 2, 2, [prime_field(2)] * 2)
+    assert (len(readouts), len(stacks), len(minors), base_rrefs) == (3, 2, 2, [5] * 2)
     assert axis_decompose(S).points == E.points
-    assert (len(stacks), len(minors), inverted) == (3, 3, [prime_field(2)] * 3)
+    assert (len(stacks), len(minors), base_rrefs) == (3, 3, [5] * 3)
 
 
 def _interpolate(F, xs, ys) -> list:

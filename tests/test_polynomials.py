@@ -65,15 +65,19 @@ def test_monomial_order_round_trip(m, t, p):
 
 @pytest.mark.parametrize("m,t,p", [(5, 3, 2), (6, 2, 2), (4, 3, 3), (3, 4, 5)])
 def test_var_mul_matches_the_exponent_tuples(m, t, p):
-    # over F_2 var_mul reads masks; the definition adds 1 to exponent v
+    # var_mul maps the degree < t prefix, whose shifts all lie in the
+    # index; the definition adds 1 to exponent v
     idx = monomial_index(m, t, p)
+    low = monomial_count(m, t - 1, p)
     for v in range(m):
         want = []
-        for mono in idx.monomials:
+        for mono in idx.monomials[:low]:
             e = list(mono)
             e[v] = reduce_exponent(e[v] + 1, p)
-            want.append(idx.position.get(point_to_int(e, p), -1))
-        assert idx.var_mul(v) == tuple(want)
+            want.append(idx.position[point_to_int(e, p)])
+        shift = idx.var_mul(v)
+        assert shift == tuple(want)
+        assert len(shift) == low and all(0 <= j < idx.size for j in shift)
 
 
 @pytest.mark.parametrize("m,r,p", [(6, 1, 2), (7, 2, 2), (5, 1, 3), (4, 2, 3),
